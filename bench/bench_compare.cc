@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
+
 namespace {
 
 // Minimal JSON reader for the fixed sndp-bench-v1 shape.  Numbers are kept
@@ -251,9 +253,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--cycles-threshold" && i + 1 < argc) {
-      cycles_pct = std::strtod(argv[++i], nullptr);
+      cycles_pct = sndp::parse_flag(argv[0], a, argv[++i], 0.0);
     } else if (a == "--time-threshold" && i + 1 < argc) {
-      time_pct = std::strtod(argv[++i], nullptr);
+      time_pct = sndp::parse_flag(argv[0], a, argv[++i], 0.0);
     } else if (baseline_path == nullptr) {
       baseline_path = argv[i];
     } else if (current_path == nullptr) {

@@ -55,7 +55,7 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--jobs" || a == "-j") {
-      o.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.jobs = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--stats-json") {
       o.stats_json = need_value(i);
     } else if (a == "--progress") {

@@ -5,10 +5,9 @@
 // bucket — with each leaf's share and its Amdahl what-if bound (the speedup
 // ceiling if that leaf alone went to zero).  Two built-in validations:
 //
-//  * Mode invariance: each workload is re-run with fast-forward disabled and
-//    again sharded across two time partitions; the stacks must be
-//    bit-identical in all three modes (the profiler inherits the simulator's
-//    determinism contract).
+//  * Mode invariance: each workload is re-run with fast-forward disabled;
+//    the stacks must be bit-identical in both stepping modes (the profiler
+//    inherits the simulator's determinism contract).
 //
 //  * What-if calibration: the workload whose stack shows the most DRAM
 //    dep-wait cycles (dep_dram_local + dep_dram_remote) is re-run under
@@ -42,19 +41,16 @@ int main(int argc, char** argv) {
 
   BenchSweep sweep(opts, "bottleneck");
   struct Row {
-    std::size_t base, noff, part2;
+    std::size_t base, noff;
   };
   std::vector<Row> rows;
   for (const std::string& name : all_workload_names()) {
     const SystemConfig cfg = paper_config(OffloadMode::kDynamicCache);
     SystemConfig noff = cfg;
     noff.fast_forward = false;
-    SystemConfig part2 = cfg;
-    part2.parallel_partitions = 2;
     rows.push_back(Row{
         sweep.add(name + "/base", cfg, name),
         sweep.add(name + "/no-ff", noff, name),
-        sweep.add(name + "/partitions2", part2, name),
     });
   }
   sweep.run();
@@ -66,17 +62,14 @@ int main(int argc, char** argv) {
   for (const std::string& name : all_workload_names()) {
     const RunResult& base = sweep.result(rows[row_idx].base);
     const RunResult& noff = sweep.result(rows[row_idx].noff);
-    const RunResult& part2 = sweep.result(rows[row_idx].part2);
     ++row_idx;
 
     std::printf("== %-8s  %llu SM cycles  (bucket cycles, share, what-if bound) ==\n",
                 name.c_str(), static_cast<unsigned long long>(base.sm_cycles));
     std::fputs(format_cycle_tree(base.cycle_stack).c_str(), stdout);
     const bool ff_ok = stacks_equal(base.cycle_stack, noff.cycle_stack);
-    const bool p2_ok = stacks_equal(base.cycle_stack, part2.cycle_stack);
-    std::printf("mode-invariance: ff-off %s, partitions=2 %s\n\n",
-                ff_ok ? "identical" : "MISMATCH", p2_ok ? "identical" : "MISMATCH");
-    if (!ff_ok || !p2_ok) rc = 1;
+    std::printf("mode-invariance: ff-off %s\n\n", ff_ok ? "identical" : "MISMATCH");
+    if (!ff_ok) rc = 1;
 
     const std::uint64_t dram_dep =
         base.cycle_stack.sm.bucket_total(

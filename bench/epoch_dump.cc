@@ -75,11 +75,11 @@ Options parse(int argc, char** argv) {
       else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
       else usage(argv[0]);
     } else if (a == "-r" || a == "--ratio") {
-      o.ratio = std::stod(need_value(i));
+      o.ratio = parse_flag(argv[0], a, need_value(i), 0.0, 1.0);
     } else if (a == "-e" || a == "--epoch") {
-      o.epoch = std::stoull(need_value(i));
+      o.epoch = parse_flag(argv[0], a, need_value(i), Cycle{1});
     } else if (a == "--seed") {
-      o.seed = std::stoull(need_value(i));
+      o.seed = parse_flag(argv[0], a, need_value(i), std::uint64_t{0});
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "--trace") {

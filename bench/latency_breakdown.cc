@@ -76,13 +76,13 @@ Options parse(int argc, char** argv) {
       else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
       else usage(argv[0]);
     } else if (a == "--sample") {
-      o.sample = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.sample = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "--trace-dir") {
       o.trace_dir = need_value(i);
     } else if (a == "--jobs" || a == "-j") {
-      o.bench.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.bench.jobs = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--stats-json") {
       o.bench.stats_json = need_value(i);
     } else if (a == "--progress") {

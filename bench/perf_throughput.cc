@@ -8,15 +8,6 @@
 // required to be bit-identical (same sm_cycles and runtime_ps); the harness
 // checks this on every row and fails loudly on a mismatch.
 //
-// A second axis measures parallel-in-time execution (`--partitions`): each
-// workload runs with 1, 2, and 4 partitions (fast-forward on, dyn-cache),
-// checks bit-identity against the serial row, and reports the wall-clock
-// speedup per row plus the geomean.  The JSON records the host's hardware
-// thread count alongside the numbers: on a machine with fewer cores than
-// partitions the barriers degrade to yields and the honest speedup is ~1x
-// (or below) — the recorded ratios are only meaningful relative to
-// `hw_threads`.
-//
 //   perf_throughput [--quick] [--stats-json FILE]
 //
 //   --quick            tiny-scale three-workload subset (CI smoke)
@@ -28,9 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -79,25 +68,6 @@ double timed_run(const std::string& workload, ProblemScale scale, const SystemCo
   *out = Simulator(cfg).run(*wl);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-// Partition-count rows: serial vs 2 and 4 partitions, same workload/mode.
-struct ParRow {
-  std::string workload;
-  double wall_s1 = 0.0;
-  double wall_s2 = 0.0;
-  double wall_s4 = 0.0;
-  bool identical = false;  // both partition counts bit-identical to serial
-};
-
-// Everything except the intentionally partition-dependent diagnostics must
-// match bit-for-bit (latency tracing is off in this bench, so the
-// span-sampling keys are absent anyway).
-std::map<std::string, double> partition_comparable(const StatSet& s) {
-  std::map<std::string, double> m = s.values();
-  m.erase("sim.parallel_partitions");
-  m.erase("sim.parallel_windows");
-  return m;
 }
 
 }  // namespace
@@ -161,56 +131,6 @@ int main(int argc, char** argv) {
   std::printf("\ngeomean fast-forward speedup over %zu rows: %.2fx\n", rows.size(), gm);
   if (!all_identical) std::printf("STEPPING MODES DIVERGED — see errors above\n");
 
-  // --- partition-count axis: parallel-in-time execution -------------------
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::printf("\nParallel-in-time execution (dyn-cache, fast-forward on; host has %u hardware "
-              "thread%s)\n",
-              hw_threads, hw_threads == 1 ? "" : "s");
-  std::printf("%-8s %10s %10s %10s %9s %9s %5s\n", "workload", "wall_p1_s", "wall_p2_s",
-              "wall_p4_s", "speedup2", "speedup4", "ident");
-  std::vector<ParRow> par_rows;
-  bool par_all_identical = true;
-  for (const std::string& w : workloads) {
-    SystemConfig cfg = paper_config(OffloadMode::kDynamicCache);
-    cfg.latency_trace = false;
-    cfg.profile = false;
-    cfg.fast_forward = true;
-
-    ParRow pr;
-    pr.workload = w;
-    cfg.parallel_partitions = 1;
-    RunResult r1;
-    pr.wall_s1 = timed_run(w, scale, cfg, &r1);
-    cfg.parallel_partitions = 2;
-    RunResult r2;
-    pr.wall_s2 = timed_run(w, scale, cfg, &r2);
-    cfg.parallel_partitions = 4;
-    RunResult r4;
-    pr.wall_s4 = timed_run(w, scale, cfg, &r4);
-
-    pr.identical = r2.runtime_ps == r1.runtime_ps && r4.runtime_ps == r1.runtime_ps &&
-                   partition_comparable(r2.stats) == partition_comparable(r1.stats) &&
-                   partition_comparable(r4.stats) == partition_comparable(r1.stats);
-    if (!pr.identical) {
-      par_all_identical = false;
-      std::fprintf(stderr, "ERROR: %s diverges between partition counts!\n", w.c_str());
-    }
-    std::printf("%-8s %10.3f %10.3f %10.3f %8.2fx %8.2fx %5s\n", w.c_str(), pr.wall_s1,
-                pr.wall_s2, pr.wall_s4, pr.wall_s1 / pr.wall_s2, pr.wall_s1 / pr.wall_s4,
-                pr.identical ? "yes" : "NO");
-    par_rows.push_back(std::move(pr));
-  }
-  std::vector<double> sp2, sp4;
-  for (const ParRow& pr : par_rows) {
-    sp2.push_back(pr.wall_s1 / pr.wall_s2);
-    sp4.push_back(pr.wall_s1 / pr.wall_s4);
-  }
-  const double gm_p2 = geomean(sp2);
-  const double gm_p4 = geomean(sp4);
-  std::printf("geomean parallel speedup: %.2fx (2 partitions), %.2fx (4 partitions)\n", gm_p2,
-              gm_p4);
-  if (!par_all_identical) std::printf("PARTITION COUNTS DIVERGED — see errors above\n");
-
   // --- cycle-stack profiler A/B: on-vs-off overhead -----------------------
   // Every timed row above pins cfg.profile = false; this axis measures what
   // turning the profiler back on (the shipping default) costs per workload.
@@ -267,26 +187,6 @@ int main(int argc, char** argv) {
       j.end_object();
     }
     j.end_array();
-    j.key("parallel").begin_object();
-    j.key("hw_threads").value(static_cast<std::uint64_t>(hw_threads));
-    j.key("mode").value("dyn-cache");
-    j.key("geomean_speedup_p2").value(gm_p2);
-    j.key("geomean_speedup_p4").value(gm_p4);
-    j.key("all_identical").value(par_all_identical);
-    j.key("rows").begin_array();
-    for (const ParRow& pr : par_rows) {
-      j.begin_object();
-      j.key("workload").value(pr.workload);
-      j.key("wall_p1_s").value(pr.wall_s1);
-      j.key("wall_p2_s").value(pr.wall_s2);
-      j.key("wall_p4_s").value(pr.wall_s4);
-      j.key("speedup_p2").value(pr.wall_s1 / pr.wall_s2);
-      j.key("speedup_p4").value(pr.wall_s1 / pr.wall_s4);
-      j.key("identical").value(pr.identical);
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
     j.key("profiling").begin_object();
     j.key("mode").value("dyn-cache");
     j.key("geomean_overhead").value(gm_prof);
@@ -307,5 +207,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return all_identical && par_all_identical ? 0 : 1;
+  return all_identical ? 0 : 1;
 }

@@ -83,16 +83,16 @@ Options parse(int argc, char** argv) {
       }
     } else if (a == "-s" || a == "--stacks") {
       for (const std::string& n : split_list(need_value(i))) {
-        o.stacks.push_back(static_cast<unsigned>(std::strtoul(n.c_str(), nullptr, 10)));
+        o.stacks.push_back(parse_flag(argv[0], a, n, 1u, 255u));
       }
     } else if (a == "--threshold") {
-      o.threshold = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.threshold = parse_flag(argv[0], a, need_value(i), 1u);
     } else if (a == "--sample") {
-      o.sample = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.sample = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "--jobs" || a == "-j") {
-      o.bench.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.bench.jobs = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--stats-json") {
       o.bench.stats_json = need_value(i);
     } else if (a == "--progress") {

@@ -103,9 +103,9 @@ Options parse(int argc, char** argv) {
         else usage(argv[0]);
       }
     } else if (a == "--quota") {
-      o.quota = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.quota = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--credit-share") {
-      o.credit_share = std::strtod(need_value(i), nullptr);
+      o.credit_share = parse_flag(argv[0], a, need_value(i), 0.0, 1.0);
     } else if (a == "--stats-json") {
       o.bench.stats_json = need_value(i);
     } else if (a == "--progress") {

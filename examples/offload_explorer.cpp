@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
                              : scale_str == "large" ? ProblemScale::kLarge
                                                     : ProblemScale::kSmall;
-  const Cycle epoch = argc > 3 ? std::stoull(argv[3]) : 2000;
+  const Cycle epoch = argc > 3 ? parse_flag(argv[0], "EPOCH", argv[3], Cycle{1}) : 2000;
 
   const RunResult base = run_mode(name, scale, OffloadMode::kOff, 0.0, epoch);
   std::printf("%s baseline: %llu cycles (verified=%s)\n", name.c_str(),

@@ -13,7 +13,7 @@
 //   -r, --ratio R           static offload ratio           (default 0.5)
 //   -e, --epoch N           dynamic epoch length in SM cycles (default 1000)
 //       --sms N             number of SMs                  (default 64)
-//       --hmcs N            number of HMCs (power of two)  (default 8)
+//       --hmcs N            number of HMCs, 1-255          (default 8)
 //       --nsu-mhz N         NSU clock in MHz               (default 350)
 //       --seed N            page-placement seed
 //       --ro-cache          enable the NSU read-only cache (§7.1)
@@ -25,9 +25,6 @@
 //                           to a serial run — determinism is tested)
 //       --stats-json FILE   write full per-run stats as sndp-sweep-v1 JSON
 //       --timeout SECONDS   abort any single run past this wall-clock budget
-//       --partitions N      parallel-in-time execution: shard one run across
-//                           N threads (hub + stack groups), bit-identical to
-//                           serial; 1 (default) = serial path
 //       --no-ff             disable idle fast-forward (naive edge-by-edge
 //                           stepping; results are bit-identical, only slower)
 //       --no-audit          disable the flow-conservation stats audit
@@ -73,6 +70,13 @@ using namespace sndp;
 
 namespace {
 
+// One --tenants entry: NAME[:WEIGHT[:PRIORITY]].
+struct TenantSpec {
+  std::string name;
+  double weight = 1.0;
+  unsigned priority = 0;
+};
+
 struct Options {
   std::string workload = "VADD";
   ProblemScale scale = ProblemScale::kSmall;
@@ -95,11 +99,10 @@ struct Options {
   bool profile = true;
   std::string profile_csv;
   bool latency = true;
-  unsigned partitions = 1;
   unsigned latency_sample = 64;
   std::string epoch_csv;
   std::string trace_path;
-  std::string tenants;  // non-empty: multi-tenant serving spec
+  std::vector<TenantSpec> tenants;  // non-empty: multi-tenant serving
   TenantArbiter arbiter = TenantArbiter::kRoundRobin;
   unsigned nsu_quota = 0;
   double credit_share = 0.0;
@@ -112,7 +115,6 @@ struct Options {
                "          [--sms N] [--hmcs N] [--nsu-mhz N] [--seed N] "
                "[--ro-cache] [--optimal-target] [--stats] [--csv FILE]\n"
                "          [-j JOBS] [--stats-json FILE] [--timeout SECONDS] [--no-ff]\n"
-               "          [--partitions N]\n"
                "          [--no-audit] [--no-profile] [--profile-csv FILE]\n"
                "          [--no-latency] [--latency-sample N]\n"
                "          [--epoch-csv FILE] [--trace FILE]\n"
@@ -181,6 +183,35 @@ const char* mode_name(OffloadMode m) {
   return "?";
 }
 
+// Parses a --tenants SPEC (comma list of NAME[:WEIGHT[:PRIORITY]]); a bad
+// number or an empty list exits 2.
+std::vector<TenantSpec> parse_tenants(const char* prog, const std::string& spec) {
+  std::vector<TenantSpec> specs;
+  std::size_t pos = 0;
+  while (pos != std::string::npos) {
+    const std::size_t comma = spec.find(',', pos);
+    std::string entry = spec.substr(pos, comma - pos);
+    pos = comma == std::string::npos ? comma : comma + 1;
+    if (entry.empty()) continue;
+    TenantSpec s;
+    const std::size_t c1 = entry.find(':');
+    s.name = entry.substr(0, c1);
+    if (c1 != std::string::npos) {
+      const std::size_t c2 = entry.find(':', c1 + 1);
+      s.weight = parse_flag(prog, "--tenants weight", entry.substr(c1 + 1, c2 - c1 - 1), 0.0);
+      if (c2 != std::string::npos) {
+        s.priority = parse_flag<unsigned>(prog, "--tenants priority", entry.substr(c2 + 1));
+      }
+    }
+    specs.push_back(std::move(s));
+  }
+  if (specs.empty()) {
+    std::fprintf(stderr, "--tenants: empty spec\n");
+    std::exit(2);
+  }
+  return specs;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   auto need_value = [&](int& i) -> const char* {
@@ -206,17 +237,17 @@ Options parse(int argc, char** argv) {
       else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
       else usage(argv[0]);
     } else if (a == "-r" || a == "--ratio") {
-      o.ratio = std::stod(need_value(i));
+      o.ratio = parse_flag(argv[0], a, need_value(i), 0.0, 1.0);
     } else if (a == "-e" || a == "--epoch") {
-      o.epoch = std::stoull(need_value(i));
+      o.epoch = parse_flag(argv[0], a, need_value(i), Cycle{1});
     } else if (a == "--sms") {
-      o.sms = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.sms = parse_flag(argv[0], a, need_value(i), 1u);
     } else if (a == "--hmcs") {
-      o.hmcs = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.hmcs = parse_flag(argv[0], a, need_value(i), 1u, 255u);
     } else if (a == "--nsu-mhz") {
-      o.nsu_mhz = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.nsu_mhz = parse_flag(argv[0], a, need_value(i), 1u);
     } else if (a == "--seed") {
-      o.seed = std::stoull(need_value(i));
+      o.seed = parse_flag(argv[0], a, need_value(i), std::uint64_t{0});
     } else if (a == "--ro-cache") {
       o.ro_cache = true;
     } else if (a == "--optimal-target") {
@@ -226,17 +257,13 @@ Options parse(int argc, char** argv) {
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "-j" || a == "--jobs") {
-      o.jobs = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.jobs = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--stats-json") {
       o.stats_json = need_value(i);
     } else if (a == "--timeout") {
-      o.timeout_s = std::stod(need_value(i));
+      o.timeout_s = parse_flag(argv[0], a, need_value(i), 0.0);
     } else if (a == "--no-ff") {
       o.fast_forward = false;
-    } else if (a == "--partitions") {
-      o.partitions = static_cast<unsigned>(std::stoul(need_value(i)));
-    } else if (a.rfind("--partitions=", 0) == 0) {
-      o.partitions = static_cast<unsigned>(std::stoul(a.substr(13)));
     } else if (a == "--no-audit") {
       o.audit = false;
     } else if (a == "--no-profile") {
@@ -248,9 +275,9 @@ Options parse(int argc, char** argv) {
     } else if (a == "--no-latency") {
       o.latency = false;
     } else if (a == "--latency-sample") {
-      o.latency_sample = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.latency_sample = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a.rfind("--latency-sample=", 0) == 0) {
-      o.latency_sample = static_cast<unsigned>(std::stoul(a.substr(17)));
+      o.latency_sample = parse_flag<unsigned>(argv[0], "--latency-sample", a.substr(17));
     } else if (a == "--epoch-csv") {
       o.epoch_csv = need_value(i);
     } else if (a.rfind("--epoch-csv=", 0) == 0) {
@@ -258,9 +285,9 @@ Options parse(int argc, char** argv) {
     } else if (a == "--trace") {
       o.trace_path = need_value(i);
     } else if (a == "--tenants") {
-      o.tenants = need_value(i);
+      o.tenants = parse_tenants(argv[0], need_value(i));
     } else if (a.rfind("--tenants=", 0) == 0) {
-      o.tenants = a.substr(10);
+      o.tenants = parse_tenants(argv[0], a.substr(10));
     } else if (a == "--arbiter") {
       const std::string arb = need_value(i);
       if (arb == "rr") o.arbiter = TenantArbiter::kRoundRobin;
@@ -268,9 +295,9 @@ Options parse(int argc, char** argv) {
       else if (arb == "strict") o.arbiter = TenantArbiter::kStrictPriority;
       else usage(argv[0]);
     } else if (a == "--nsu-quota") {
-      o.nsu_quota = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.nsu_quota = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--credit-share") {
-      o.credit_share = std::stod(need_value(i));
+      o.credit_share = parse_flag(argv[0], a, need_value(i), 0.0, 1.0);
     } else {
       usage(argv[0]);
     }
@@ -290,7 +317,6 @@ SystemConfig config_of(const Options& o) {
   cfg.nsu.read_only_cache = o.ro_cache;
   cfg.optimal_target_selection = o.optimal_target;
   cfg.fast_forward = o.fast_forward;
-  cfg.parallel_partitions = o.partitions;
   cfg.audit = o.audit;
   cfg.profile = o.profile;
   cfg.latency_trace = o.latency;
@@ -304,39 +330,11 @@ SystemConfig config_of(const Options& o) {
 
 // --tenants path: NAME[:WEIGHT[:PRIORITY]] entries, one concurrent run.
 int run_tenants_main(const Options& o) {
-  struct Spec {
-    std::string name;
-    double weight = 1.0;
-    unsigned priority = 0;
-  };
-  std::vector<Spec> specs;
-  std::size_t pos = 0;
-  while (pos != std::string::npos) {
-    const std::size_t comma = o.tenants.find(',', pos);
-    std::string entry = o.tenants.substr(pos, comma - pos);
-    pos = comma == std::string::npos ? comma : comma + 1;
-    if (entry.empty()) continue;
-    Spec s;
-    const std::size_t c1 = entry.find(':');
-    s.name = entry.substr(0, c1);
-    if (c1 != std::string::npos) {
-      const std::size_t c2 = entry.find(':', c1 + 1);
-      s.weight = std::stod(entry.substr(c1 + 1, c2 - c1 - 1));
-      if (c2 != std::string::npos) {
-        s.priority = static_cast<unsigned>(std::stoul(entry.substr(c2 + 1)));
-      }
-    }
-    specs.push_back(std::move(s));
-  }
-  if (specs.empty()) {
-    std::fprintf(stderr, "--tenants: empty spec\n");
-    return 2;
-  }
-
+  const std::vector<TenantSpec>& specs = o.tenants;
   std::vector<std::unique_ptr<Workload>> wls;
   std::vector<TenantDesc> descs;
   std::string mix_name;
-  for (const Spec& s : specs) {
+  for (const TenantSpec& s : specs) {
     wls.push_back(make_workload(s.name, o.scale));
     descs.push_back(TenantDesc{wls.back().get(), s.weight, s.priority});
     mix_name += (mix_name.empty() ? "" : "+") + s.name;

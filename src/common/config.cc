@@ -43,7 +43,6 @@ void SystemConfig::validate() const {
   // single-bit-flip edge whose endpoints both exist); the upper bound keeps
   // node ids inside the packet's 8-bit target-NSU field.
   require(num_hmcs >= 1 && num_hmcs <= 255, "HMC count must be in [1, 255]");
-  require(parallel_partitions >= 1, "parallel_partitions must be >= 1");
   require(placement.policy != PlacementPolicyKind::kMigration ||
               placement.migration_threshold >= 1,
           "migration threshold must be at least 1");

@@ -296,17 +296,6 @@ struct SystemConfig {
   // test and for perf comparisons (bench/perf_throughput).
   bool fast_forward = true;
 
-  // Conservative parallel-in-time execution (`sim.parallel_partitions`,
-  // DESIGN.md "Parallel-in-time simulation"): partition one run by HMC
-  // stack across N threads (partition 0 = GPU/SM/L2 hub on the calling
-  // thread, others = contiguous stack groups), advancing in horizon
-  // windows bounded by the minimum cross-partition NoC latency.  Results
-  // are bit-identical to serial (a tested invariant).  1 = serial path,
-  // untouched.  Values above num_hmcs+1 are clamped; configurations the
-  // horizon math cannot cover (mutating placement policies, lookahead <= 0)
-  // fall back to serial with a warning.
-  unsigned parallel_partitions = 1;
-
   // Flow-conservation stats audit (`sim.audit`): cross-check every
   // component's counters against each other at each governor epoch boundary
   // and at end-of-run (src/obs/stats_audit.*).  On by default — the checks

@@ -36,25 +36,6 @@ struct EnergyCounters {
   // SMs are power-gated, so SM static power is charged per active cycle —
   // this is what makes Baseline_MoreCore energy-neutral, as in Fig. 10).
   double sm_active_seconds = 0.0;
-
-  // Fold another counter set into this one.  Parallel runs give each
-  // partition its own shard and merge at the end; every field is a plain
-  // sum, so the merged totals match a serial run's exactly (the
-  // double-precision field only ever accumulates exact multiples of a
-  // clock period, well within 2^53).
-  void add(const EnergyCounters& o) {
-    sm_lane_ops += o.sm_lane_ops;
-    l1_accesses += o.l1_accesses;
-    l2_accesses += o.l2_accesses;
-    gpu_wire_bytes += o.gpu_wire_bytes;
-    nsu_lane_ops += o.nsu_lane_ops;
-    hmc_noc_bytes += o.hmc_noc_bytes;
-    dram_activates += o.dram_activates;
-    dram_read_bytes += o.dram_read_bytes;
-    dram_write_bytes += o.dram_write_bytes;
-    offchip_bytes += o.offchip_bytes;
-    sm_active_seconds += o.sm_active_seconds;
-  }
 };
 
 struct EnergyBreakdown {

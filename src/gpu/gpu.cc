@@ -8,8 +8,8 @@
 #include "gpu/wta_tracker.h"
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
+#include "noc/network.h"
 #include "ndp/ro_cache.h"
-#include "noc/net_port.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 
@@ -287,8 +287,8 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
 
   // Recompute the cached wake over everything this tick drains.  SM pushes
   // between L2 edges lower it directly through the Sm::set_l2_wake pointer.
-  // Maintained in both stepping modes: naive serial stepping never reads
-  // it, but a naive parallel partition paces its windows on these hints.
+  // Computed the same way in both stepping modes: naive stepping never
+  // reads it, and one mode-independent path needs no stepping-mode branch.
   {
     TimePs w = kTimeNever;
     for (auto& smp : sms_) {

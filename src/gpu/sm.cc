@@ -437,15 +437,16 @@ void Sm::tick(Cycle cycle, TimePs now) {
     if (profile_) classify_stall_cycle(cycle, saw_dep, saw_busy);
   }
 
-  // Decide whether the SM can sleep (hints are maintained in both stepping
-  // modes — naive serial stepping never reads them, but a naive parallel
-  // partition paces its windows on them).  It can whenever nothing issued and no
-  // credit grant is being polled: every blocked ready warp then stays
-  // blocked — and its retry stays side-effect-free — until either a known
-  // future cycle (self_wake: exec unit frees, timed scoreboard entry
-  // resolves) or an external event that lowers wake_ps_ (line fill, ACK,
-  // egress drain).  The gap class records what each slept cycle counts as
-  // in Fig. 8, mirroring the dependency-before-busy priority above.
+  // Decide whether the SM can sleep (the hint is computed the same way in
+  // both stepping modes: naive stepping never reads it, and one
+  // mode-independent path keeps the SM free of a stepping-mode branch).
+  // It can whenever nothing issued and no credit grant is being polled:
+  // every blocked ready warp then stays blocked — and its retry stays
+  // side-effect-free — until either a known future cycle (self_wake: exec
+  // unit frees, timed scoreboard entry resolves) or an external event that
+  // lowers wake_ps_ (line fill, ACK, egress drain).  The gap class records
+  // what each slept cycle counts as in Fig. 8, mirroring the
+  // dependency-before-busy priority above.
   gap_class_ = GapClass::kNone;
   if (!busy()) {
     // Fully drained (the last warp may have exited this very cycle): only a

@@ -5,7 +5,7 @@
 #include "energy/energy_model.h"
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
-#include "noc/net_port.h"
+#include "noc/network.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 
@@ -143,8 +143,8 @@ void Hmc::tick(Cycle cycle, TimePs now) {
 
   for (auto& v : vaults_) v->tick(cycle, now);
 
-  // Maintained in both stepping modes: naive serial stepping never reads
-  // it, but a naive *parallel* partition paces its windows on these hints.
+  // Computed the same way in both stepping modes: naive stepping never
+  // reads it, and one mode-independent path needs no stepping-mode branch.
   wake_internal_ = compute_internal_wake();
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 
 #include "isa/isa.h"
@@ -26,32 +25,11 @@ GlobalMemory& GlobalMemory::operator=(const GlobalMemory& other) {
 }
 
 const std::uint8_t* GlobalMemory::frame_for_read(std::uint64_t frame_id) const {
-  if (concurrent_) {
-    std::shared_lock lock(frames_mu_);
-    auto it = frames_.find(frame_id);
-    // Frame storage is stable once inserted; only the table itself needs
-    // the lock (a concurrent first-touch insert may rehash it).
-    return it == frames_.end() ? kZeroFrame : it->second.get();
-  }
   auto it = frames_.find(frame_id);
   return it == frames_.end() ? kZeroFrame : it->second.get();
 }
 
 std::uint8_t* GlobalMemory::frame_for_write(std::uint64_t frame_id) {
-  if (concurrent_) {
-    {
-      std::shared_lock lock(frames_mu_);
-      auto it = frames_.find(frame_id);
-      if (it != frames_.end()) return it->second.get();
-    }
-    std::unique_lock lock(frames_mu_);
-    auto& slot = frames_[frame_id];
-    if (!slot) {
-      slot = std::make_unique<std::uint8_t[]>(kFrameBytes);
-      std::memset(slot.get(), 0, kFrameBytes);
-    }
-    return slot.get();
-  }
   auto& slot = frames_[frame_id];
   if (!slot) {
     slot = std::make_unique<std::uint8_t[]>(kFrameBytes);

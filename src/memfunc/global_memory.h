@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -24,11 +23,8 @@ class GlobalMemory {
   static constexpr std::uint64_t kFrameBytes = 64 * 1024;
 
   GlobalMemory() = default;
-  GlobalMemory(GlobalMemory&& other) noexcept : frames_(std::move(other.frames_)) {}
-  GlobalMemory& operator=(GlobalMemory&& other) noexcept {
-    if (this != &other) frames_ = std::move(other.frames_);
-    return *this;
-  }
+  GlobalMemory(GlobalMemory&&) noexcept = default;
+  GlobalMemory& operator=(GlobalMemory&&) noexcept = default;
   // Deep copy: snapshot the whole address space (e.g., to run the same
   // initialized memory image under several configurations).
   GlobalMemory(const GlobalMemory& other);
@@ -56,16 +52,6 @@ class GlobalMemory {
   std::size_t frames_allocated() const { return frames_.size(); }
   std::uint64_t bytes_allocated() const { return frames_.size() * kFrameBytes; }
 
-  // Concurrent mode: guard the frame table with a reader/writer lock so
-  // partitions on different threads can fault frames in simultaneously
-  // (the lazy insert in frame_for_write can rehash the table under a
-  // concurrent lookup).  Frame *contents* are not guarded — the simulated
-  // machine's memory model allows racing accesses to the same bytes, and
-  // the parallel scheduler's horizon windows keep timing deterministic
-  // regardless of which thread's write lands (identity tests are the
-  // oracle).  Off by default: the serial path pays one predictable branch.
-  void set_concurrent(bool on) { concurrent_ = on; }
-
   // Byte-exact comparison of an address range against another image.
   // Returns true when every byte matches; otherwise writes the first
   // differing address to `first_diff` (if non-null) and returns false.
@@ -81,8 +67,6 @@ class GlobalMemory {
   std::uint8_t* frame_for_write(std::uint64_t frame_id);
 
   std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> frames_;
-  mutable std::shared_mutex frames_mu_;
-  bool concurrent_ = false;
   static const std::uint8_t kZeroFrame[kFrameBytes];
 };
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "mem/address_map.h"
-#include "noc/net_port.h"
+#include "noc/network.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 

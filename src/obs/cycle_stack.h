@@ -18,11 +18,10 @@
 //     the legacy stall counters exactly, so Fig. 8 is derivable,
 //   - per tenant: tenant rows + the shared row partition the totals.
 //
-// Counters live inside the components (no cross-thread aggregation: under
-// `--partitions` each component is ticked by exactly one shard thread, so
-// the stacks are bit-identical to serial by the same argument as every
-// other component counter).  Zero-cost when `SystemConfig::profile` is
-// false: no bucket counter is ever touched and no `cyc.*` key is exported.
+// Counters live inside the components; the machine stack is their sum,
+// taken at epoch boundaries and at the end of the run.  Zero-cost when
+// `SystemConfig::profile` is false: no bucket counter is ever touched and
+// no `cyc.*` key is exported.
 #pragma once
 
 #include <array>

@@ -63,32 +63,6 @@ void Log2Histogram::record(std::uint64_t v) {
   max_ = std::max(max_, v);
 }
 
-void Log2Histogram::merge(const Log2Histogram& other) {
-  for (unsigned b = 0; b < kNumBuckets; ++b) buckets_[b] += other.buckets_[b];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void LatencySummary::merge_from(const LatencySummary& o) {
-  for (std::size_t c = 0; c < kNumPathClasses; ++c) {
-    per_class[c].merge(o.per_class[c]);
-    for (std::size_t s = 0; s < kNumLatSegments; ++s) seg_sum_ps[c][s] += o.seg_sum_ps[c][s];
-  }
-  if (o.per_tenant.size() > per_tenant.size()) per_tenant.resize(o.per_tenant.size());
-  for (std::size_t t = 0; t < o.per_tenant.size(); ++t) {
-    for (std::size_t c = 0; c < kNumPathClasses; ++c) {
-      per_tenant[t][c].merge(o.per_tenant[t][c]);
-    }
-  }
-  started += o.started;
-  finished += o.finished;
-  cancelled += o.cancelled;
-  spans_sampled += o.spans_sampled;
-  spans_dropped += o.spans_dropped;
-}
-
 double Log2Histogram::percentile(double q) const {
   if (count_ == 0) return 0.0;
   if (q <= 0.0) return static_cast<double>(min());

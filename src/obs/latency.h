@@ -14,7 +14,7 @@
 // simulator already computes (packet creation, TimedChannel ready times,
 // link reservation arithmetic, vault completion) — none depend on the
 // stepping mode, so all histograms are bit-identical with fast-forward
-// on/off and across serial/parallel sweeps (pinned by tests/test_latency.cc).
+// on/off and across serial/threaded sweeps (pinned by tests/test_latency.cc).
 // Span *sampling* is stratified-deterministic too: the Nth tracked request
 // of each packet type (N = SystemConfig::latency_sample) gets a
 // full-fidelity per-hop span, bounded by kMaxSpans; overflow is counted in
@@ -84,7 +84,6 @@ class Log2Histogram {
   static std::uint64_t bucket_hi(unsigned b);  // inclusive; last bucket = UINT64_MAX
 
   void record(std::uint64_t v);
-  void merge(const Log2Histogram& other);  // element-wise; associative
 
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
@@ -125,11 +124,6 @@ struct LatencySummary {
   std::uint64_t class_count(PathClass c) const {
     return per_class[static_cast<std::size_t>(c)].count();
   }
-
-  // Element-wise fold of another summary (histogram merge + exact integer
-  // sums); associative and order-independent, so parallel runs merging
-  // per-partition tracer shards reproduce a serial run's summary exactly.
-  void merge_from(const LatencySummary& o);
 
   bool operator==(const LatencySummary&) const = default;
 };
@@ -200,11 +194,6 @@ class LatencyTracer {
 
   const LatencySummary& summary() const { return summary_; }
   std::uint64_t spans_dropped() const { return summary_.spans_dropped; }
-
-  // Fold another tracer's summary into this one (parallel per-partition
-  // shards; span tables are never merged — parallel mode runs shards with
-  // sample = 0, so there are no spans to move).
-  void merge_from(const LatencyTracer& o) { summary_.merge_from(o.summary_); }
 
   // Flat stats export: lat.<class>.{count,mean_ps,p50_ps,p95_ps,p99_ps,
   // max_ps}, lat.seg.<segment>.sum_ps, sim.latency_spans{,_dropped}.

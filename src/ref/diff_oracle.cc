@@ -52,23 +52,6 @@ std::vector<OraclePoint> oracle_matrix(const SystemConfig& base) {
   add_policy("ndp@1.00/locality", PlacementPolicyKind::kLocality);
   add_policy("ndp@1.00/migration", PlacementPolicyKind::kMigration);
   points.back().cfg.placement.migration_threshold = 16;
-  // Parallel-in-time spot checks: a sharded run must leave the same final
-  // memory image serial execution does.  2 and 4 partitions under the
-  // dynamic cache-aware governor (the configuration with the most
-  // cross-partition traffic); stats-level bit-identity across all
-  // workloads is gated separately in tests/test_simulator.cc.
-  {
-    OraclePoint p;
-    p.label = "dyn-cache/2-part";
-    p.cfg = base;
-    p.cfg.governor.mode = OffloadMode::kDynamicCache;
-    p.cfg.governor.static_ratio = 1.0;
-    p.cfg.parallel_partitions = 2;
-    points.push_back(p);
-    p.label = "dyn-cache/4-part";
-    p.cfg.parallel_partitions = 4;
-    points.push_back(std::move(p));
-  }
   return points;
 }
 

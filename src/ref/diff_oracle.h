@@ -33,12 +33,11 @@ struct OraclePoint {
   AnalyzerOptions analyzer{};
 };
 
-// The standing matrix: baseline, NDP at static offload ratios
+// The standing 13-point matrix: baseline, NDP at static offload ratios
 // {0, 0.25, 0.5, 1.0}, dynamic governor with and without cache-awareness,
-// stack counts {1, 2, 4}, the placement-policy spread, and parallel-in-time
-// spot checks at 2 and 4 partitions.  `base` supplies everything else
-// (clocks, cache geometry, seeds); its governor mode/ratio fields are
-// overridden per point.
+// stack counts {1, 2, 4}, and the placement-policy spread.  `base` supplies
+// everything else (clocks, cache geometry, seeds); its governor mode/ratio
+// fields are overridden per point.
 std::vector<OraclePoint> oracle_matrix(const SystemConfig& base);
 
 // Outcome of one (workload, config) differential check.

@@ -97,14 +97,15 @@ FuzzSpec generate_spec(std::uint64_t seed) {
     spec.ops.push_back(op);
   }
 
-  // Parallel-in-time axis, drawn last so pre-partition seeds keep their
-  // shape.  Mutating placements (first-touch, migration) fall back to
-  // serial anyway, so only shard the policies that actually parallelize —
-  // the run must still be byte-identical to the reference.
+  // Retired parallel-in-time axis: these two draws once picked a partition
+  // count.  Their values are discarded, but the draws stay so the tenant
+  // and operator axes drawn below keep the values every seed has always
+  // had — without them every case from here on would test a different
+  // kernel.
   if ((spec.placement == PlacementPolicyKind::kRandom ||
        spec.placement == PlacementPolicyKind::kLocality) &&
       rng.bernoulli(0.5)) {
-    spec.partitions = rng.bernoulli(0.5) ? 4 : 2;
+    (void)rng.bernoulli(0.5);
   }
 
   // Tenant axis, drawn last of all so pre-tenant seeds keep their shape.
@@ -273,7 +274,6 @@ SystemConfig fuzz_config(const FuzzSpec& spec) {
   cfg.placement_seed = 0x5EED ^ spec.seed;
   cfg.placement.policy = spec.placement;
   cfg.placement.migration_threshold = spec.migration_threshold;
-  cfg.parallel_partitions = spec.partitions;
   if (spec.tenants > 1) {
     cfg.tenancy.arbiter = static_cast<TenantArbiter>(spec.arbiter % 3);
   }
@@ -524,7 +524,6 @@ std::string FuzzSpec::to_text() const {
   os << "hmcs " << num_hmcs << "\n";
   os << "placement " << static_cast<int>(placement) << " " << migration_threshold
      << "\n";
-  os << "partitions " << partitions << "\n";
   os << "tenants " << tenants << " " << arbiter << "\n";
   if (!op_workload.empty()) os << "opwl " << op_workload << " " << op_variant << "\n";
   for (const FuzzOp& op : ops) {
@@ -565,8 +564,11 @@ std::optional<FuzzSpec> FuzzSpec::from_text(const std::string& text) {
       ls >> kind >> spec.migration_threshold;
       spec.placement = static_cast<PlacementPolicyKind>(kind);
     } else if (key == "partitions") {
-      // Optional (absent in pre-parallel reproducers, which ran serial).
-      ls >> spec.partitions;
+      // Legacy line from reproducers written while the parallel-in-time
+      // engine existed.  Partitioned runs were bit-identical to serial, so
+      // a serial replay reproduces them: parse the count and ignore it.
+      unsigned ignored = 0;
+      ls >> ignored;
     } else if (key == "tenants") {
       // Optional (absent in pre-tenant reproducers, which ran one kernel).
       ls >> spec.tenants >> spec.arbiter;

@@ -66,7 +66,6 @@ struct FuzzSpec {
   unsigned num_hmcs = 4;
   PlacementPolicyKind placement = PlacementPolicyKind::kRandom;
   unsigned migration_threshold = 64;  // only meaningful for kMigration
-  unsigned partitions = 1;   // parallel-in-time shards (1 = serial)
   unsigned tenants = 1;      // concurrent copies of the kernel (1 = classic)
   unsigned arbiter = 0;      // TenantArbiter as int (tenants > 1 only)
 

@@ -64,125 +64,6 @@ TimePs Scheduler::step() {
   return now_;
 }
 
-TimePs Scheduler::poll_bid() {
-  TimePs target = kTimeNever;
-  for (std::size_t i = 0; i < domains_.size(); ++i) {
-    const TimePs t = domains_[i]->next_work_time(now_);
-    if (t < target) target = t;
-  }
-  return target;
-}
-
-TimePs Scheduler::local_valve_edge() const {
-  TimePs edge = kTimeNever;
-  for (const ClockDomain* d : domains_) {
-    const TimePs t =
-        tick_time_ps(d->first_cycle_at_or_after(limit_ps_), d->freq_khz());
-    if (t < edge) edge = t;
-  }
-  return edge;
-}
-
-TimePs Scheduler::run_window(TimePs end) {
-  if (domains_.empty()) throw std::logic_error("Scheduler: no clock domains");
-  while (true) {
-    // Poll all local domains for the earliest work target, exactly as the
-    // serial step() does globally.
-    TimePs target = kTimeNever;
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-      work_edge_[i] = domains_[i]->next_work_time(now_);
-      if (work_edge_[i] < target) target = work_edge_[i];
-    }
-    quiescent_ = (target == kTimeNever);
-    // A target at/after the window end is the partition's bid for the next
-    // window; one at/after the time limit belongs to the globally decided
-    // valve step (run_valve_step) — either way, stop without executing.
-    if (target >= end || target >= limit_ps_) return target;
-    quiescent_ = false;
-
-    if (fast_forward_) {
-      // Serial fast-forward step body at `target` (no valve clamp: targets
-      // at/after the limit never reach this point).
-      now_ = target;
-      for (ClockDomain* d : domains_) {
-        d->skip_until(target);
-        if (d->next_time() != target) continue;
-        if (d->next_work_time(target) == target) {
-          d->run_tick();
-        } else {
-          d->skip_tick();
-        }
-      }
-    } else {
-      // Naive marching: tick EVERY local edge up to and including the work
-      // target — serial naive stepping ticks workless edges too, and the
-      // per-cycle counters some components keep in naive mode depend on it.
-      while (true) {
-        TimePs earliest = kTimeNever;
-        for (const ClockDomain* d : domains_) {
-          const TimePs t = d->next_time();
-          if (t < earliest) earliest = t;
-        }
-        if (earliest > target) break;
-        now_ = earliest;
-        for (ClockDomain* d : domains_) {
-          if (d->next_time() == earliest) d->run_tick();
-        }
-      }
-    }
-  }
-}
-
-void Scheduler::run_valve_step(TimePs global_valve_edge) {
-  if (fast_forward_) {
-    // The serial step() with its target clamped to the valve edge.  Every
-    // remaining local work target is >= the global edge (it is the minimum
-    // first-edge-at/after-limit over all partitions), so the re-poll at a
-    // coinciding edge ticks exactly when local work lands on the edge.
-    now_ = global_valve_edge;
-    for (ClockDomain* d : domains_) {
-      d->skip_until(global_valve_edge);
-      if (d->next_time() != global_valve_edge) continue;
-      if (d->next_work_time(global_valve_edge) == global_valve_edge) {
-        d->run_tick();
-      } else {
-        d->skip_tick();
-      }
-    }
-  } else {
-    // Serial naive stepping breaks out of the main loop only after the step
-    // whose instant reaches the limit, so every edge up to and including
-    // the valve edge gets ticked.
-    finish_to(global_valve_edge, true);
-    now_ = global_valve_edge;
-  }
-}
-
-void Scheduler::finish_to(TimePs f, bool consume_edge_at_f) {
-  if (fast_forward_) {
-    for (ClockDomain* d : domains_) {
-      d->skip_until(f);
-      if (consume_edge_at_f && d->next_time() == f) d->skip_tick();
-    }
-  } else {
-    // Tick every local edge at or before `f` in time order (serial naive
-    // stepping ticked these same dead edges before the run ended).
-    while (true) {
-      TimePs earliest = kTimeNever;
-      for (const ClockDomain* d : domains_) {
-        const TimePs t = d->next_time();
-        if (t < earliest) earliest = t;
-      }
-      if (earliest > f) break;
-      now_ = earliest;
-      for (ClockDomain* d : domains_) {
-        if (d->next_time() == earliest) d->run_tick();
-      }
-    }
-  }
-  if (f > now_) now_ = f;
-}
-
 TimePs Scheduler::advance_to_limit() {
   if (domains_.empty()) throw std::logic_error("Scheduler: no clock domains");
   if (!fast_forward_) {

@@ -10,7 +10,7 @@
 //
 // Fast-forward (see DESIGN.md "Scheduler and fast-forward"): members may
 // override next_work_ps() to report the earliest time they could do work.
-// With set_fast_forward(true) the Scheduler skips — consumes without
+// With fast-forward on the Scheduler skips — consumes without
 // ticking — every edge at which no member of the domain has work.  Skipped
 // edges still advance the domain's tick index, so the cycle <-> ps mapping
 // and all tick arguments are bit-identical to naive stepping; the contract
@@ -39,29 +39,17 @@ class Tickable {
   // conservative: claiming a future/never wake while work is pending at an
   // earlier edge breaks the bit-identity contract.
   //
-  // Contract for the `now` argument (audited across every override for the
-  // parallel-in-time scheduler, whose lookahead is built on these hints):
-  // `now` is advisory context — the caller's current global time — and a
-  // hint must be a pure function of the member's own pending-work state,
-  // NEVER of `now`.  The returned time may lie in the past relative to
-  // `now` (e.g. a vault completion that became ready between two DRAM
-  // edges); callers compare it against their own edge times, so "at or
-  // before the pending edge" simply means busy.  Every override in the tree
-  // (Hmc, VaultController, Sm, Gpu::{Epoch,Core,L2}Tick, Nsu) ignores `now`
-  // accordingly; only the "always busy" default echoes it back.
+  // Contract for the `now` argument: it is advisory context — the caller's
+  // current global time — and a hint must be a pure function of the
+  // member's own pending-work state, NEVER of `now`, so the Scheduler may
+  // poll at any instant without changing which edges get skipped.  The
+  // returned time may lie in the past relative to `now` (e.g. a vault
+  // completion that became ready between two DRAM edges); callers compare
+  // it against their own edge times, so "at or before the pending edge"
+  // simply means busy.  Every override in the tree (Hmc, VaultController,
+  // Sm, Gpu::{Epoch,Core,L2}Tick, Nsu) ignores `now` accordingly; only the
+  // "always busy" default echoes it back.
   virtual TimePs next_work_ps(TimePs now) { return now; }
-};
-
-// Identifies the tick whose body is currently executing: the edge instant,
-// the owning domain's scheduler registration rank, and the member's global
-// registration rank within that domain.  A ClockDomain fills one of these
-// (set_order_probe) immediately before each member tick; a deferred
-// NetworkPort snapshots it to reconstruct the serial scheduler's global
-// tick order when replaying cross-partition sends (noc/net_port.h).
-struct TickOrderProbe {
-  TimePs now = 0;
-  std::uint8_t domain_rank = 0;
-  std::uint32_t member_rank = 0;
 };
 
 class ClockDomain {
@@ -74,34 +62,13 @@ class ClockDomain {
   Cycle now_cycle() const { return next_cycle_ == 0 ? 0 : next_cycle_ - 1; }
   Cycle next_cycle() const { return next_cycle_; }
   TimePs next_time() const { return tick_time_ps(next_cycle_, freq_khz_); }
-  TimePs period_hint_ps() const { return period_ps_from_mhz(static_cast<double>(freq_khz_) / 1000.0); }
 
   void add(Tickable* t) { members_.push_back(t); }
-
-  // Parallel mode: publish the calling tick context (instant, domain rank,
-  // member rank) into `probe` before each member tick.  `member_base` is
-  // this domain's first member's rank in the serial scheduler's global
-  // member order, so ranks stay comparable across partitions.
-  void set_order_probe(TickOrderProbe* probe, std::uint8_t domain_rank,
-                       std::uint32_t member_base) {
-    probe_ = probe;
-    domain_rank_ = domain_rank;
-    member_base_ = member_base;
-  }
 
   // Tick all members once at the current edge.
   void run_tick() {
     const TimePs t = next_time();
-    if (probe_ == nullptr) {
-      for (Tickable* m : members_) m->tick(next_cycle_, t);
-    } else {
-      probe_->now = t;
-      probe_->domain_rank = domain_rank_;
-      for (std::uint32_t i = 0; i < members_.size(); ++i) {
-        probe_->member_rank = member_base_ + i;
-        members_[i]->tick(next_cycle_, t);
-      }
-    }
+    for (Tickable* m : members_) m->tick(next_cycle_, t);
     ++next_cycle_;
   }
 
@@ -145,9 +112,6 @@ class ClockDomain {
   std::uint64_t freq_khz_;
   Cycle next_cycle_ = 0;
   std::vector<Tickable*> members_;
-  TickOrderProbe* probe_ = nullptr;
-  std::uint8_t domain_rank_ = 0;
-  std::uint32_t member_base_ = 0;
 };
 
 // Advances a set of clock domains in global-time order.  Domains whose edges
@@ -162,9 +126,6 @@ class Scheduler {
   }
 
   TimePs now() const { return now_; }
-
-  bool fast_forward() const { return fast_forward_; }
-  void set_fast_forward(bool on) { fast_forward_ = on; }
 
   // Upper bound on useful simulated time (the safety valve).  Fast-forward
   // never jumps past the first edge at/after this limit, mirroring where a
@@ -190,44 +151,6 @@ class Scheduler {
   // when quiescent() is set but the system is not idle (a deadlock); naive
   // stepping reaches the same state by ticking dead edges one by one.
   TimePs advance_to_limit();
-
-  // --- parallel-in-time windows (DESIGN.md "Parallel-in-time simulation").
-  // A partition-local Scheduler executes one horizon window at a time under
-  // a coordinator; the methods below factor the serial step()/valve logic
-  // so each partition reproduces exactly the tick/skip sequence the global
-  // serial scheduler would have applied to its domains.
-
-  // Earliest local work instant at/after the current position (kTimeNever
-  // when every local member is quiescent).  Pure poll — nothing advances.
-  TimePs poll_bid();
-
-  // Execute every local work target strictly below min(end, time limit),
-  // with serial step semantics (fast-forward skip/tick per edge, or naive
-  // tick-everything marching when fast-forward is off).  Returns the next
-  // bid: the earliest remaining local work instant (>= end, or at/after the
-  // time limit, or kTimeNever when locally quiescent).  Targets at/after
-  // the time limit are never executed here — whether to run the final
-  // valve-clamped step is a global decision (see run_valve_step).
-  TimePs run_window(TimePs end);
-
-  // Minimum over the local domains of the first edge at/after the time
-  // limit — one partition's contribution to the global valve edge.
-  TimePs local_valve_edge() const;
-
-  // The serial scheduler's final step when all remaining work lies at/after
-  // the time limit: clamp to `global_valve_edge` (the minimum over ALL
-  // partitions' domains of the first edge at/after the limit — the caller
-  // computes it globally; a local minimum would diverge), consume edges
-  // below it, and tick/skip coinciding edges exactly as serial step() does.
-  void run_valve_step(TimePs global_valve_edge);
-
-  // Bring every local domain to the global final instant `f` after the last
-  // window: in fast-forward mode consume (without ticking) all edges
-  // strictly before `f` plus — when `consume_edge_at_f` — the edge at `f`
-  // itself, mirroring the skip_until/skip_tick the serial scheduler applied
-  // to remote domains at its final step.  In naive mode, tick every local
-  // edge at or before `f` (serial naive stepping ticks dead edges too).
-  void finish_to(TimePs f, bool consume_edge_at_f);
 
   // Run until `deadline_ps` (inclusive) or until `idle()` returns true when
   // checked between steps.  Returns false if the deadline was hit first.

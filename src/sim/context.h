@@ -13,7 +13,7 @@ namespace sndp {
 class AddressMap;
 class GlobalMemory;
 class LatencyTracer;
-class NetworkPort;
+class Network;
 class OffloadGovernor;
 class NdpBufferManager;
 class RoCacheMirror;
@@ -48,11 +48,8 @@ struct SystemContext {
   const SystemConfig* cfg = nullptr;
   AddressMap* amap = nullptr;  // non-const: placement lookups may assign/migrate
   GlobalMemory* gmem = nullptr;
-  // All cross-component traffic goes through the port, not the Network
-  // directly: in parallel mode the port defers sends into a per-partition
-  // log the coordinator replays in serial order (noc/net_port.h).  In
-  // serial mode it is a zero-cost passthrough.
-  NetworkPort* net = nullptr;
+  // The memory network every cross-component packet travels through.
+  Network* net = nullptr;
   OffloadGovernor* governor = nullptr;
   NdpBufferManager* bufmgr = nullptr;
   EnergyCounters* energy = nullptr;

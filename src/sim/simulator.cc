@@ -14,10 +14,8 @@
 #include "mem/address_map.h"
 #include "mem/hmc.h"
 #include "memfunc/global_memory.h"
-#include "noc/net_port.h"
 #include "noc/network.h"
 #include "obs/stats_audit.h"
-#include "sim/parallel.h"
 #include "offload/codegen.h"
 #include "ref/placement_profile.h"
 #include "workloads/workload.h"
@@ -125,63 +123,15 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     trace.name_row(static_cast<int>(cfg_.num_hmcs) + 1, "Governor");
     net.set_trace(&trace);
   }
-  // Parallel-in-time plan (DESIGN.md "Parallel-in-time simulation"): the
-  // effective partition count, clamped to one partition per stack plus the
-  // hub.  Configurations the horizon math cannot cover fall back to serial
-  // with a warning rather than silently losing bit-identity.
-  unsigned num_parts = cfg_.parallel_partitions;
-  if (num_parts > cfg_.num_hmcs + 1) num_parts = cfg_.num_hmcs + 1;
-  TimePs lookahead_ps = 0;
-  if (num_parts > 1) {
-    if (cfg_.placement.policy == PlacementPolicyKind::kFirstTouch ||
-        cfg_.placement.policy == PlacementPolicyKind::kMigration) {
-      // These policies mutate the page map on lookups issued concurrently
-      // from every partition; the outcome would depend on thread timing.
-      SNDP_WARN("sim", "parallel_partitions: mutating placement policy; falling back to serial");
-      num_parts = 1;
-    } else {
-      lookahead_ps = parallel_lookahead_ps(cfg_);
-      if (lookahead_ps <= 0) {
-        SNDP_WARN("sim",
-                  "parallel_partitions: link latency does not cover a clock period; "
-                  "falling back to serial");
-        num_parts = 1;
-      }
-    }
-  }
-  const bool parallel = num_parts > 1;
-  const unsigned num_groups = parallel ? num_parts - 1 : 1;
-  // Stack h belongs to partition 1 + group(h); groups are contiguous and
-  // balanced, members in ascending HMC id (their serial relative order).
-  auto group_of_hmc = [&](unsigned h) {
-    if (!parallel) return 0u;
-    return static_cast<unsigned>(static_cast<std::uint64_t>(h) * num_groups / cfg_.num_hmcs);
-  };
-
   // Request-lifecycle latency tracer (cfg_.latency_trace): a null ctx
   // pointer is the zero-cost-disabled path — no stamp is ever touched.
-  // Parallel runs force span sampling off: the span table is shared mutable
-  // state the per-partition shards cannot carry, and every other summary
-  // field merges exactly (`sim.latency_spans*` are the only keys a parallel
-  // run reports differently from a serial one).
   std::unique_ptr<LatencyTracer> latency;
-  std::vector<std::unique_ptr<LatencyTracer>> lat_shards;  // partitions 1..P-1
   if (cfg_.latency_trace) {
-    latency = std::make_unique<LatencyTracer>(parallel ? 0 : cfg_.latency_sample);
+    latency = std::make_unique<LatencyTracer>(cfg_.latency_sample);
     latency->set_num_tenants(num_tenants);
     net.set_latency(latency.get());
-    if (parallel) {
-      for (unsigned g = 0; g < num_groups; ++g) {
-        lat_shards.push_back(std::make_unique<LatencyTracer>(0));
-        lat_shards.back()->set_num_tenants(num_tenants);
-      }
-    }
   }
   EnergyCounters counters;
-  // Parallel runs accumulate energy into per-partition shards, merged into
-  // `counters` after the run; every field is an exact sum (and the one
-  // double is hub-only), so the merge is bit-identical to serial.
-  std::vector<EnergyCounters> energy_shards(parallel ? num_parts : 0);
   OffloadGovernor governor(cfg_.governor, static_cast<unsigned>(image.blocks.size()),
                            cfg_.l2.line_bytes, cfg_.placement_seed ^ 0x60BE44);
   // One governor per tenant: each climbs its own offload ratio from its own
@@ -216,38 +166,25 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // its invalidation-time stack can disagree; collapse to one counter.
   wta_tracker.set_aggregate(amap.policy().volatile_mapping());
 
-  // One context per partition (components hold references, so the vector is
-  // sized up front and never reallocated).  Partition 0 is the hub
-  // (GPU/SM/L2); partition 1+g owns stack group g.  Each partition gets its
-  // own NetworkPort — a passthrough in serial mode, a deferred-send log in
-  // parallel mode — and its own energy/latency shard in parallel mode.
-  std::vector<SystemContext> ctxs(num_parts);
-  std::vector<NetworkPort> ports;
-  ports.reserve(num_parts);
-  for (unsigned p = 0; p < num_parts; ++p) ports.emplace_back(net);
-  for (unsigned p = 0; p < num_parts; ++p) {
-    SystemContext& ctx = ctxs[p];
-    ctx.cfg = &cfg_;
-    ctx.amap = &amap;
-    ctx.gmem = &gmem;
-    ctx.net = &ports[p];
-    ctx.governor = &governor;
-    ctx.bufmgr = &bufmgr;
-    ctx.energy = parallel ? &energy_shards[p] : &counters;
-    ctx.ro_cache = &ro_cache;
-    ctx.wta_tracker = &wta_tracker;
-    ctx.latency = (p == 0 || !parallel) ? latency.get()
-                                        : (cfg_.latency_trace ? lat_shards[p - 1].get() : nullptr);
-    ctx.image = &image;
-    ctx.launch = launch;
-    if (num_tenants > 1) ctx.tenants = &tenant_table;
-  }
-  gmem.set_concurrent(parallel);
+  SystemContext ctx;
+  ctx.cfg = &cfg_;
+  ctx.amap = &amap;
+  ctx.gmem = &gmem;
+  ctx.net = &net;
+  ctx.governor = &governor;
+  ctx.bufmgr = &bufmgr;
+  ctx.energy = &counters;
+  ctx.ro_cache = &ro_cache;
+  ctx.wta_tracker = &wta_tracker;
+  ctx.latency = latency.get();
+  ctx.image = &image;
+  ctx.launch = launch;
+  if (num_tenants > 1) ctx.tenants = &tenant_table;
 
-  Gpu gpu(ctxs[0]);
+  Gpu gpu(ctx);
   std::vector<std::unique_ptr<Hmc>> hmcs;
   for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
-    hmcs.push_back(std::make_unique<Hmc>(h, ctxs[parallel ? 1 + group_of_hmc(h) : 0]));
+    hmcs.push_back(std::make_unique<Hmc>(h, ctx));
   }
 
   // Observability: per-epoch timeline (always on — the polls are one
@@ -261,20 +198,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   hmcs[0]->set_timeline(&timeline);
 
   StatsAudit audit;
-  // Merged views over the per-partition shards.  During the run `counters`
-  // (and the hub tracer) hold everything in serial mode and nothing in
-  // parallel mode; after the post-run merge the shards are cleared, so
-  // these lambdas are exact at every audit point in both modes.
-  auto energy_now = [&] {
-    EnergyCounters e = counters;
-    for (const EnergyCounters& sh : energy_shards) e.add(sh);
-    return e;
-  };
-  auto latency_now = [&] {
-    LatencySummary ls = latency->summary();
-    for (const auto& sh : lat_shards) ls.merge_from(sh->summary());
-    return ls;
-  };
   auto collect_audit = [&] {
     AuditSnapshot s;
     for (const auto& sm : gpu.sms()) {
@@ -330,9 +253,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
       s.nsu_lane_ops += hmc->nsu().lane_ops();
       s.nsu_finished_block_instrs += hmc->nsu().finished_block_instrs();
     }
-    const EnergyCounters ec = energy_now();
-    s.dram_read_bytes = ec.dram_read_bytes;
-    s.dram_write_bytes = ec.dram_write_bytes;
+    s.dram_read_bytes = counters.dram_read_bytes;
+    s.dram_write_bytes = counters.dram_write_bytes;
     for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
       s.buf_free_cmd += bufmgr.free_cmd(h);
       s.buf_free_read_data += bufmgr.free_read_data(h);
@@ -343,16 +265,16 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
         static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_read_data_entries) * cfg_.num_hmcs;
     s.buf_cap_write_addr =
         static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_write_addr_entries) * cfg_.num_hmcs;
-    s.energy_dram_activates = ec.dram_activates;
-    s.energy_offchip_bytes = ec.offchip_bytes;
-    s.energy_nsu_lane_ops = ec.nsu_lane_ops;
+    s.energy_dram_activates = counters.dram_activates;
+    s.energy_offchip_bytes = counters.offchip_bytes;
+    s.energy_nsu_lane_ops = counters.nsu_lane_ops;
     s.line_bytes = cfg_.l2.line_bytes;
     s.warp_width = kWarpWidth;
     s.pages_migrated = amap.policy().pages_migrated();
     s.migration_bytes = amap.policy().migration_bytes();
     s.page_bytes = cfg_.page_bytes;
     if (latency != nullptr) {
-      const LatencySummary ls = latency_now();
+      const LatencySummary& ls = latency->summary();
       s.latency_on = true;
       for (std::size_t c = 0; c < kNumPathClasses; ++c) {
         s.lat_counts[c] = ls.per_class[c].count();
@@ -402,14 +324,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     return s;
   };
 
-  // In parallel mode the epoch observer fires mid-window on the hub's
-  // thread while the stack partitions are still running, so the audit
-  // snapshot (which reads every partition's counters) is deferred to the
-  // next horizon barrier.  stats_audit.h documents epoch checks as
-  // every-instant invariants, so checking them at the barrier — a globally
-  // consistent instant — is sound, and the number of checks matches serial.
-  // The timeline hook stays inline: it reads only hub-owned state.
-  std::vector<std::uint64_t> pending_epoch_audits;
   governor.set_epoch_observer([&](const EpochRollInfo& info) {
     std::uint64_t issued = 0, l1_hits = 0, l1_misses = 0;
     for (const auto& sm : gpu.sms()) {
@@ -421,8 +335,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     // epoch audit) sees every cycle up to the boundary classified.  The
     // EpochTick replays fast-forwarded boundaries before any SM does work at
     // the wake edge, so syncing to the boundary cycle here is exact in both
-    // stepping modes; the SMs are hub-owned, so it is also safe mid-window
-    // under `--partitions`.
+    // stepping modes.
     std::array<std::uint64_t, kNumSmBuckets> stack_totals{};
     if (cfg_.profile) {
       gpu.sync_cycle_stacks((info.epoch + 1) * cfg_.governor.epoch_cycles);
@@ -434,13 +347,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
                       info.step, info.direction, issued, l1_hits, l1_misses,
                       cfg_.profile ? stack_totals.data() : nullptr);
-    if (cfg_.audit) {
-      if (parallel) {
-        pending_epoch_audits.push_back(info.epoch);
-      } else {
-        audit.check_epoch(info.epoch, collect_audit());
-      }
-    }
+    if (cfg_.audit) audit.check_epoch(info.epoch, collect_audit());
   });
 
   // Clock domains (Table 2).
@@ -453,64 +360,20 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   for (auto& sm : gpu.sms()) sm_domain.add(sm.get());
   sm_domain.add(&gpu.core_tickable());
   l2_domain.add(&gpu.l2_tickable());
-  // DRAM + NSU domains: one global pair in serial mode, one pair per stack
-  // partition in parallel mode; members keep their serial relative order
-  // (ascending HMC id) either way.
-  std::vector<std::unique_ptr<ClockDomain>> dram_domains;
-  std::vector<std::unique_ptr<ClockDomain>> nsu_domains;
-  std::vector<unsigned> group_base(num_groups, cfg_.num_hmcs);  // first HMC id per group
-  for (unsigned g = 0; g < num_groups; ++g) {
-    dram_domains.push_back(std::make_unique<ClockDomain>("dram", cfg_.clocks.dram_khz));
-    nsu_domains.push_back(std::make_unique<ClockDomain>("nsu", cfg_.clocks.nsu_khz));
+  ClockDomain dram_domain("dram", cfg_.clocks.dram_khz);
+  ClockDomain nsu_domain("nsu", cfg_.clocks.nsu_khz);
+  for (auto& hmc : hmcs) {
+    dram_domain.add(hmc.get());
+    nsu_domain.add(&hmc->nsu());
   }
-  for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
-    const unsigned g = group_of_hmc(h);
-    if (h < group_base[g]) group_base[g] = h;
-    dram_domains[g]->add(hmcs[h].get());
-  }
-  for (unsigned h = 0; h < cfg_.num_hmcs; ++h) nsu_domains[group_of_hmc(h)]->add(&hmcs[h]->nsu());
 
-  // Partition schedulers.  `sched` is the hub partition (and the only
-  // scheduler in serial mode, where it owns all four domains exactly as
-  // before); each stack partition gets its own scheduler over its
-  // dram + nsu domains.  Scheduler registration order mirrors the serial
-  // sm < l2 < dram < nsu order within every partition.
+  // Coincident edges tick in registration order: sm, l2, dram, nsu.
   Scheduler sched(cfg_.fast_forward);
   sched.set_time_limit(cfg_.max_time_ps);
   sched.add(&sm_domain);
   sched.add(&l2_domain);
-  std::vector<std::unique_ptr<Scheduler>> stack_scheds;
-  if (parallel) {
-    for (unsigned g = 0; g < num_groups; ++g) {
-      auto s = std::make_unique<Scheduler>(cfg_.fast_forward);
-      s->set_time_limit(cfg_.max_time_ps);
-      s->add(dram_domains[g].get());
-      s->add(nsu_domains[g].get());
-      stack_scheds.push_back(std::move(s));
-    }
-  } else {
-    sched.add(dram_domains[0].get());
-    sched.add(nsu_domains[0].get());
-  }
-
-  // Parallel wiring: every port defers sends for barrier replay, stamped
-  // with the calling tick context so the coordinator can reconstruct the
-  // serial scheduler's global tick order (domain ranks follow the serial
-  // sm=0 < l2=1 < dram=2 < nsu=3 registration order; member ranks are the
-  // serial global member indices).
-  std::vector<TickOrderProbe> probes(num_parts);
-  if (parallel) {
-    for (unsigned p = 0; p < num_parts; ++p) {
-      ports[p].set_deferred(true);
-      ports[p].set_order_probe(&probes[p]);
-    }
-    sm_domain.set_order_probe(&probes[0], 0, 0);
-    l2_domain.set_order_probe(&probes[0], 1, 0);
-    for (unsigned g = 0; g < num_groups; ++g) {
-      dram_domains[g]->set_order_probe(&probes[1 + g], 2, group_base[g]);
-      nsu_domains[g]->set_order_probe(&probes[1 + g], 3, group_base[g]);
-    }
-  }
+  sched.add(&dram_domain);
+  sched.add(&nsu_domain);
 
   auto system_idle = [&] {
     if (!gpu.idle() || !net.idle()) return false;
@@ -529,91 +392,40 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // modeling bug) dead-marches to the valve instead of spinning.
   bool completed = false;
   bool aborted = false;
-  TimePs final_now = 0;
-  std::uint64_t parallel_windows = 0;
-  if (parallel) {
-    // Parallel-in-time main loop (sim/parallel.*): the coordinator runs the
-    // hub partition on this thread and each stack partition on a worker,
-    // advancing all of them window-by-window to the same completed /
-    // valve-stop / abort outcome the serial loop above reaches.  Abort is
-    // polled at barriers instead of every 64 steps — aborted runs make no
-    // bit-identity promise.
-    std::vector<Scheduler*> parts;
-    parts.push_back(&sched);
-    for (auto& s : stack_scheds) parts.push_back(s.get());
-    std::vector<NetworkPort*> port_ptrs;
-    for (auto& p : ports) port_ptrs.push_back(&p);
-    ParallelHooks hooks;
-    hooks.system_idle = system_idle;
-    if (abort_poll_) hooks.abort_poll = abort_poll_;
-    hooks.on_barrier = [&] {
-      for (const std::uint64_t e : pending_epoch_audits) audit.check_epoch(e, collect_audit());
-      pending_epoch_audits.clear();
-    };
-    const ParallelOutcome outcome =
-        run_parallel(parts, port_ptrs, net, lookahead_ps, cfg_.max_time_ps, hooks);
-    completed = outcome.completed;
-    aborted = outcome.aborted;
-    final_now = outcome.final_ps;
-    parallel_windows = outcome.windows;
-    // Sends can be deferred no longer.  Epochs that rolled after the last
-    // barrier (or that the fast-forward flush below rolls) are audited after
-    // the finalize/merge block, where the counters are settled.
-    for (auto& p : ports) p.set_deferred(false);
-  } else {
-    unsigned poll_countdown = 64;
-    while (true) {
-      const bool maybe_idle = cfg_.fast_forward ? sched.quiescent() : true;
-      if (maybe_idle && system_idle()) {
-        completed = true;
+  unsigned poll_countdown = 64;
+  while (true) {
+    const bool maybe_idle = cfg_.fast_forward ? sched.quiescent() : true;
+    if (maybe_idle && system_idle()) {
+      completed = true;
+      break;
+    }
+    if (sched.now() >= cfg_.max_time_ps) break;
+    if (cfg_.fast_forward && sched.quiescent()) {
+      sched.advance_to_limit();
+      continue;
+    }
+    sched.step();
+    if (--poll_countdown == 0) {
+      poll_countdown = 64;
+      if (abort_poll_ && abort_poll_()) {
+        aborted = true;
         break;
       }
-      if (sched.now() >= cfg_.max_time_ps) break;
-      if (cfg_.fast_forward && sched.quiescent()) {
-        sched.advance_to_limit();
-        continue;
-      }
-      sched.step();
-      if (--poll_countdown == 0) {
-        poll_countdown = 64;
-        if (abort_poll_ && abort_poll_()) {
-          aborted = true;
-          break;
-        }
-      }
     }
-    final_now = sched.now();
   }
 
   // Flush fast-forward-deferred per-cycle accounting (stall/active
   // counters, governor epoch clock, NSU tick counts) up to each domain's
-  // consumed-edge count.  No-ops in naive mode.
+  // consumed-edge count.  No-ops in naive mode.  The gpu.finalize flush can
+  // roll one last epoch when the trailing fast-forward region crosses an
+  // epoch boundary; the epoch observer audits it like any other.
   gpu.finalize(sm_domain.next_cycle());
-  for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
-    hmcs[h]->nsu().finalize(nsu_domains[group_of_hmc(h)]->next_cycle());
+  for (auto& hmc : hmcs) {
+    hmc->nsu().finalize(nsu_domain.next_cycle());
     // Vault cycle stacks: derive the idle bucket once, from the dram domain's
     // consumed-edge count (busy classification happened live at each edge).
-    hmcs[h]->finalize(dram_domains[group_of_hmc(h)]->next_cycle());
+    hmc->finalize(dram_domain.next_cycle());
   }
-
-  // Merge the parallel shards back into the primary accumulators (exact
-  // integer sums / histogram merges; no-ops in serial mode) so everything
-  // below sees the same totals a serial run computes in place.
-  for (const EnergyCounters& sh : energy_shards) counters.add(sh);
-  energy_shards.clear();
-  if (latency != nullptr) {
-    for (const auto& sh : lat_shards) latency->merge_from(*sh);
-  }
-  lat_shards.clear();
-  gmem.set_concurrent(false);
-
-  // Epochs deferred past the last barrier — including one the gpu.finalize
-  // flush above may roll when the final fast-forward region crosses an
-  // epoch boundary — get their audit here, against the merged totals.
-  // Serial mode audits these inline in the observer, so the per-run
-  // check_epoch count stays identical.
-  for (const std::uint64_t e : pending_epoch_audits) audit.check_epoch(e, collect_audit());
-  pending_epoch_audits.clear();
 
   // Flush the timeline's lazily-polled series (L2, links, NSU occupancy) to
   // end-of-run values for epochs no consumed edge of their domain reached,
@@ -631,7 +443,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.completed = completed;
   result.aborted = aborted;
   result.sm_cycles = sm_domain.now_cycle();
-  result.runtime_ps = final_now;
+  result.runtime_ps = sched.now();
   result.stall_dependency = gpu.total_stall_dependency();
   result.stall_exec_busy = gpu.total_stall_exec_busy();
   result.stall_warp_idle = gpu.total_stall_warp_idle();
@@ -740,10 +552,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
           ? result.runtime_ps - cfg_.max_time_ps
           : 0;
   result.stats.set("sim.valve_overshoot_ps", static_cast<double>(overshoot));
-  // Parallel-execution diagnostics (the `sim.parallel_*` keys are the only
-  // intentionally partition-dependent stats; identity tests exclude them).
-  result.stats.set("sim.parallel_partitions", static_cast<double>(num_parts));
-  result.stats.set("sim.parallel_windows", static_cast<double>(parallel_windows));
   timeline.export_stats(result.stats);
   export_cycle_stats(result.cycle_stack, result.stats);
   if (latency != nullptr) {

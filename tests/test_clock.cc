@@ -285,165 +285,5 @@ TEST(SchedulerFastForward, SameInstantCrossDomainPushIsNotSkipped) {
   EXPECT_EQ(sink.work[0], (std::pair<Cycle, TimePs>{2, 2000}));
 }
 
-// --- parallel-in-time windows ---------------------------------------------
-
-TEST(SchedulerWindows, PollBidIsPureAndMatchesNextWork) {
-  ClockDomain dom("d", 1'000'000);
-  ScheduledWorker w({5, 9}, 1'000'000);
-  dom.add(&w);
-  Scheduler part(/*fast_forward=*/true);
-  part.add(&dom);
-  EXPECT_EQ(part.poll_bid(), 5000u);
-  EXPECT_EQ(part.poll_bid(), 5000u);  // nothing advanced
-  EXPECT_EQ(dom.next_cycle(), 0u);
-  EXPECT_TRUE(w.ticks.empty());
-}
-
-// A windowed run over partition-local schedulers must reproduce the serial
-// scheduler's exact (tick index, timestamp) sequence per worker and leave
-// every domain's consumed-edge count on the serial value.  Exercised at the
-// geometry the simulator uses for 3 stacks + hub: incommensurate
-// frequencies, one two-domain "hub" partition, uneven work schedules.
-TEST(SchedulerWindows, WindowedRunMatchesSerialAcrossThreePartitions) {
-  const std::vector<Cycle> sched_hub_a = {0, 1, 7, 40, 41, 200};
-  const std::vector<Cycle> sched_hub_b = {3, 90, 150};
-  const std::vector<Cycle> sched_s1 = {2, 5, 91, 180};
-  const std::vector<Cycle> sched_s2 = {10, 11, 12, 199};
-  const std::uint64_t khz_a = 1'000'000, khz_b = 666'667, khz_s = 350'000;
-
-  auto build = [&](auto&& body) {
-    ClockDomain da("a", khz_a), db("b", khz_b), d1("s1", khz_s), d2("s2", khz_s);
-    ScheduledWorker wa(sched_hub_a, khz_a), wb(sched_hub_b, khz_b);
-    ScheduledWorker w1(sched_s1, khz_s), w2(sched_s2, khz_s);
-    da.add(&wa);
-    db.add(&wb);
-    d1.add(&w1);
-    d2.add(&w2);
-    body(da, db, d1, d2);
-    return std::tuple(wa.work, wb.work, w1.work, w2.work, da.next_cycle(), db.next_cycle(),
-                      d1.next_cycle(), d2.next_cycle());
-  };
-
-  for (const bool ff : {true, false}) {
-    const auto serial = build([&](auto& da, auto& db, auto& d1, auto& d2) {
-      Scheduler sched(ff);
-      sched.add(&da);
-      sched.add(&db);
-      sched.add(&d1);
-      sched.add(&d2);
-      while (true) {
-        if (ff) {
-          if (sched.quiescent()) break;
-          sched.step();
-        } else {
-          // Naive serial loop with an idle predicate, as the simulator runs.
-          if (sched.poll_bid() == kTimeNever) break;
-          sched.step();
-        }
-      }
-      // Serial termination leaves the final work edge consumed; mirror the
-      // coordinator's finish_to afterwards for the windowed variant.
-    });
-
-    const auto windowed = build([&](auto& da, auto& db, auto& d1, auto& d2) {
-      Scheduler hub(ff), p1(ff), p2(ff);
-      hub.add(&da);
-      hub.add(&db);
-      p1.add(&d1);
-      p2.add(&d2);
-      std::vector<Scheduler*> parts = {&hub, &p1, &p2};
-      const TimePs lookahead = 4'000;  // any positive horizon is valid here
-      bool any_window = false;
-      while (true) {
-        TimePs w = kTimeNever;
-        for (Scheduler* p : parts) w = std::min(w, p->poll_bid());
-        if (w == kTimeNever) break;
-        for (Scheduler* p : parts) p->run_window(w + lookahead);
-        any_window = true;
-      }
-      TimePs f = 0;
-      for (Scheduler* p : parts) f = std::max(f, p->now());
-      if (any_window) {
-        for (Scheduler* p : parts) p->finish_to(f, /*consume_edge_at_f=*/true);
-      }
-    });
-
-    EXPECT_EQ(windowed, serial) << "ff=" << ff;
-  }
-}
-
-TEST(SchedulerWindows, RunWindowNeverExecutesAtOrPastLimitAndValveMatchesSerial) {
-  // All remaining work lies at/after the limit: run_window must refuse it
-  // (the valve step is a global decision), and run_valve_step at the global
-  // valve edge must land exactly where the serial valve lands.
-  auto run = [&](bool windowed) {
-    ClockDomain dom("d", 1'000'000);
-    ScheduledWorker w({20}, 1'000'000);  // work at 20'000 ps, past the limit
-    dom.add(&w);
-    Scheduler sched(/*fast_forward=*/true);
-    sched.set_time_limit(10'500);
-    sched.add(&dom);
-    if (windowed) {
-      const TimePs bid = sched.run_window(5'000);  // horizon below the work
-      EXPECT_EQ(bid, 20'000u);
-      EXPECT_TRUE(w.ticks.empty());  // nothing executed
-      sched.run_valve_step(sched.local_valve_edge());
-    } else {
-      sched.advance_to_limit();
-    }
-    return std::pair(sched.now(), dom.next_cycle());
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
-TEST(SchedulerWindows, FinishToConsumesTrailingEdgesLikeSerial) {
-  // After its last work edge a lagging partition must end with the same
-  // consumed-edge count serial stepping produces when another domain's
-  // final tick lands at `f`.
-  ClockDomain dom("d", 1'000'000);
-  ScheduledWorker w({2}, 1'000'000);
-  dom.add(&w);
-  Scheduler part(/*fast_forward=*/true);
-  part.add(&dom);
-  part.run_window(100'000);
-  EXPECT_EQ(dom.next_cycle(), 3u);
-  part.finish_to(10'000, /*consume_edge_at_f=*/true);
-  // Edges 3..9 skipped, plus the edge at exactly 10'000 ps consumed.
-  EXPECT_EQ(dom.next_cycle(), 11u);
-  // Ticks delivered: only the work edge.
-  ASSERT_EQ(w.ticks.size(), 1u);
-  EXPECT_EQ(w.ticks[0], (std::pair<Cycle, TimePs>{2, 2000}));
-}
-
-// The order probe publishes the calling tick context before each member
-// tick — the replay key deferred sends are sorted by.
-class ProbeReader final : public Tickable {
- public:
-  explicit ProbeReader(const TickOrderProbe* probe) : probe_(probe) {}
-  void tick(Cycle, TimePs) override { seen.push_back(*probe_); }
-  std::vector<TickOrderProbe> seen;
-
- private:
-  const TickOrderProbe* probe_;
-};
-
-TEST(ClockDomain, OrderProbePublishesTickContextPerMember) {
-  ClockDomain dom("d", 1'000'000);
-  TickOrderProbe probe;
-  ProbeReader m0(&probe), m1(&probe);
-  dom.add(&m0);
-  dom.add(&m1);
-  dom.set_order_probe(&probe, /*domain_rank=*/2, /*member_base=*/5);
-  dom.run_tick();
-  dom.run_tick();
-  ASSERT_EQ(m0.seen.size(), 2u);
-  ASSERT_EQ(m1.seen.size(), 2u);
-  EXPECT_EQ(m0.seen[0].now, 0u);
-  EXPECT_EQ(m0.seen[0].domain_rank, 2u);
-  EXPECT_EQ(m0.seen[0].member_rank, 5u);
-  EXPECT_EQ(m1.seen[0].member_rank, 6u);
-  EXPECT_EQ(m1.seen[1].now, 1000u);
-}
-
 }  // namespace
 }  // namespace sndp

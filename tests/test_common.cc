@@ -1,7 +1,9 @@
-// Tests for the common layer: RNG determinism, stats, units, config.
+// Tests for the common layer: RNG determinism, stats, units, config, and
+// checked number parsing.
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
@@ -202,6 +204,71 @@ TEST(CacheConfigTest, SetCountArithmetic) {
   c.ways = 4;
   c.line_bytes = 128;
   EXPECT_EQ(c.num_sets(), 64u);
+}
+
+TEST(Parse, UnsignedTakesTheWholeStringInRange) {
+  EXPECT_EQ(parse_unsigned("0", 0, 10), 0u);
+  EXPECT_EQ(parse_unsigned("10", 0, 10), 10u);
+  EXPECT_EQ(parse_unsigned("007", 0, 10), 7u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  std::string why;
+  // Trailing garbage, blanks and empty text are errors, not a prefix or 0.
+  for (const char* bad : {"12abc", "abc", "", " 1", "1 ", "1.5", "0x10"}) {
+    EXPECT_FALSE(parse_unsigned(bad, 0, 100, &why).has_value()) << bad;
+  }
+  EXPECT_EQ(why, "not an unsigned integer");
+  EXPECT_FALSE(parse_unsigned("", 0, 100, &why).has_value());
+  EXPECT_EQ(why, "empty value");
+}
+
+TEST(Parse, UnsignedRejectsSignsAndOutOfRange) {
+  std::string why;
+  // strtoul would wrap "-1" to the maximum; a sign is refused outright.
+  EXPECT_FALSE(parse_unsigned("-1", 0, UINT64_MAX, &why).has_value());
+  EXPECT_EQ(why, "an unsigned value takes no sign");
+  EXPECT_FALSE(parse_unsigned("+1", 0, UINT64_MAX, &why).has_value());
+  EXPECT_EQ(why, "an unsigned value takes no sign");
+  EXPECT_FALSE(parse_unsigned("0", 1, 255, &why).has_value());
+  EXPECT_EQ(why, "must be in [1, 255]");
+  EXPECT_FALSE(parse_unsigned("256", 1, 255, &why).has_value());
+  EXPECT_FALSE(parse_unsigned("0", 1, UINT64_MAX, &why).has_value());
+  EXPECT_EQ(why, "must be >= 1");
+  // Overflowing 64 bits is out of range, not a wrapped value.
+  EXPECT_FALSE(parse_unsigned("18446744073709551616", 0, UINT64_MAX, &why).has_value());
+  EXPECT_EQ(why, "out of range");
+}
+
+TEST(Parse, DoubleIsFiniteWholeAndInRange) {
+  EXPECT_EQ(parse_double("0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(parse_double("1", 0.0, 1.0), 1.0);
+  EXPECT_EQ(parse_double("-2.5e1", -100.0, 0.0), -25.0);
+  std::string why;
+  for (const char* bad : {"x", "", "0.5x", " 0.5", "0.5 "}) {
+    EXPECT_FALSE(parse_double(bad, 0.0, 1.0, &why).has_value()) << bad;
+  }
+  for (const char* bad : {"inf", "nan", "-inf"}) {
+    EXPECT_FALSE(parse_double(bad, -1e300, 1e300, &why).has_value()) << bad;
+    EXPECT_EQ(why, "not a finite number") << bad;
+  }
+  EXPECT_FALSE(parse_double("1e999", -1e300, 1e300, &why).has_value());
+  EXPECT_FALSE(parse_double("1.5", 0.0, 1.0, &why).has_value());
+  EXPECT_EQ(why, "must be in [0, 1]");
+  EXPECT_FALSE(parse_double("-1", 0.0, std::numeric_limits<double>::max(), &why).has_value());
+  EXPECT_EQ(why, "must be >= 0");
+}
+
+TEST(Parse, FlagParserNarrowsToTheTargetType) {
+  EXPECT_EQ(parse_flag<unsigned>("prog", "--n", "4294967295"), 4294967295u);
+  EXPECT_EQ(parse_flag("prog", "--n", "64", 1u), 64u);
+  EXPECT_EQ(parse_flag("prog", "--r", "0.5", 0.0, 1.0), 0.5);
+}
+
+TEST(ParseDeathTest, BadFlagValueNamesFlagAndValueAndExits2) {
+  EXPECT_EXIT(parse_flag<unsigned>("prog", "--sms", "abc"), ::testing::ExitedWithCode(2),
+              "prog: invalid value 'abc' for --sms: not an unsigned integer");
+  // One past the type's maximum is refused instead of truncated.
+  EXPECT_EXIT(parse_flag<unsigned>("prog", "--sms", "4294967296"),
+              ::testing::ExitedWithCode(2), "for --sms: must be <= 4294967295");
 }
 
 }  // namespace

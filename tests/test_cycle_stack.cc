@@ -2,10 +2,10 @@
 // integration — every case is an end-to-end simulator run).
 //
 //  * Sum-to-runtime: for every Table-1 workload and operator kernel, under
-//    fast-forward on/off × 1/2 time partitions, the machine SM stack must
-//    cover every consumed SM edge of every SM, the bucket groups must
-//    reproduce the legacy Fig. 8 stall counters, and the stacks must be
-//    bit-identical across all four stepping modes.  (Per-component
+//    fast-forward on/off, the machine SM stack must cover every consumed SM
+//    edge of every SM, the bucket groups must reproduce the legacy Fig. 8
+//    stall counters, and the stacks must be bit-identical across both
+//    stepping modes.  (Per-component
 //    sum==counted is additionally enforced by StatsAudit on each of these
 //    runs — a violation throws out of Simulator::run.)
 //
@@ -84,16 +84,12 @@ TEST(CycleStack, SumToRuntimeAllWorkloadsAllModes) {
               0u)
         << wl;
 
-    // Bit-identity across stepping modes: fast-forward off, and sharded
-    // across two time partitions, each must reproduce the same stacks.
+    // Bit-identity across stepping modes: fast-forward off must reproduce
+    // the same stacks.
     SystemConfig noff = base;
     noff.fast_forward = false;
     expect_stacks_equal(r.cycle_stack, run_tiny(wl, noff).cycle_stack,
                         wl + " ff-off");
-    SystemConfig part2 = base;
-    part2.parallel_partitions = 2;
-    expect_stacks_equal(r.cycle_stack, run_tiny(wl, part2).cycle_stack,
-                        wl + " partitions=2");
   }
 }
 

@@ -18,7 +18,7 @@ SystemConfig oracle_base() {
 
 TEST(OracleMatrix, CoversTheClaimedConfigurations) {
   const auto points = oracle_matrix(oracle_base());
-  ASSERT_EQ(points.size(), 15u);
+  ASSERT_EQ(points.size(), 13u);
   std::vector<std::string> labels;
   for (const auto& p : points) labels.push_back(p.label);
   EXPECT_EQ(labels[0], "baseline");
@@ -26,22 +26,16 @@ TEST(OracleMatrix, CoversTheClaimedConfigurations) {
   EXPECT_NE(std::find(labels.begin(), labels.end(), "dyn-cache"), labels.end());
   EXPECT_NE(std::find(labels.begin(), labels.end(), "ndp@1.00/1-stack"), labels.end());
   // The stack-count points really change the topology.
-  EXPECT_EQ(points[points.size() - 6].cfg.num_hmcs, 4u);
-  EXPECT_EQ(points[points.size() - 8].cfg.num_hmcs, 1u);
+  EXPECT_EQ(points[points.size() - 4].cfg.num_hmcs, 4u);
+  EXPECT_EQ(points[points.size() - 6].cfg.num_hmcs, 1u);
   // The placement-policy points really change the policy, and the migration
   // point's threshold is low enough that pages move during a tiny run.
-  EXPECT_EQ(points[points.size() - 5].cfg.placement.policy,
-            PlacementPolicyKind::kFirstTouch);
-  EXPECT_EQ(points[points.size() - 4].cfg.placement.policy,
-            PlacementPolicyKind::kLocality);
   EXPECT_EQ(points[points.size() - 3].cfg.placement.policy,
-            PlacementPolicyKind::kMigration);
-  EXPECT_LE(points[points.size() - 3].cfg.placement.migration_threshold, 16u);
-  // The parallel-in-time spot checks really shard the run.
-  EXPECT_EQ(labels[points.size() - 2], "dyn-cache/2-part");
-  EXPECT_EQ(points[points.size() - 2].cfg.parallel_partitions, 2u);
-  EXPECT_EQ(labels[points.size() - 1], "dyn-cache/4-part");
-  EXPECT_EQ(points.back().cfg.parallel_partitions, 4u);
+            PlacementPolicyKind::kFirstTouch);
+  EXPECT_EQ(points[points.size() - 2].cfg.placement.policy,
+            PlacementPolicyKind::kLocality);
+  EXPECT_EQ(points.back().cfg.placement.policy, PlacementPolicyKind::kMigration);
+  EXPECT_LE(points.back().cfg.placement.migration_threshold, 16u);
 }
 
 class DiffOracle : public ::testing::TestWithParam<std::string> {};
@@ -51,7 +45,7 @@ TEST_P(DiffOracle, SimulatorMatchesReferenceByteForByte) {
       diff_check_workload(GetParam(), ProblemScale::kTiny, oracle_matrix(oracle_base()));
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   EXPECT_TRUE(report.ok()) << to_string(report);
-  EXPECT_EQ(report.outcomes.size(), 15u);
+  EXPECT_EQ(report.outcomes.size(), 13u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, DiffOracle,
@@ -85,9 +79,8 @@ INSTANTIATE_TEST_SUITE_P(Operators, DiffOracle,
 // placement churn).
 std::vector<OraclePoint> tenant_points() {
   const auto all = oracle_matrix(oracle_base());
-  const std::vector<std::string> keep = {
-      "baseline",           "ndp@0.50",           "dyn-cache",
-      "ndp@1.00/1-stack",   "ndp@1.00/migration", "dyn-cache/2-part"};
+  const std::vector<std::string> keep = {"baseline", "ndp@0.50", "dyn-cache",
+                                         "ndp@1.00/1-stack", "ndp@1.00/migration"};
   std::vector<OraclePoint> points;
   for (const auto& p : all) {
     if (std::find(keep.begin(), keep.end(), p.label) != keep.end()) points.push_back(p);
@@ -100,7 +93,7 @@ TEST(DiffOracleTenants, HomogeneousPairMatchesIndependentReplay) {
       diff_check_tenants({"VADD", "VADD"}, ProblemScale::kTiny, tenant_points());
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   EXPECT_TRUE(report.ok()) << to_string(report);
-  EXPECT_EQ(report.outcomes.size(), 6u);
+  EXPECT_EQ(report.outcomes.size(), 5u);
 }
 
 TEST(DiffOracleTenants, HeterogeneousTripleMatchesIndependentReplay) {
@@ -108,7 +101,7 @@ TEST(DiffOracleTenants, HeterogeneousTripleMatchesIndependentReplay) {
       diff_check_tenants({"BFS", "VADD", "KMN"}, ProblemScale::kTiny, tenant_points());
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   EXPECT_TRUE(report.ok()) << to_string(report);
-  EXPECT_EQ(report.outcomes.size(), 6u);
+  EXPECT_EQ(report.outcomes.size(), 5u);
 }
 
 TEST(DiffOracle, IncompleteSimulationIsReportedNotMasked) {

@@ -56,34 +56,21 @@ TEST(FuzzDiff, PlacementLineRoundTripsAndDefaultsToRandom) {
   EXPECT_EQ(legacy->placement, PlacementPolicyKind::kRandom);
 }
 
-TEST(FuzzDiff, PartitionsLineRoundTripsAndDefaultsToSerial) {
-  // New reproducers carry the parallel-in-time axis...
-  FuzzSpec spec = generate_spec(42);
-  spec.partitions = 4;
-  const auto parsed = FuzzSpec::from_text(spec.to_text());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->partitions, 4u);
-  EXPECT_EQ(fuzz_config(*parsed).parallel_partitions, 4u);
-  // ...while pre-parallel reproducers (no `partitions` line) still parse
-  // and replay serial, as those runs actually executed.
-  const auto legacy = FuzzSpec::from_text(
-      "sndp-fuzz-repro-v1\nseed 5\nlaunch 32 1\nloop 0\nmode 1 1\nhmcs 2\n"
-      "op 3 1 2 4\nend\n");
+TEST(FuzzDiff, LegacyPartitionsLineIsIgnored) {
+  // Reproducers written while the parallel-in-time engine existed carry a
+  // `partitions N` line.  Those runs were bit-identical to serial, so the
+  // line still parses and is ignored: the case replays serially.
+  const std::string body =
+      "sndp-fuzz-repro-v1\nseed 5\nlaunch 32 1\nloop 0\nmode 1 1\nhmcs 2\n";
+  const auto legacy = FuzzSpec::from_text(body + "partitions 4\nop 3 1 2 4\nend\n");
+  const auto plain = FuzzSpec::from_text(body + "op 3 1 2 4\nend\n");
   ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->partitions, 1u);
-  // The generator draws sharded cases often enough to matter, and only for
-  // placements that do not fall back to serial.
-  unsigned sharded = 0;
-  for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const FuzzSpec s = generate_spec(seed);
-    if (s.partitions > 1) {
-      ++sharded;
-      EXPECT_TRUE(s.placement == PlacementPolicyKind::kRandom ||
-                  s.placement == PlacementPolicyKind::kLocality)
-          << "seed " << seed;
-    }
-  }
-  EXPECT_GE(sharded, 8u);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(legacy->to_text(), plain->to_text());
+  // New reproducers no longer write the line.
+  EXPECT_EQ(generate_spec(42).to_text().find("partitions"), std::string::npos);
+  // A malformed count is still refused, like any other directive.
+  EXPECT_FALSE(FuzzSpec::from_text(body + "partitions x\nend\n").has_value());
 }
 
 TEST(FuzzDiff, TenantsLineRoundTripsAndDefaultsToSingle) {

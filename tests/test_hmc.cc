@@ -24,7 +24,7 @@ struct HmcHarness {
     ctx.cfg = &cfg;
     ctx.amap = &amap;
     ctx.gmem = &gmem;
-    ctx.net = &port;
+    ctx.net = &net;
     ctx.governor = &governor;
     ctx.bufmgr = &bufmgr;
     ctx.energy = &energy;
@@ -65,7 +65,6 @@ struct HmcHarness {
   AddressMap amap;
   GlobalMemory gmem;
   Network net;
-  NetworkPort port{net};
   OffloadGovernor governor;
   NdpBufferManager bufmgr;
   RoCacheMirror ro_cache;

@@ -35,7 +35,7 @@ struct NsuHarness {
     ctx.cfg = &cfg;
     ctx.amap = &amap;
     ctx.gmem = &gmem;
-    ctx.net = &port;
+    ctx.net = &net;
     ctx.governor = &governor;
     ctx.bufmgr = &bufmgr;
     ctx.energy = &energy;
@@ -100,7 +100,6 @@ struct NsuHarness {
   AddressMap amap;
   GlobalMemory gmem;
   Network net;
-  NetworkPort port{net};
   OffloadGovernor governor;
   NdpBufferManager bufmgr;
   RoCacheMirror ro_cache;

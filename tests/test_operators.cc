@@ -4,7 +4,7 @@
 //    program bytes and same initial memory image;
 //  * the timing simulator is byte-identical to the reference interpreter
 //    for every operator across a spread of tile/size configs (the full
-//    15-point config matrix runs in the diff tier; here the matrix is the
+//    13-point config matrix runs in the diff tier; here the matrix is the
 //    tile axis instead);
 //  * a mixed tenant set (operator + classic Table-1 kernel) matches
 //    independent reference replay under every arbiter.

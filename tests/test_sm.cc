@@ -24,7 +24,7 @@ struct SmHarness {
     ctx.cfg = &cfg;
     ctx.amap = &amap;
     ctx.gmem = &gmem;
-    ctx.net = &port;
+    ctx.net = &net;
     ctx.governor = &governor;
     ctx.bufmgr = &bufmgr;
     ctx.energy = &energy;
@@ -61,7 +61,6 @@ struct SmHarness {
   AddressMap amap;
   GlobalMemory gmem;
   Network net;
-  NetworkPort port{net};
   OffloadGovernor governor;
   NdpBufferManager bufmgr;
   RoCacheMirror ro_cache;

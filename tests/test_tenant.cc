@@ -4,7 +4,7 @@
 //
 //  * one tenant is the classic single-kernel path, bit-identical stats;
 //  * multi-tenant runs are deterministic and bit-identical across
-//    fast-forward on/off and serial/parallel stepping;
+//    fast-forward on/off;
 //  * a strict-priority top tenant's output bytes are identical to a solo
 //    run of the same workload (disjoint address spaces + issue-time
 //    functional writes make outputs interference-independent);
@@ -56,18 +56,6 @@ RunResult run_mix(const SystemConfig& cfg, const std::vector<Mix>& mix,
   return sim.run_tenants(descs, "mix");
 }
 
-// Stats with the intentionally stepping-dependent keys removed (the same
-// exclusions the parallel identity tests use).
-std::map<std::string, double> comparable_stats(const RunResult& r) {
-  std::map<std::string, double> out;
-  for (const auto& [k, v] : r.stats.values()) {
-    if (k.rfind("sim.parallel_", 0) == 0) continue;
-    if (k.rfind("sim.latency_spans", 0) == 0) continue;
-    out.emplace(k, v);
-  }
-  return out;
-}
-
 TEST(Tenant, SingleTenantBitIdenticalToClassicPath) {
   const SystemConfig cfg = tenant_cfg();
   auto solo = make_workload("VADD", ProblemScale::kTiny);
@@ -85,27 +73,23 @@ TEST(Tenant, SingleTenantBitIdenticalToClassicPath) {
   }
 }
 
-TEST(Tenant, MultiTenantDeterministicAcrossFastForwardAndPartitions) {
+TEST(Tenant, MultiTenantDeterministicAcrossFastForward) {
   const std::vector<Mix> mix{{"VADD"}, {"KMN"}};
   std::vector<RunResult> runs;
-  std::vector<GlobalMemory> mems(4);
+  std::vector<GlobalMemory> mems(2);
   unsigned i = 0;
   for (const bool ff : {true, false}) {
-    for (const unsigned parts : {1u, 2u}) {
-      SystemConfig cfg = tenant_cfg();
-      cfg.fast_forward = ff;
-      cfg.parallel_partitions = parts;
-      runs.push_back(run_mix(cfg, mix, &mems[i++]));
-    }
+    SystemConfig cfg = tenant_cfg();
+    cfg.fast_forward = ff;
+    runs.push_back(run_mix(cfg, mix, &mems[i++]));
   }
   for (const RunResult& r : runs) {
     ASSERT_TRUE(r.completed && r.verified);
     ASSERT_EQ(r.tenants.size(), 2u);
   }
-  const auto ref_stats = comparable_stats(runs[0]);
   for (unsigned k = 1; k < runs.size(); ++k) {
     EXPECT_EQ(runs[0].sm_cycles, runs[k].sm_cycles) << "variant " << k;
-    EXPECT_EQ(ref_stats, comparable_stats(runs[k])) << "variant " << k;
+    EXPECT_EQ(runs[0].stats.values(), runs[k].stats.values()) << "variant " << k;
     for (unsigned t = 0; t < 2; ++t) {
       EXPECT_EQ(runs[0].tenants[t].finish_cycle, runs[k].tenants[t].finish_cycle);
       EXPECT_EQ(runs[0].tenants[t].issued, runs[k].tenants[t].issued);
