@@ -48,6 +48,11 @@ void SystemConfig::validate() const {
           "migration threshold must be at least 1");
   require(sm.warp_width == kWarpWidth, "warp width must be 32");
   require(sm.max_threads % sm.warp_width == 0, "SM thread count must be warp-aligned");
+  // Per-slot activity masks (Sm, Nsu, Hmc) are one 64-bit word each.
+  require(sm.max_warps() <= 64, "SM warp slots (sm.max_threads / 32) must be <= 64");
+  require(nsu.max_warps <= 64, "NSU warp slots (nsu.max_warps) must be <= 64");
+  require(hmc.num_vaults >= 1 && hmc.num_vaults <= 64,
+          "vault count (hmc.num_vaults) must be in [1, 64]");
   require(std::has_single_bit(static_cast<std::uint64_t>(sm.l1d.line_bytes)),
           "L1 line size must be a power of two");
   require(sm.l1d.line_bytes == l2.line_bytes, "L1/L2 line sizes must match");

@@ -2,6 +2,9 @@
 // checked number parsing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/config.h"
 #include "common/parse.h"
 #include "common/rng.h"
@@ -160,6 +163,39 @@ TEST(Config, MoreCoreAnd2xPresets) {
   EXPECT_NO_THROW(SystemConfig::paper_more_core().validate());
   EXPECT_NO_THROW(SystemConfig::paper_2x().validate());
   EXPECT_NO_THROW(SystemConfig::small_test().validate());
+}
+
+// The message of the first check `c` fails, or "" when it validates.
+std::string validate_error(const SystemConfig& c) {
+  try {
+    c.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Config, ValidateBoundsActivityMaskSlots) {
+  // SM warp slots, NSU warp slots and vaults each index one 64-bit mask.
+  SystemConfig c = SystemConfig::paper();
+  c.sm.max_threads = 64 * kWarpWidth;
+  c.nsu.max_warps = 64;
+  c.hmc.num_vaults = 64;
+  EXPECT_EQ(validate_error(c), "");
+
+  c = SystemConfig::paper();
+  c.sm.max_threads = 65 * kWarpWidth;
+  EXPECT_NE(validate_error(c).find("sm.max_threads"), std::string::npos) << validate_error(c);
+
+  c = SystemConfig::paper();
+  c.nsu.max_warps = 65;
+  EXPECT_NE(validate_error(c).find("nsu.max_warps"), std::string::npos) << validate_error(c);
+
+  c = SystemConfig::paper();
+  c.hmc.num_vaults = 65;
+  EXPECT_NE(validate_error(c).find("hmc.num_vaults"), std::string::npos) << validate_error(c);
+  c.hmc.num_vaults = 128;  // a power of two, still past one mask word
+  EXPECT_NE(validate_error(c).find("hmc.num_vaults"), std::string::npos) << validate_error(c);
 }
 
 TEST(Config, ValidateRejectsBadShapes) {
