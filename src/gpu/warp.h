@@ -63,7 +63,7 @@ struct Warp {
   unsigned cta_slot = kInvalidId;
   unsigned cta_id = 0;
   unsigned tenant = 0;  // owning kernel stream (0 on the single-tenant path)
-  WarpState state = WarpState::kInvalid;
+  WarpState state = WarpState::kInvalid;  // written only by Sm::set_state (masks)
   unsigned pc = 0;
   LaneMask active = 0;  // lanes that hold live threads
   std::array<ThreadCtx, kWarpWidth> lanes{};
@@ -74,7 +74,6 @@ struct Warp {
   std::uint32_t cur_block = 0xFFFFFFFFu;  // static block id while inside a block
   std::unique_ptr<GpuOffloadCtx> ofld;  // non-null while inside an offloaded block
 
-  bool valid() const { return state != WarpState::kInvalid; }
   unsigned active_count() const { return popcount_mask(active); }
 
   // Lanes of `instr` that will actually execute: alive AND guard-passing.
