@@ -1,5 +1,6 @@
 #include "mem/hmc.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "energy/energy_model.h"
@@ -36,14 +37,8 @@ Hmc::Hmc(HmcId id, const SystemContext& ctx) : id_(id), ctx_(ctx) {
 }
 
 bool Hmc::idle() const {
-  if (!inflight_.empty() || !pending_copies_.empty()) return false;
-  for (const auto& v : vaults_) {
-    if (!v->idle()) return false;
-  }
-  for (const auto& b : vault_backlog_) {
-    if (!b.empty()) return false;
-  }
-  return nsu_->idle();
+  return inflight_.empty() && pending_copies_.empty() && busy_vaults_ == 0 &&
+         backlogged_ == 0 && nsu_->idle();
 }
 
 std::uint64_t Hmc::total_activates() const {
@@ -88,12 +83,11 @@ void Hmc::send_from_stack(Packet&& p, TimePs now) {
 
 TimePs Hmc::compute_internal_wake() const {
   TimePs w = kTimeNever;
-  for (const auto& b : vault_backlog_) {
-    if (!b.empty() && b.front_ready_ps() < w) w = b.front_ready_ps();
+  for (SlotMask m = backlogged_; m != 0; m &= m - 1) {
+    w = std::min(w, vault_backlog_[lowest_slot(m)].front_ready_ps());
   }
-  for (const auto& v : vaults_) {
-    const TimePs t = v->next_work_ps(0);
-    if (t < w) w = t;
+  for (SlotMask m = busy_vaults_; m != 0; m &= m - 1) {
+    w = std::min(w, vaults_[lowest_slot(m)]->next_work_ps(0));
   }
   return w;
 }
@@ -122,8 +116,10 @@ void Hmc::tick(Cycle cycle, TimePs now) {
     route_packet(std::move(p), now);
   }
 
-  // Retry backlogged vault requests.
-  for (unsigned v = 0; v < vault_backlog_.size(); ++v) {
+  // Retry backlogged vault requests.  Nothing below pushes a backlog, so
+  // the walk over a snapshot of backlogged_ sees every non-empty one.
+  for (SlotMask m = backlogged_; m != 0; m &= m - 1) {
+    const unsigned v = lowest_slot(m);
     auto& backlog = vault_backlog_[v];
     while (backlog.ready(now) && vaults_[v]->can_accept()) {
       Packet p = backlog.pop();
@@ -137,11 +133,19 @@ void Hmc::tick(Cycle cycle, TimePs now) {
       const std::uint64_t token = next_token_++;
       vaults_[v]->enqueue(
           DramRequest{p.line_addr, is_write, token, coord, now, p.tenant, page_copy});
+      busy_vaults_ |= slot_bit(v);
       inflight_.emplace(token, std::move(p));
     }
+    if (backlog.empty()) backlogged_ &= ~slot_bit(v);
   }
 
-  for (auto& v : vaults_) v->tick(cycle, now);
+  // An idle vault's tick is a no-op.  Completion callbacks only push
+  // backlogs, never a vault queue, so busy_vaults_ gains no bit mid-walk.
+  for (SlotMask m = busy_vaults_; m != 0; m &= m - 1) {
+    const unsigned v = lowest_slot(m);
+    vaults_[v]->tick(cycle, now);
+    if (vaults_[v]->idle()) busy_vaults_ &= ~slot_bit(v);
+  }
 
   // Computed the same way in both stepping modes: naive stepping never
   // reads it, and one mode-independent path needs no stepping-mode branch.
@@ -209,6 +213,7 @@ void Hmc::enqueue_vault(Packet&& p, TimePs now) {
   if (ctx_.latency != nullptr) ctx_.latency->add_link(p, 0, noc_latency_ps_);
   auto& backlog = vault_backlog_.at(coord.vault);
   backlog.push(std::move(p), now);
+  backlogged_ |= slot_bit(coord.vault);
   // The NSU's local-vault fast path lands here from another clock domain;
   // make sure a sleeping stack wakes for it.
   const TimePs ready = backlog.back_ready_ps();

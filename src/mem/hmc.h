@@ -92,6 +92,13 @@ class Hmc final : public Tickable {
 
   // Requests waiting for a full vault queue, one overflow FIFO per vault.
   std::vector<TimedChannel<Packet>> vault_backlog_;
+  // Vault-indexed activity masks (num_vaults <= 64 by SystemConfig::
+  // validate): vaults with a queued or completing request (the only ones
+  // whose tick is not a no-op), and vaults with a non-empty backlog.  The
+  // vault tick loop, the backlog retry loop and compute_internal_wake walk
+  // only their set bits, in vault order.
+  SlotMask busy_vaults_ = 0;
+  SlotMask backlogged_ = 0;
   // In-flight DRAM requests: vault token -> originating packet.
   std::unordered_map<std::uint64_t, Packet> inflight_;
   std::uint64_t next_token_ = 1;
