@@ -15,11 +15,13 @@
 //     flagged).
 //
 // Prints one line per changed row and exits 1 when any regression was
-// flagged, 0 otherwise (missing rows in CURRENT also flag).  The two files
-// must record the same problem scale — tiny-scale smoke rows against a
-// small-scale baseline are not comparable and exit 2.  Intended as a
-// non-gating CI step: the exit code marks the PR for a human look, not a
-// hard failure.
+// flagged, 0 otherwise (missing rows in CURRENT also flag).  Input that
+// cannot be compared exits 2 with a diagnostic: malformed JSON (including
+// arrays/objects nested deeper than kMaxDepth), a row without a numeric
+// sim_cycles or wall_ff_s, a baseline with no rows, or two files recording
+// different problem scales (tiny-scale smoke rows against a small-scale
+// baseline).  Intended as a non-gating CI step: the exit code marks a change
+// for a human look, not a hard failure.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +38,11 @@
 namespace {
 
 // Minimal JSON reader for the fixed sndp-bench-v1 shape.  Numbers are kept
-// as doubles (sim_cycles fits a double exactly below 2^53).
+// as doubles (sim_cycles fits a double exactly below 2^53).  The reader
+// recurses once per nesting level, so the depth is bounded; sndp-bench-v1
+// needs three levels.
+constexpr int kMaxDepth = 64;
+
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = Kind::kNull;
   bool boolean = false;
@@ -61,6 +67,7 @@ class JsonParser {
     skip_ws();
     return pos_ == s_.size();
   }
+  bool too_deep() const { return too_deep_; }
 
  private:
   void skip_ws() {
@@ -76,8 +83,16 @@ class JsonParser {
     skip_ws();
     if (pos_ >= s_.size()) return false;
     const char c = s_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        too_deep_ = true;
+        return false;
+      }
+      ++depth_;
+      const bool ok = c == '{' ? object(out) : array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out->kind = JsonValue::Kind::kString;
       return string(&out->str);
@@ -191,6 +206,8 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool too_deep_ = false;
 };
 
 struct BenchRow {
@@ -209,8 +226,14 @@ bool load_rows(const char* path, std::map<std::string, BenchRow>* rows,
   buf << in.rdbuf();
   const std::string text = buf.str();
   JsonValue root;
-  if (!JsonParser(text).parse(&root) || root.kind != JsonValue::Kind::kObject) {
-    std::fprintf(stderr, "bench_compare: '%s' is not valid JSON\n", path);
+  JsonParser parser(text);
+  if (!parser.parse(&root) || root.kind != JsonValue::Kind::kObject) {
+    if (parser.too_deep()) {
+      std::fprintf(stderr, "bench_compare: '%s' nests deeper than %d levels\n", path,
+                   kMaxDepth);
+    } else {
+      std::fprintf(stderr, "bench_compare: '%s' is not valid JSON\n", path);
+    }
     return false;
   }
   const JsonValue* schema = root.find("schema");
@@ -224,13 +247,33 @@ bool load_rows(const char* path, std::map<std::string, BenchRow>* rows,
     std::fprintf(stderr, "bench_compare: '%s' has no rows array\n", path);
     return false;
   }
-  for (const JsonValue& r : arr->array) {
+  // A compared field must be present and a number.
+  auto number = [path](const JsonValue& row, const std::string& id, const char* key,
+                       double* out) {
+    const JsonValue* v = row.find(key);
+    if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
+      std::fprintf(stderr, "bench_compare: '%s' row %s: %s is missing or not a number\n",
+                   path, id.c_str(), key);
+      return false;
+    }
+    *out = v->number;
+    return true;
+  };
+  for (std::size_t i = 0; i < arr->array.size(); ++i) {
+    const JsonValue& r = arr->array[i];
     const JsonValue* wl = r.find("workload");
     const JsonValue* mode = r.find("mode");
-    const JsonValue* cyc = r.find("sim_cycles");
-    const JsonValue* wall = r.find("wall_ff_s");
-    if (wl == nullptr || mode == nullptr || cyc == nullptr || wall == nullptr) continue;
-    (*rows)[wl->str + "/" + mode->str] = BenchRow{cyc->number, wall->number};
+    if (wl == nullptr || mode == nullptr) {
+      std::fprintf(stderr, "bench_compare: '%s' row %zu has no workload/mode\n", path, i);
+      return false;
+    }
+    const std::string id = wl->str + "/" + mode->str;
+    BenchRow row;
+    if (!number(r, id, "sim_cycles", &row.sim_cycles) ||
+        !number(r, id, "wall_ff_s", &row.wall_ff_s)) {
+      return false;
+    }
+    (*rows)[id] = row;
   }
   return true;
 }
@@ -270,6 +313,12 @@ int main(int argc, char** argv) {
   std::string base_scale, cur_scale;
   if (!load_rows(baseline_path, &base, &base_scale) ||
       !load_rows(current_path, &cur, &cur_scale)) {
+    return 2;
+  }
+  // An empty baseline would pass every comparison vacuously.
+  if (base.empty()) {
+    std::fprintf(stderr, "bench_compare: baseline '%s' has no rows to compare\n",
+                 baseline_path);
     return 2;
   }
   // Rows are only comparable at the same problem scale: a tiny-scale smoke

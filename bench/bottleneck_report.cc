@@ -28,8 +28,8 @@ using namespace sndp::bench;
 namespace {
 
 bool stacks_equal(const CycleStackSummary& a, const CycleStackSummary& b) {
-  return a.enabled == b.enabled && a.sm.rows == b.sm.rows &&
-         a.nsu.rows == b.nsu.rows && a.vault.rows == b.vault.rows;
+  return a.sm.rows == b.sm.rows && a.nsu.rows == b.nsu.rows &&
+         a.vault.rows == b.vault.rows;
 }
 
 }  // namespace

@@ -19,29 +19,14 @@ struct Breakdown {
 };
 
 // Derived from the fine-grained cycle stacks (src/obs/cycle_stack.*): each
-// legacy column is the sum of the bucket group that refines it.  StatsAudit
-// enforces group == legacy counter on every run, so the figure is
-// byte-identical to the coarse-counter version — but the stacks also say
-// *why* (which memory level the dep-waits hit, credit-wait vs. unit-busy,
-// acks vs. barriers), which `bottleneck_report` drills into.
+// column is the sum of the bucket group that refines it.  The stacks also
+// say *why* (which memory level the dep-waits hit, credit-wait vs.
+// unit-busy, acks vs. barriers), which `bottleneck_report` drills into.
 Breakdown breakdown_of(const RunResult& r) {
-  if (!r.cycle_stack.enabled) {
-    return Breakdown{static_cast<double>(r.stall_exec_busy),
-                     static_cast<double>(r.stall_warp_idle),
-                     static_cast<double>(r.stall_dependency)};
-  }
-  Breakdown b{0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < kNumSmBuckets; ++i) {
-    const double cycles = static_cast<double>(r.cycle_stack.sm.bucket_total(i));
-    switch (sm_bucket_group(static_cast<SmBucket>(i))) {
-      case SmBucketGroup::kExecBusy: b.busy += cycles; break;
-      case SmBucketGroup::kWarpIdle: b.idle += cycles; break;
-      case SmBucketGroup::kDep: b.dep += cycles; break;
-      case SmBucketGroup::kIssue:
-      case SmBucketGroup::kNoWarp: break;
-    }
-  }
-  return b;
+  const SmCycleStack& sm = r.cycle_stack.sm;
+  return Breakdown{static_cast<double>(sm_group_total(sm, SmBucketGroup::kExecBusy)),
+                   static_cast<double>(sm_group_total(sm, SmBucketGroup::kWarpIdle)),
+                   static_cast<double>(sm_group_total(sm, SmBucketGroup::kDep))};
 }
 
 }  // namespace

@@ -90,11 +90,9 @@ int main(int argc, char** argv) {
   for (const std::string& w : workloads) {
     for (OffloadMode mode : modes) {
       SystemConfig cfg = paper_config(mode);
-      // Throughput baseline: latency tracing and the cycle-stack profiler
-      // off, so the recorded edges-per-second measures the simulator core
-      // (the profiler's own cost is measured separately below).
+      // Throughput baseline: latency tracing off, so the recorded
+      // edges-per-second measures the simulator core and its cycle stacks.
       cfg.latency_trace = false;
-      cfg.profile = false;
       cfg.fast_forward = true;
       RunResult ff;
       const double wall_ff = timed_run(w, scale, cfg, &ff);
@@ -131,39 +129,6 @@ int main(int argc, char** argv) {
   std::printf("\ngeomean fast-forward speedup over %zu rows: %.2fx\n", rows.size(), gm);
   if (!all_identical) std::printf("STEPPING MODES DIVERGED — see errors above\n");
 
-  // --- cycle-stack profiler A/B: on-vs-off overhead -----------------------
-  // Every timed row above pins cfg.profile = false; this axis measures what
-  // turning the profiler back on (the shipping default) costs per workload.
-  std::printf("\nCycle-stack profiler overhead (dyn-cache, fast-forward on)\n");
-  std::printf("%-8s %11s %11s %9s\n", "workload", "wall_off_s", "wall_on_s", "overhead");
-  struct ProfRow {
-    std::string workload;
-    double wall_off_s = 0.0;
-    double wall_on_s = 0.0;
-  };
-  std::vector<ProfRow> prof_rows;
-  for (const std::string& w : workloads) {
-    SystemConfig cfg = paper_config(OffloadMode::kDynamicCache);
-    cfg.latency_trace = false;
-    cfg.fast_forward = true;
-
-    ProfRow pf;
-    pf.workload = w;
-    cfg.profile = false;
-    RunResult off;
-    pf.wall_off_s = timed_run(w, scale, cfg, &off);
-    cfg.profile = true;
-    RunResult on;
-    pf.wall_on_s = timed_run(w, scale, cfg, &on);
-    std::printf("%-8s %11.3f %11.3f %8.2fx\n", w.c_str(), pf.wall_off_s, pf.wall_on_s,
-                pf.wall_on_s / pf.wall_off_s);
-    prof_rows.push_back(std::move(pf));
-  }
-  std::vector<double> overheads;
-  for (const ProfRow& pf : prof_rows) overheads.push_back(pf.wall_on_s / pf.wall_off_s);
-  const double gm_prof = geomean(overheads);
-  std::printf("geomean profiler overhead over %zu rows: %.2fx\n", prof_rows.size(), gm_prof);
-
   if (!opt.stats_json.empty()) {
     JsonWriter j;
     j.begin_object();
@@ -187,20 +152,6 @@ int main(int argc, char** argv) {
       j.end_object();
     }
     j.end_array();
-    j.key("profiling").begin_object();
-    j.key("mode").value("dyn-cache");
-    j.key("geomean_overhead").value(gm_prof);
-    j.key("rows").begin_array();
-    for (const ProfRow& pf : prof_rows) {
-      j.begin_object();
-      j.key("workload").value(pf.workload);
-      j.key("wall_off_s").value(pf.wall_off_s);
-      j.key("wall_on_s").value(pf.wall_on_s);
-      j.key("overhead").value(pf.wall_on_s / pf.wall_off_s);
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
     j.end_object();
     if (!j.write_file(opt.stats_json)) {
       std::fprintf(stderr, "failed to write '%s'\n", opt.stats_json.c_str());

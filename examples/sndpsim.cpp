@@ -28,9 +28,6 @@
 //       --no-ff             disable idle fast-forward (naive edge-by-edge
 //                           stepping; results are bit-identical, only slower)
 //       --no-audit          disable the flow-conservation stats audit
-//       --no-profile        disable the cycle-stack profiler (no cyc.* stats,
-//                           no cycle_stack JSON object; bucket counters are
-//                           never touched)
 //       --profile-csv FILE  write the per-tenant cycle stacks as CSV
 //                           (component,row,bucket,cycles; "-" = stdout; with
 //                           -w all the workload name is appended like
@@ -96,7 +93,6 @@ struct Options {
   double timeout_s = 0.0;
   bool fast_forward = true;
   bool audit = true;
-  bool profile = true;
   std::string profile_csv;
   bool latency = true;
   unsigned latency_sample = 64;
@@ -115,7 +111,7 @@ struct Options {
                "          [--sms N] [--hmcs N] [--nsu-mhz N] [--seed N] "
                "[--ro-cache] [--optimal-target] [--stats] [--csv FILE]\n"
                "          [-j JOBS] [--stats-json FILE] [--timeout SECONDS] [--no-ff]\n"
-               "          [--no-audit] [--no-profile] [--profile-csv FILE]\n"
+               "          [--no-audit] [--profile-csv FILE]\n"
                "          [--no-latency] [--latency-sample N]\n"
                "          [--epoch-csv FILE] [--trace FILE]\n"
                "          [--tenants NAME[:W[:P]],... [--arbiter rr|weighted|strict]\n"
@@ -135,36 +131,33 @@ std::string epoch_csv_path(const std::string& base, const std::string& name, boo
   return base.substr(0, dot) + "-" + name + base.substr(dot);
 }
 
-// Cycle-stack dump: one CSV row per (component, tenant row, bucket).  Writes
-// only the header when the run had profiling disabled.
+// Cycle-stack dump: one CSV row per (component, tenant row, bucket).
 bool write_profile_csv(const std::string& path, const CycleStackSummary& cs) {
   std::FILE* out = (path.empty() || path == "-") ? stdout : std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
   std::fprintf(out, "component,row,bucket,cycles\n");
-  if (cs.enabled) {
-    auto row_name = [&](unsigned row) {
-      return row == cs.tenants ? std::string("shared") : "t" + std::to_string(row);
-    };
-    for (unsigned row = 0; row < cs.sm.rows.size(); ++row) {
-      for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-        std::fprintf(out, "sm,%s,%s,%llu\n", row_name(row).c_str(),
-                     sm_bucket_name(static_cast<SmBucket>(b)),
-                     static_cast<unsigned long long>(cs.sm.rows[row][b]));
-      }
+  auto row_name = [&](unsigned row) {
+    return row == cs.tenants ? std::string("shared") : "t" + std::to_string(row);
+  };
+  for (unsigned row = 0; row < cs.sm.rows.size(); ++row) {
+    for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+      std::fprintf(out, "sm,%s,%s,%llu\n", row_name(row).c_str(),
+                   sm_bucket_name(static_cast<SmBucket>(b)),
+                   static_cast<unsigned long long>(cs.sm.rows[row][b]));
     }
-    for (unsigned row = 0; row < cs.nsu.rows.size(); ++row) {
-      for (std::size_t b = 0; b < kNumNsuBuckets; ++b) {
-        std::fprintf(out, "nsu,%s,%s,%llu\n", row_name(row).c_str(),
-                     nsu_bucket_name(static_cast<NsuBucket>(b)),
-                     static_cast<unsigned long long>(cs.nsu.rows[row][b]));
-      }
+  }
+  for (unsigned row = 0; row < cs.nsu.rows.size(); ++row) {
+    for (std::size_t b = 0; b < kNumNsuBuckets; ++b) {
+      std::fprintf(out, "nsu,%s,%s,%llu\n", row_name(row).c_str(),
+                   nsu_bucket_name(static_cast<NsuBucket>(b)),
+                   static_cast<unsigned long long>(cs.nsu.rows[row][b]));
     }
-    for (unsigned row = 0; row < cs.vault.rows.size(); ++row) {
-      for (std::size_t b = 0; b < kNumVaultBuckets; ++b) {
-        std::fprintf(out, "vault,%s,%s,%llu\n", row_name(row).c_str(),
-                     vault_bucket_name(static_cast<VaultBucket>(b)),
-                     static_cast<unsigned long long>(cs.vault.rows[row][b]));
-      }
+  }
+  for (unsigned row = 0; row < cs.vault.rows.size(); ++row) {
+    for (std::size_t b = 0; b < kNumVaultBuckets; ++b) {
+      std::fprintf(out, "vault,%s,%s,%llu\n", row_name(row).c_str(),
+                   vault_bucket_name(static_cast<VaultBucket>(b)),
+                   static_cast<unsigned long long>(cs.vault.rows[row][b]));
     }
   }
   const bool ok = std::ferror(out) == 0;
@@ -266,8 +259,6 @@ Options parse(int argc, char** argv) {
       o.fast_forward = false;
     } else if (a == "--no-audit") {
       o.audit = false;
-    } else if (a == "--no-profile") {
-      o.profile = false;
     } else if (a == "--profile-csv") {
       o.profile_csv = need_value(i);
     } else if (a.rfind("--profile-csv=", 0) == 0) {
@@ -318,7 +309,6 @@ SystemConfig config_of(const Options& o) {
   cfg.optimal_target_selection = o.optimal_target;
   cfg.fast_forward = o.fast_forward;
   cfg.audit = o.audit;
-  cfg.profile = o.profile;
   cfg.latency_trace = o.latency;
   cfg.latency_sample = o.latency_sample;
   cfg.trace_path = o.trace_path;

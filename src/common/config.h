@@ -313,16 +313,6 @@ struct SystemConfig {
   bool latency_trace = true;
   unsigned latency_sample = 64;
 
-  // Machine-wide cycle-stack profiler (`cyc.*`, src/obs/cycle_stack.*):
-  // exhaustive top-down cycle accounting — every counted cycle of every SM,
-  // NSU, and vault lands in exactly one bucket, keyed per tenant, and the
-  // stats audit enforces bucket-sum == component active cycles at every
-  // epoch boundary.  On by default (a few integer adds per component
-  // cycle); `--no-profile` disables it — with the knob off no bucket
-  // counter is ever touched and the exported stats are bit-identical to a
-  // build without the profiler.
-  bool profile = true;
-
   // When non-empty, write a Chrome-trace JSON of packet flights and
   // offload lifecycles here at the end of the run (view in Perfetto).
   std::string trace_path;

@@ -63,17 +63,17 @@ bool Gpu::idle() const {
 
 std::uint64_t Gpu::total_stall_dependency() const {
   std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->stall_dependency;
+  for (const auto& sm : sms_) n += sm->stall_dependency();
   return n;
 }
 std::uint64_t Gpu::total_stall_exec_busy() const {
   std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->stall_exec_busy;
+  for (const auto& sm : sms_) n += sm->stall_exec_busy();
   return n;
 }
 std::uint64_t Gpu::total_stall_warp_idle() const {
   std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->stall_warp_idle;
+  for (const auto& sm : sms_) n += sm->stall_warp_idle();
   return n;
 }
 std::uint64_t Gpu::total_issued() const {
@@ -204,19 +204,12 @@ void Gpu::sync_cycle_stacks(Cycle end_cycle) {
 SmCycleStack Gpu::cycle_stack() const {
   SmCycleStack agg;
   agg.init(ctx_.num_tenants());
-  if (!ctx_.cfg->profile) return agg;
   for (const auto& sm : sms_) {
     agg.accumulate(sm->cycle_stack());
     agg.move(agg.shared_row(), static_cast<std::size_t>(SmBucket::kDispatchIdle),
              static_cast<std::size_t>(SmBucket::kDrained), sm->no_warp_drained_cycles());
   }
   return agg;
-}
-
-std::uint64_t Gpu::total_counted_cycles() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->counted_cycles();
-  return n;
 }
 
 void Gpu::send_to_network(Packet&& p, TimePs now) {

@@ -69,21 +69,20 @@ class Gpu {
   L2Tick& l2_tickable() { return l2_tick_; }
 
   // Flush fast-forward-deferred per-cycle accounting (governor epoch clock,
-  // per-SM stall/active counters) up to the SM domain's consumed-edge count;
-  // called by the Simulator before stats are read.
+  // per-SM cycle stacks and active counters) up to the SM domain's
+  // consumed-edge count; called by the Simulator before stats are read.
   void finalize(Cycle end_cycle);
 
   // Cycle-stack profiler: flush every SM's pending fast-forward gap up to
-  // `end_cycle` (exact — a sleeping SM's gap class is constant, so the
+  // `end_cycle` (exact — a sleeping SM's gap bucket is constant, so the
   // split replay lands in the same buckets) WITHOUT advancing the governor
   // epoch clock.  Called at epoch boundaries before the audit / timeline
   // read the stacks, so boundary values are stepping-mode-independent.
   void sync_cycle_stacks(Cycle end_cycle);
   // Machine-wide SM stack: per-tenant bucket sums over all SMs, with each
   // SM's post-last-activity no-warp tail re-billed from dispatch-idle to
-  // drained.  Empty rows when profiling is off.
+  // drained.
   SmCycleStack cycle_stack() const;
-  std::uint64_t total_counted_cycles() const;
 
   bool idle() const;
   // CTAs not yet dispatched, summed over ALL tenants — the completion /
@@ -99,7 +98,7 @@ class Gpu {
   std::uint64_t tenant_l2_misses(unsigned t) const { return t_l2_misses_.at(t); }
   std::uint64_t tenant_l2_merged(unsigned t) const { return t_l2_merged_.at(t); }
 
-  // Aggregate Fig. 8 stall counters over all SMs.
+  // Aggregate Fig. 8 stall counters over all SMs (cycle-stack groups).
   std::uint64_t total_stall_dependency() const;
   std::uint64_t total_stall_exec_busy() const;
   std::uint64_t total_stall_warp_idle() const;

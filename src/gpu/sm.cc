@@ -30,12 +30,9 @@ Sm::Sm(SmId id, const SystemContext& ctx)
   free_cta_slots_ = cfg_.max_ctas;
   fast_forward_ = ctx.cfg->fast_forward;
   issued_by_tenant_.resize(ctx.num_tenants(), 0);
-  profile_ = ctx.cfg->profile;
-  if (profile_) {
-    cyc_.init(ctx.num_tenants());
-    pending_dep_cycles_.assign(cfg_.max_warps(), 0);
-    warp_worst_serve_.assign(cfg_.max_warps(), 0);
-  }
+  cyc_.init(ctx.num_tenants());
+  pending_dep_cycles_.assign(cfg_.max_warps(), 0);
+  warp_worst_serve_.assign(cfg_.max_warps(), 0);
 }
 
 bool Sm::can_accept_cta(unsigned tenant) const {
@@ -121,21 +118,13 @@ unsigned Sm::alloc_tracker() {
   return kInvalidId;
 }
 
-unsigned Sm::free_trackers() const {
-  unsigned n = 0;
-  for (const LoadTracker& t : trackers_) n += t.valid ? 0 : 1;
-  return n;
-}
-
 void Sm::complete_tracker(unsigned idx, Cycle cycle, LineServe serve) {
   LoadTracker& t = trackers_.at(idx);
   if (!t.valid || t.lines_pending == 0) throw std::logic_error("Sm: bad tracker completion");
-  if (profile_) {
-    // Remember the deepest level that served any of this warp's fills; the
-    // warp's parked dep-pending cycles are re-billed to it at next issue.
-    auto& worst = warp_worst_serve_[t.warp];
-    worst = std::max(worst, static_cast<std::uint8_t>(serve));
-  }
+  // Remember the deepest level that served any of this warp's fills; the
+  // warp's parked dep-pending cycles are re-billed to it at next issue.
+  auto& worst = warp_worst_serve_[t.warp];
+  worst = std::max(worst, static_cast<std::uint8_t>(serve));
   if (--t.lines_pending > 0) return;
   Warp& w = warps_.at(t.warp);
   w.scoreboard.complete_load(t.dst, cycle);
@@ -208,46 +197,40 @@ void Sm::retry_credit_grants(TimePs now) {
 
 void Sm::apply_gap(Cycle gap) {
   // Replay what each skipped cycle would have counted under naive stepping.
-  switch (gap_class_) {
-    case GapClass::kDependency:
-      active_cycles += gap;
-      stall_dependency += gap;
-      break;
-    case GapClass::kExecBusy:
-      active_cycles += gap;
-      stall_exec_busy += gap;
-      break;
-    case GapClass::kWarpIdle:
-      active_cycles += gap;
-      stall_warp_idle += gap;
-      break;
-    case GapClass::kNoWarp:
-      if (profile_) {
-        no_warp_cycles_ += gap;
-        cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(SmBucket::kDispatchIdle), gap);
-      }
-      return;
-    case GapClass::kNone:
-      return;
-  }
-  // The blocked state a sleeping SM froze in is constant across the gap, so
-  // the refined bucket recorded at the sleep decision replays verbatim.
-  if (profile_) add_stall_cycles(gap);
+  // The state a sleeping SM froze in is constant across the gap, so the
+  // bucket recorded at the sleep decision replays verbatim.
+  if (gap_bucket_ == kNoGap) return;
+  if (gap_bucket_ != SmBucket::kDispatchIdle) active_cycles += gap;
+  add_recorded_cycles(gap);
 }
 
-// Account `n` stall cycles to the bucket classify_stall_cycle() chose.
-void Sm::add_stall_cycles(Cycle n) {
+// Account `n` cycles to the recorded bucket and row, parking dep-pending
+// cycles on their warp.
+void Sm::add_recorded_cycles(Cycle n) {
   cyc_.add(gap_row_, static_cast<std::size_t>(gap_bucket_), n);
   if (gap_pending_warp_ != kInvalidId) pending_dep_cycles_[gap_pending_warp_] += n;
 }
 
-// Pick the refined bucket (and owning tenant row) for one no-issue cycle
-// with at least one valid warp, mirroring the Fig. 8 priority exactly:
-// dependency before exec-busy before warp-idle.  The result is stored in
-// gap_{bucket,row,pending_warp}_ so the sleep path replays the same class.
-void Sm::classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy) {
+// Slept cycles with no resident warp: dispatch idle, on the shared row.
+void Sm::record_no_warp_gap() {
+  gap_bucket_ = SmBucket::kDispatchIdle;
+  gap_row_ = cyc_.shared_row();
   gap_pending_warp_ = kInvalidId;
-  if (saw_dep) {
+}
+
+std::uint64_t Sm::parked_dep_cycles() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : pending_dep_cycles_) n += c;
+  return n;
+}
+
+// Pick the bucket (and owning tenant row) for one no-issue cycle with at
+// least one valid warp, in the Fig. 8 priority: dependency before exec-busy
+// before warp-idle.  The result is stored in gap_{bucket,row,pending_warp}_
+// so a sleep through the same state replays it.
+void Sm::classify_stall_cycle(Cycle cycle) {
+  gap_pending_warp_ = kInvalidId;
+  if (dep_warp_ != kInvalidId) {
     const Warp& w = warps_[dep_warp_];
     gap_row_ = w.tenant;
     const Instr& in = ctx_.image_of(w.tenant)->gpu.at(w.pc);
@@ -261,7 +244,7 @@ void Sm::classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy) {
                         ? SmBucket::kDepL1
                         : SmBucket::kDepPipe;
     }
-  } else if (saw_busy) {
+  } else if (busy_warp_ != kInvalidId) {
     gap_row_ = warps_[busy_warp_].tenant;
     gap_bucket_ = busy_warp_cause_ == BusyCause::kCredit ? SmBucket::kCreditWait
                                                          : SmBucket::kExecBusy;
@@ -292,7 +275,7 @@ void Sm::classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy) {
       gap_row_ = first != nullptr ? first->tenant : cyc_.shared_row();
     }
   }
-  add_stall_cycles(1);
+  add_recorded_cycles(1);
 }
 
 // Re-bill a warp's parked dep-pending cycles to the deepest level that
@@ -367,26 +350,19 @@ void Sm::tick(Cycle cycle, TimePs now) {
     // The no-warp total is constant across any contiguous active period, so
     // refreshing the snapshot at every active tick is fast-forward-invariant
     // and leaves it holding the pre-last-activity share (dispatch idle).
-    if (profile_) no_warp_snapshot_ = no_warp_cycles_;
-  } else if (profile_) {
-    ++no_warp_cycles_;
+    no_warp_snapshot_ = dispatch_idle_cycles();
+  } else {
     cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(SmBucket::kDispatchIdle), 1);
   }
 
-  bool saw_dep = false;
-  bool saw_busy = false;
-  const bool any_ready = ready_mask_ != 0;
   bool issued = false;
   // Earliest cycle at which any blocked ready warp could unblock on its own
   // (timed scoreboard entry, exec unit freeing up); kCycleNever when every
   // blocker needs an external event.  Complete only when nothing issued —
   // which is the only case the sleep decision reads it.
   Cycle self_wake = kCycleNever;
-
-  if (profile_) {
-    dep_warp_ = kInvalidId;
-    busy_warp_ = kInvalidId;
-  }
+  dep_warp_ = kInvalidId;
+  busy_warp_ = kInvalidId;
 
   // Only kReady warps are tried.  A failed attempt changes no warp's state,
   // so the scan can walk a snapshot of ready_mask_.
@@ -397,20 +373,16 @@ void Sm::tick(Cycle cycle, TimePs now) {
         ++issued_instrs;
         ++issued_by_tenant_[w.tenant];
         ++w.issue_stamp;  // invalidates the warp's coalesce memo
-        if (profile_) {
-          cyc_.add(w.tenant, static_cast<std::size_t>(SmBucket::kIssue), 1);
-          flush_pending_dep(w);
-        }
+        cyc_.add(w.tenant, static_cast<std::size_t>(SmBucket::kIssue), 1);
+        flush_pending_dep(w);
         return true;
       case IssueOutcome::kDependency:
-        saw_dep = true;
-        if (profile_ && dep_warp_ == kInvalidId) dep_warp_ = w.id;
+        if (dep_warp_ == kInvalidId) dep_warp_ = w.id;
         self_wake = std::min(
             self_wake, w.scoreboard.ready_cycle(ctx_.image_of(w.tenant)->gpu.at(w.pc)));
         return false;
       case IssueOutcome::kExecBusy:
-        saw_busy = true;
-        if (profile_ && busy_warp_ == kInvalidId) {
+        if (busy_warp_ == kInvalidId) {
           busy_warp_ = w.id;
           busy_warp_cause_ = busy_cause_;
         }
@@ -429,17 +401,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
     }
   }
 
-  if (!issued && any_warp) {
-    // Fig. 8 classification.
-    if (saw_dep) {
-      ++stall_dependency;
-    } else if (saw_busy) {
-      ++stall_exec_busy;
-    } else {
-      ++stall_warp_idle;
-    }
-    if (profile_) classify_stall_cycle(cycle, saw_dep, saw_busy);
-  }
+  if (!issued && any_warp) classify_stall_cycle(cycle);
 
   // Decide whether the SM can sleep (the hint is computed the same way in
   // both stepping modes: naive stepping never reads it, and one
@@ -448,29 +410,23 @@ void Sm::tick(Cycle cycle, TimePs now) {
   // every blocked ready warp then stays blocked — and its retry stays
   // side-effect-free — until either a known future cycle (self_wake: exec
   // unit frees, timed scoreboard entry resolves) or an external event that
-  // lowers wake_ps_ (line fill, ACK, egress drain).  The gap class records
-  // what each slept cycle counts as in Fig. 8, mirroring the
-  // dependency-before-busy priority above.
-  gap_class_ = GapClass::kNone;
+  // lowers wake_ps_ (line fill, ACK, egress drain).  Each slept cycle then
+  // counts as this one: the stall bucket classify_stall_cycle recorded, or
+  // dispatch idle when no warp is resident.
   if (!busy()) {
     // Fully drained (the last warp may have exited this very cycle): only a
     // new CTA re-arms the SM, and assign_cta lowers the hint directly.
-    // Slept edges carry no warps: no-warp cycles for the profiler.
-    gap_class_ = GapClass::kNoWarp;
+    record_no_warp_gap();
     wake_ps_ = kTimeNever;
     return;
   }
   wake_ps_ = now;  // default: busy at the next edge
-  if (issued || grant_mask_ != 0) return;
-  if (any_ready) {
-    gap_class_ = saw_dep ? GapClass::kDependency : GapClass::kExecBusy;
-  } else if (any_warp) {
-    gap_class_ = GapClass::kWarpIdle;
-  } else {
-    // Busy (trackers / egress draining) but no resident warp: the profiler
-    // still has to account these cycles somewhere — no-warp.
-    gap_class_ = GapClass::kNoWarp;
+  if (issued || grant_mask_ != 0) {
+    gap_bucket_ = kNoGap;
+    return;
   }
+  // Busy (trackers / egress draining) but no resident warp.
+  if (!any_warp) record_no_warp_gap();
   TimePs wake = kTimeNever;
   if (!line_fills_.empty()) wake = std::min(wake, line_fills_.front_ready_ps());
   if (!acks_in_.empty()) wake = std::min(wake, acks_in_.front_ready_ps());
@@ -1019,9 +975,9 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
 void Sm::export_stats(StatSet& out, const std::string& prefix) const {
   out.set(prefix + ".issued_instrs", static_cast<double>(issued_instrs));
   out.set(prefix + ".active_cycles", static_cast<double>(active_cycles));
-  out.set(prefix + ".stall_dependency", static_cast<double>(stall_dependency));
-  out.set(prefix + ".stall_exec_busy", static_cast<double>(stall_exec_busy));
-  out.set(prefix + ".stall_warp_idle", static_cast<double>(stall_warp_idle));
+  out.set(prefix + ".stall_dependency", static_cast<double>(stall_dependency()));
+  out.set(prefix + ".stall_exec_busy", static_cast<double>(stall_exec_busy()));
+  out.set(prefix + ".stall_warp_idle", static_cast<double>(stall_warp_idle()));
   out.set(prefix + ".offloads_started", static_cast<double>(offloads_started_));
   out.set(prefix + ".inline_blocks", static_cast<double>(inline_blocks_));
   out.set(prefix + ".ofld_acks", static_cast<double>(ofld_acks_));

@@ -67,9 +67,9 @@ class Sm final : public Tickable {
     if (now < wake_ps_) wake_ps_ = now;
   }
 
-  // Flush skipped-cycle stall/active counters up to the end of the run;
-  // called by the Simulator with the SM domain's consumed-edge count before
-  // stats are read.  Idempotent.
+  // Flush skipped-cycle bucket/active counters up to `end_cycle`; called
+  // with the SM domain's consumed-edge count before stats are read, and at
+  // epoch boundaries.  Idempotent.
   void finalize(Cycle end_cycle);
 
   // Wiring for cross-component wake hints (set by the Gpu at construction):
@@ -114,24 +114,26 @@ class Sm final : public Tickable {
   const std::vector<std::uint64_t>& issued_by_tenant() const { return issued_by_tenant_; }
 
   // --- Cycle-stack profiler (src/obs/cycle_stack.*) ------------------------
-  // Per-tenant bucket counters; empty rows when SystemConfig::profile is
-  // off.  counted_cycles() is every cycle the profiler accounted for —
-  // active_cycles plus the no-warp cycles the legacy counters never count —
-  // and equals the elapsed SM cycle count once flushed via finalize().
+  // Per-tenant bucket counters.  counted_cycles() is the SM's accounting
+  // watermark: every SM cycle before it sits in exactly one bucket.
   const SmCycleStack& cycle_stack() const { return cyc_; }
-  std::uint64_t counted_cycles() const { return active_cycles + no_warp_cycles_; }
-  std::uint64_t no_warp_cycles() const { return no_warp_cycles_; }
-  // Split of the no-warp total: cycles before the SM's last activity
-  // (waiting on CTA dispatch) vs. the drained tail after it.
-  std::uint64_t no_warp_dispatch_cycles() const { return no_warp_snapshot_; }
-  std::uint64_t no_warp_drained_cycles() const { return no_warp_cycles_ - no_warp_snapshot_; }
+  std::uint64_t counted_cycles() const { return next_expected_cycle_; }
+  // The no-warp cycles after the SM's last activity (the drained tail); the
+  // ones before it stay dispatch idle.
+  std::uint64_t no_warp_drained_cycles() const {
+    return dispatch_idle_cycles() - no_warp_snapshot_;
+  }
+  // Dep-pending cycles the warps hold parked for re-billing at next issue.
+  std::uint64_t parked_dep_cycles() const;
 
-  // Fig. 8 counters (public for cheap aggregation).
+  // Fig. 8 no-issue counters: each is the bucket group that refines it.
+  std::uint64_t stall_dependency() const { return sm_group_total(cyc_, SmBucketGroup::kDep); }
+  std::uint64_t stall_exec_busy() const { return sm_group_total(cyc_, SmBucketGroup::kExecBusy); }
+  std::uint64_t stall_warp_idle() const { return sm_group_total(cyc_, SmBucketGroup::kWarpIdle); }
+
+  // Kept apart from the stack: the audit and the energy model read them.
   std::uint64_t issued_instrs = 0;
   std::uint64_t active_cycles = 0;   // cycles with at least one valid warp
-  std::uint64_t stall_dependency = 0;
-  std::uint64_t stall_exec_busy = 0;
-  std::uint64_t stall_warp_idle = 0;
 
  private:
   struct LoadTracker {
@@ -150,11 +152,6 @@ class Sm final : public Tickable {
   };
 
   enum class IssueOutcome { kIssued, kDependency, kExecBusy };
-
-  // What each skipped (slept) cycle would have counted in naive stepping.
-  // kNoWarp cycles are outside active_cycles — the legacy counters ignore
-  // them; the cycle-stack profiler accounts them (dispatch idle / drained).
-  enum class GapClass { kNone, kDependency, kExecBusy, kWarpIdle, kNoWarp };
 
   // Why the first exec-busy warp of the cycle was blocked: a real unit /
   // queue conflict, or NDP pending-buffer credit starvation.
@@ -181,13 +178,14 @@ class Sm final : public Tickable {
   void emit_or_hold(Warp& warp, Packet&& p, TimePs now);
   void push_out(Packet&& p, TimePs ready_ps);
   void apply_gap(Cycle gap);
-  // Cycle-stack helpers (profiler on only).
-  void classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy);
-  void add_stall_cycles(Cycle n);
+  void classify_stall_cycle(Cycle cycle);
+  void record_no_warp_gap();
+  void add_recorded_cycles(Cycle n);
   void flush_pending_dep(Warp& w);
+  std::uint64_t dispatch_idle_cycles() const {
+    return cyc_.rows[cyc_.shared_row()][static_cast<std::size_t>(SmBucket::kDispatchIdle)];
+  }
   unsigned alloc_tracker();
-  unsigned free_trackers() const;
-  unsigned pending_total() const { return pending_count_; }
 
   SmId id_;
   const SystemContext& ctx_;
@@ -222,7 +220,6 @@ class Sm final : public Tickable {
   // Fast-forward state (see next_work_ps / finalize).
   bool fast_forward_ = false;
   TimePs wake_ps_ = 0;
-  GapClass gap_class_ = GapClass::kNone;
   Cycle next_expected_cycle_ = 0;
   // Set by every kExecBusy return in try_issue: the cycle at which a retry
   // could succeed (unit-busy cases), or kCycleNever when only an external
@@ -256,12 +253,10 @@ class Sm final : public Tickable {
   std::uint64_t wta_packets_ = 0;
   std::uint64_t pending_full_stalls_ = 0;
 
-  // --- Cycle-stack profiler state (untouched when profile_ is false). ------
-  bool profile_ = false;
+  // --- Cycle-stack profiler state. -----------------------------------------
   SmCycleStack cyc_;  // rows: tenants + shared; no-warp accrues in the
                       // shared kDispatchIdle bucket (drained split on read)
-  std::uint64_t no_warp_cycles_ = 0;
-  std::uint64_t no_warp_snapshot_ = 0;  // no_warp_cycles_ at last active tick
+  std::uint64_t no_warp_snapshot_ = 0;  // dispatch-idle cycles at last active tick
   // Retroactive dep attribution: cycles parked in kDepPending per warp, and
   // the worst serve class seen among that warp's fills since its last issue.
   std::vector<std::uint64_t> pending_dep_cycles_;
@@ -271,9 +266,11 @@ class Sm final : public Tickable {
   unsigned busy_warp_ = kInvalidId;   // first warp that returned kExecBusy
   BusyCause busy_warp_cause_ = BusyCause::kUnit;
   BusyCause busy_cause_ = BusyCause::kUnit;  // set by every kExecBusy return
-  // Refined class of the cycle the sleep decision froze (valid while
-  // gap_class_ != kNone/kNoWarp); replayed by apply_gap.
-  SmBucket gap_bucket_ = SmBucket::kIssue;
+  // What each cycle the SM sleeps through counts as in naive stepping: the
+  // bucket (and row, and parked warp) of the cycle the sleep decision froze,
+  // replayed by apply_gap.  kNoGap while the SM cannot sleep.
+  static constexpr SmBucket kNoGap = SmBucket::kCount;
+  SmBucket gap_bucket_ = kNoGap;
   unsigned gap_row_ = 0;
   unsigned gap_pending_warp_ = kInvalidId;
 };

@@ -21,8 +21,8 @@ Hmc::Hmc(HmcId id, const SystemContext& ctx) : id_(id), ctx_(ctx) {
   for (unsigned v = 0; v < cfg.hmc.num_vaults; ++v) {
     vaults_.push_back(std::make_unique<VaultController>(
         cfg.hmc, cfg.clocks.dram_khz,
-        [this](const DramRequest& req, TimePs done) { on_vault_complete(req, done); }));
-    if (cfg.profile) vaults_.back()->enable_profile(ctx_.num_tenants());
+        [this](const DramRequest& req, TimePs done) { on_vault_complete(req, done); },
+        ctx_.num_tenants()));
   }
   vault_backlog_.resize(cfg.hmc.num_vaults);
 
@@ -64,15 +64,8 @@ void Hmc::finalize(Cycle end_cycle) {
 VaultCycleStack Hmc::vault_cycle_stack() const {
   VaultCycleStack agg;
   agg.init(ctx_.num_tenants());
-  if (!ctx_.cfg->profile) return agg;
   for (const auto& v : vaults_) agg.accumulate(v->cycle_stack());
   return agg;
-}
-
-std::uint64_t Hmc::vault_counted_cycles() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vaults_) n += v->counted_cycles();
-  return n;
 }
 
 void Hmc::send_from_stack(Packet&& p, TimePs now) {

@@ -61,7 +61,6 @@ class Hmc final : public Tickable {
   // edge count before stats are read.
   void finalize(Cycle end_cycle);
   VaultCycleStack vault_cycle_stack() const;
-  std::uint64_t vault_counted_cycles() const;
   unsigned num_vaults() const { return static_cast<unsigned>(vaults_.size()); }
   const VaultController& vault(unsigned v) const { return *vaults_[v]; }
 

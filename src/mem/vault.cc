@@ -5,19 +5,15 @@
 namespace sndp {
 
 VaultController::VaultController(const HmcConfig& cfg, std::uint64_t dram_khz,
-                                 CompletionFn on_complete)
+                                 CompletionFn on_complete, unsigned tenants)
     : cfg_(cfg), dram_khz_(dram_khz), on_complete_(std::move(on_complete)) {
   banks_.resize(cfg_.banks_per_vault);
+  cyc_.init(tenants);
 }
 
 void VaultController::enqueue(const DramRequest& req) {
   if (!can_accept()) throw std::logic_error("VaultController: enqueue past capacity");
   queue_.push_back(req);
-}
-
-void VaultController::enable_profile(unsigned tenants) {
-  profile_ = true;
-  cyc_.init(tenants);
 }
 
 void VaultController::bill_cycle(const DramRequest& req, VaultBucket bucket) {
@@ -27,7 +23,6 @@ void VaultController::bill_cycle(const DramRequest& req, VaultBucket bucket) {
 }
 
 void VaultController::finalize(Cycle end_cycle) {
-  if (!profile_) return;
   if (end_cycle > counted_cycles_) {
     cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(VaultBucket::kIdle),
              end_cycle - counted_cycles_);
@@ -88,9 +83,7 @@ void VaultController::tick(Cycle cycle, TimePs now) {
     queue_.pop_back();
     DramBank& bank = banks_[req.coord.bank];
     bank.cas(cycle, req.is_write, t);
-    if (profile_) {
-      bill_cycle(req, req.page_copy ? VaultBucket::kPageCopy : VaultBucket::kService);
-    }
+    bill_cycle(req, req.page_copy ? VaultBucket::kPageCopy : VaultBucket::kService);
     bus_free_ = cycle + t.tCCD;
     const Cycle done_cycle = req.is_write ? cycle + t.tBURST : cycle + t.tCL + t.tBURST;
     const TimePs done_ps = tick_time_ps(done_cycle, dram_khz_);
@@ -104,18 +97,14 @@ void VaultController::tick(Cycle cycle, TimePs now) {
     banks_[queue_[fb].coord.bank].activate(cycle, queue_[fb].coord.row, t);
     ++activates;
     ++row_misses;
-    if (profile_) {
-      bill_cycle(queue_[fb],
-                 queue_[fb].page_copy ? VaultBucket::kPageCopy : VaultBucket::kService);
-    }
+    bill_cycle(queue_[fb],
+               queue_[fb].page_copy ? VaultBucket::kPageCopy : VaultBucket::kService);
   } else if (fallback == StateOp::kPrecharge) {
     banks_[queue_[fb].coord.bank].precharge(cycle, t);
     ++precharges;
-    if (profile_) {
-      bill_cycle(queue_[fb],
-                 queue_[fb].page_copy ? VaultBucket::kPageCopy : VaultBucket::kService);
-    }
-  } else if (profile_) {
+    bill_cycle(queue_[fb],
+               queue_[fb].page_copy ? VaultBucket::kPageCopy : VaultBucket::kService);
+  } else {
     // No command issuable this edge (CAS/activate/precharge all timing- or
     // bus-blocked) with requests waiting: the queue is the bottleneck.  The
     // oldest request defines the wait.

@@ -30,12 +30,14 @@ struct DramRequest {
 // Ticks in the DRAM clock domain.  The owner (HMC logic layer) pushes
 // requests with `enqueue` (bounded by vault_queue_size; check `can_accept`)
 // and receives completions through the callback, timestamped with the cycle
-// the data burst finishes (reads: +tCL+tBURST after CAS).
+// the data burst finishes (reads: +tCL+tBURST after CAS).  `tenants` sizes
+// the cycle stack: one row per tenant plus the shared row.
 class VaultController final : public Tickable {
  public:
   using CompletionFn = std::function<void(const DramRequest&, TimePs done_ps)>;
 
-  VaultController(const HmcConfig& cfg, std::uint64_t dram_khz, CompletionFn on_complete);
+  VaultController(const HmcConfig& cfg, std::uint64_t dram_khz, CompletionFn on_complete,
+                  unsigned tenants = 1);
 
   bool can_accept() const { return queue_.size() < cfg_.vault_queue_size; }
   std::size_t queue_depth() const { return queue_.size(); }
@@ -69,7 +71,6 @@ class VaultController final : public Tickable {
   // is non-empty, so the busy classification is fast-forward-invariant.
   // Idle is derived once at finalize() as end_cycle minus counted busy
   // edges.  Bucket sum == counted_cycles() at any instant.
-  void enable_profile(unsigned tenants);
   void finalize(Cycle end_cycle);
   const VaultCycleStack& cycle_stack() const { return cyc_; }
   std::uint64_t counted_cycles() const { return counted_cycles_; }
@@ -87,7 +88,6 @@ class VaultController final : public Tickable {
   Cycle bus_free_ = 0;              // shared vault data bus (tCCD pacing)
   TimedChannel<DramRequest> completed_;
 
-  bool profile_ = false;
   VaultCycleStack cyc_;
   std::uint64_t counted_cycles_ = 0;
 };

@@ -22,8 +22,7 @@ Nsu::Nsu(HmcId hmc_id, const SystemContext& ctx, SendFn send_network, SendFn sen
       cmds_(ctx.cfg->ndp_buffers.nsu_cmd_entries) {
   warps_.resize(cfg_.max_warps);
   fast_forward_ = ctx.cfg->fast_forward;
-  profile_ = ctx.cfg->profile;
-  if (profile_) cyc_.init(ctx.num_tenants());
+  cyc_.init(ctx.num_tenants());
 }
 
 void Nsu::receive(Packet&& p, TimePs now) { in_.push(std::move(p), now); }
@@ -39,9 +38,7 @@ void Nsu::finalize(Cycle end_cycle) {
     const Cycle tail = end_cycle - next_expected_cycle_;
     tick_count_ += tail;
     // The slept tail had no warps, no commands, and no ready ingress: idle.
-    if (profile_) {
-      cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(NsuBucket::kIdle), tail);
-    }
+    cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(NsuBucket::kIdle), tail);
     next_expected_cycle_ = end_cycle;
   }
 }
@@ -83,7 +80,7 @@ void Nsu::tick(Cycle cycle, TimePs now) {
   // An edge is only slept when no warps are resident, the command buffer is
   // empty, and no ingress packet was ready — i.e. the NSU was idle — so the
   // compensation bills the whole gap to the idle bucket.
-  if (profile_ && cycle > next_expected_cycle_) {
+  if (cycle > next_expected_cycle_) {
     cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(NsuBucket::kIdle),
              cycle - next_expected_cycle_);
   }
@@ -139,9 +136,7 @@ void Nsu::tick(Cycle cycle, TimePs now) {
   if (issue_busy_until_ > cycle) {
     // The issue port is occupied by a prior multi-cycle instruction: lane
     // work is in flight, so the cycle is execution for the holding tenant.
-    if (profile_) {
-      cyc_.add(issue_busy_tenant_, static_cast<std::size_t>(NsuBucket::kExec), 1);
-    }
+    cyc_.add(issue_busy_tenant_, static_cast<std::size_t>(NsuBucket::kExec), 1);
     return;
   }
   const unsigned n = static_cast<unsigned>(warps_.size());
@@ -183,7 +178,6 @@ void Nsu::tick(Cycle cycle, TimePs now) {
       }
     }
   }
-  if (!profile_) return;
   // Classify this counted cycle into exactly one bucket (StatsAudit checks
   // bucket sum == tick count).  Priority: progress beats starvation beats
   // quota pressure beats latency wait.

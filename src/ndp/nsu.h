@@ -148,9 +148,7 @@ class Nsu final : public Tickable {
   // I-cache footprint: the NSU pcs ever stepped, shared by all tenants.
   std::vector<bool> icache_touched_;
 
-  // Cycle-stack profiler state (zero-cost when cfg.profile is off).
-  bool profile_ = false;
-  NsuCycleStack cyc_;
+  NsuCycleStack cyc_;  // cycle-stack profiler buckets
 };
 
 }  // namespace sndp

@@ -55,6 +55,14 @@ SmBucketGroup sm_bucket_group(SmBucket b) {
   return SmBucketGroup::kNoWarp;
 }
 
+std::uint64_t sm_group_total(const SmCycleStack& s, SmBucketGroup g) {
+  std::uint64_t n = 0;
+  for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+    if (sm_bucket_group(static_cast<SmBucket>(b)) == g) n += s.bucket_total(b);
+  }
+  return n;
+}
+
 const char* nsu_bucket_name(NsuBucket b) {
   switch (b) {
     case NsuBucket::kExec: return "exec";
@@ -158,7 +166,6 @@ void append_leaves(std::string& out, int depth, std::vector<Leaf> leaves,
 }  // namespace
 
 void export_cycle_stats(const CycleStackSummary& s, StatSet& out) {
-  if (!s.enabled) return;
   const bool per_tenant = s.tenants > 1;
   export_stack(s.sm, "sm", sm_name_u8, per_tenant, out);
   export_stack(s.nsu, "nsu", nsu_name_u8, per_tenant, out);
@@ -173,10 +180,9 @@ double whatif_bound(std::uint64_t total, std::uint64_t leaf) {
 
 std::string format_cycle_tree(const CycleStackSummary& s) {
   std::string out;
-  if (!s.enabled) return "cycle-stack profiler disabled\n";
   char buf[160];
 
-  // --- SM: grouped by the legacy Fig. 8 counter each bucket refines. ---
+  // --- SM: grouped by the Fig. 8 counter each bucket refines. ---
   const std::uint64_t sm_total = s.sm.total();
   std::snprintf(buf, sizeof(buf), "sm  (%llu cycles over all SMs)\n",
                 static_cast<unsigned long long>(sm_total));

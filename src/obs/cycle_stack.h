@@ -9,19 +9,19 @@
 // why warp-idle cycles happened (offload acks vs. barriers vs. draining).
 // NSU and vault buckets complete the machine view.
 //
-// Invariants (enforced by StatsAudit at every epoch boundary when the
-// profiler is on):
+// Invariants (enforced by StatsAudit at every epoch boundary):
 //   - per component: sum over buckets == the component's counted cycles
-//     (SM `active_cycles` + no-warp cycles; NSU `tick_count_`; vault busy +
-//     idle cycles),
-//   - per group: the SM dep / exec-busy / warp-idle bucket groups sum to
-//     the legacy stall counters exactly, so Fig. 8 is derivable,
+//     (SM cycles up to its fast-forward watermark; NSU `tick_count_`;
+//     vault busy + idle cycles),
+//   - per machine: the SM stacks cover num_sms x the SM cycle they were
+//     flushed to, the non-no-warp SM buckets sum to the SMs' own
+//     `active_cycles`, and `dep_pending` equals the cycles the warps hold
+//     parked for re-billing,
 //   - per tenant: tenant rows + the shared row partition the totals.
 //
 // Counters live inside the components; the machine stack is their sum,
-// taken at epoch boundaries and at the end of the run.  Zero-cost when
-// `SystemConfig::profile` is false: no bucket counter is ever touched and
-// no `cyc.*` key is exported.
+// taken at epoch boundaries and at the end of the run.  The Fig. 8 stall
+// counters (`Sm::stall_*`) are sums of the SM bucket groups.
 #pragma once
 
 #include <array>
@@ -63,12 +63,12 @@ inline constexpr std::size_t kNumSmBuckets =
 // Stat-key / column spelling, e.g. "dep_dram_local".
 const char* sm_bucket_name(SmBucket b);
 
-// Legacy Fig. 8 grouping: which coarse counter a bucket refines.
+// Fig. 8 grouping: which coarse counter a bucket refines.
 enum class SmBucketGroup : std::uint8_t {
   kIssue,     // == issued_instrs
-  kExecBusy,  // == stall_exec_busy
-  kDep,       // == stall_dependency
-  kWarpIdle,  // == stall_warp_idle
+  kExecBusy,  // Sm::stall_exec_busy()
+  kDep,       // Sm::stall_dependency()
+  kWarpIdle,  // Sm::stall_warp_idle()
   kNoWarp,    // outside active_cycles
 };
 SmBucketGroup sm_bucket_group(SmBucket b);
@@ -155,13 +155,14 @@ using SmCycleStack = BucketStack<kNumSmBuckets>;
 using NsuCycleStack = BucketStack<kNumNsuBuckets>;
 using VaultCycleStack = BucketStack<kNumVaultBuckets>;
 
+// Cycles in the buckets of group `g`, summed over every row of `s`.
+std::uint64_t sm_group_total(const SmCycleStack& s, SmBucketGroup g);
+
 // ---------------------------------------------------------------------------
 // Machine summary, assembled by Simulator::run from the per-component
-// stacks after finalize.  `enabled` is false when SystemConfig::profile was
-// off — every field is then zero and nothing is exported.
+// stacks after finalize.
 // ---------------------------------------------------------------------------
 struct CycleStackSummary {
-  bool enabled = false;
   unsigned tenants = 1;
   SmCycleStack sm;
   NsuCycleStack nsu;
@@ -175,7 +176,7 @@ struct CycleStackSummary {
 // Emit `cyc.sm.<bucket>` / `cyc.nsu.<bucket>` / `cyc.vault.<bucket>` machine
 // totals (plus `cyc.<component>.total`), and per-tenant
 // `cyc.t<N>.<component>.<bucket>` rows plus the `cyc.shared.*` row when the
-// run had more than one tenant.  No-op when `s.enabled` is false.
+// run had more than one tenant.
 void export_cycle_stats(const CycleStackSummary& s, StatSet& out);
 
 // Amdahl-style what-if bound: the speedup ceiling if `leaf` cycles of
@@ -183,10 +184,10 @@ void export_cycle_stats(const CycleStackSummary& s, StatSet& out);
 // when leaf == total; 1.0 when leaf == 0 or total == 0.
 double whatif_bound(std::uint64_t total, std::uint64_t leaf);
 
-// Render the top-down tree for one component's stack: per-bucket cycles,
-// share of the component total, and the what-if bound per leaf, sorted by
-// weight.  `indent` prefixes every line.  Used by bench/bottleneck_report
-// and the tests.
+// Render the top-down tree of the SM, NSU and vault stacks: per-bucket
+// cycles, share of the component total, and the what-if bound per leaf,
+// sorted by weight (SM leaves grouped under their Fig. 8 counter).  Used by
+// bench/bottleneck_report.
 std::string format_cycle_tree(const CycleStackSummary& s);
 
 }  // namespace sndp

@@ -46,7 +46,7 @@ void EpochTimeline::on_epoch(std::uint64_t epoch, double epoch_ipc,
                              std::uint64_t block_instrs, double ratio,
                              double step, int direction, std::uint64_t issued,
                              std::uint64_t l1_hits, std::uint64_t l1_misses,
-                             const std::uint64_t* sm_stack) {
+                             const std::array<std::uint64_t, kNumSmBuckets>& sm_stack) {
   if (samples_.size() >= kMaxSamples) {
     ++dropped_;
     return;
@@ -71,13 +71,11 @@ void EpochTimeline::on_epoch(std::uint64_t epoch, double epoch_ipc,
                          ? 0.0
                          : static_cast<double>(s.end_ps) /
                                static_cast<double>(max_time_ps_);
-  if (sm_stack != nullptr) {
-    for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-      s.sm_stack[b] = static_cast<std::int64_t>(sm_stack[b]) -
-                      static_cast<std::int64_t>(prev_sm_stack_[b]);
-      prev_sm_stack_[b] = sm_stack[b];
-    }
+  for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+    s.sm_stack[b] = static_cast<std::int64_t>(sm_stack[b]) -
+                    static_cast<std::int64_t>(prev_sm_stack_[b]);
   }
+  prev_sm_stack_ = sm_stack;
   samples_.push_back(s);
   prev_issued_ = issued;
   prev_l1_hits_ = l1_hits;
@@ -219,21 +217,14 @@ void EpochTimeline::emit_trace(TraceWriter& trace, int tid) const {
                   static_cast<double>(s.pages_migrated));
   }
   // Cycle-stack counter tracks: one series per SM bucket, as cumulative
-  // cycle totals (Perfetto renders absolute counter values best).  Skipped
-  // entirely when profiling was off (all-zero deltas).
-  bool any_stack = false;
+  // cycle totals (Perfetto renders absolute counter values best).
+  std::array<std::int64_t, kNumSmBuckets> cum{};
   for (const EpochSample& s : samples_) {
-    for (const std::int64_t v : s.sm_stack) any_stack = any_stack || v != 0;
-  }
-  if (any_stack) {
-    std::array<std::int64_t, kNumSmBuckets> cum{};
-    for (const EpochSample& s : samples_) {
-      for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-        cum[b] += s.sm_stack[b];
-        trace.counter(std::string("cyc_") +
-                          sm_bucket_name(static_cast<SmBucket>(b)),
-                      tid, s.end_ps, static_cast<double>(cum[b]));
-      }
+    for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+      cum[b] += s.sm_stack[b];
+      trace.counter(std::string("cyc_") +
+                        sm_bucket_name(static_cast<SmBucket>(b)),
+                    tid, s.end_ps, static_cast<double>(cum[b]));
     }
   }
 }

@@ -66,9 +66,9 @@ struct EpochSample {
   std::uint64_t pages_migrated = 0;  // placement migrations this epoch
 
   // Machine-wide SM cycle-stack deltas this epoch (src/obs/cycle_stack.*,
-  // sampled at the boundary after Gpu::sync_cycle_stacks); all zero when
-  // profiling is off.  Signed: the sum-preserving pending-dep
-  // reclassification can drain a bucket between boundaries.
+  // sampled at the boundary after Gpu::sync_cycle_stacks).  Signed: the
+  // sum-preserving pending-dep reclassification can drain a bucket between
+  // boundaries.
   std::array<std::int64_t, kNumSmBuckets> sm_stack{};
 
   bool operator==(const EpochSample&) const = default;
@@ -79,14 +79,14 @@ class EpochTimeline {
   EpochTimeline(const SystemConfig& cfg, unsigned num_nsus);
 
   // SM-domain entry, called from the governor's epoch observer.  `issued`,
-  // `l1_hits`, `l1_misses` are cumulative totals over all SMs.  `sm_stack`,
-  // when non-null, points at kNumSmBuckets cumulative machine-wide
-  // cycle-stack bucket totals (boundary-synced); the sample records the
-  // per-epoch delta.
+  // `l1_hits`, `l1_misses` are cumulative totals over all SMs.  `sm_stack`
+  // holds the cumulative machine-wide cycle-stack bucket totals
+  // (boundary-synced); the sample records the per-epoch delta.
   void on_epoch(std::uint64_t epoch, double epoch_ipc,
                 std::uint64_t block_instrs, double ratio, double step,
                 int direction, std::uint64_t issued, std::uint64_t l1_hits,
-                std::uint64_t l1_misses, const std::uint64_t* sm_stack = nullptr);
+                std::uint64_t l1_misses,
+                const std::array<std::uint64_t, kNumSmBuckets>& sm_stack);
 
   // Lazily-polled cross-domain sources.  `*_due(now)` is the cheap inline
   // guard; the caller gathers its counters only when it returns true.

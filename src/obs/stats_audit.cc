@@ -222,35 +222,37 @@ void StatsAudit::instant_checks(std::int64_t epoch, const AuditSnapshot& s) {
   // in exactly one bucket.  Holds at every instant — classification happens
   // in the same tick that counts the cycle, and reclassification (pending
   // dep -> serve class, dispatch-idle -> drained) is sum-preserving.
-  if (s.cyc_on) {
-    for (std::size_t i = 0; i < s.cyc_sm_sum.size(); ++i) {
-      eq(s.cyc_sm_sum[i], s.cyc_sm_counted[i], epoch, "cycle_stack",
-         "sm_bucket_sum_eq_counted");
-    }
-    for (std::size_t i = 0; i < s.cyc_nsu_sum.size(); ++i) {
-      eq(s.cyc_nsu_sum[i], s.cyc_nsu_counted[i], epoch, "cycle_stack",
-         "nsu_bucket_sum_eq_counted");
-    }
-    for (std::size_t i = 0; i < s.cyc_vault_sum.size(); ++i) {
-      eq(s.cyc_vault_sum[i], s.cyc_vault_counted[i], epoch, "cycle_stack",
-         "vault_bucket_sum_eq_counted");
-    }
-    // The fine buckets refine the legacy counters: each group sums to its
-    // coarse Fig. 8 counter exactly, so the legacy breakdown is derivable.
-    eq(s.cyc_sm_issue, s.sm_issued, epoch, "cycle_stack", "issue_eq_issued");
-    eq(s.cyc_sm_exec_group, s.sm_stall_exec_busy, epoch, "cycle_stack",
-       "exec_group_eq_stall_exec_busy");
-    eq(s.cyc_sm_dep_group, s.sm_stall_dependency, epoch, "cycle_stack",
-       "dep_group_eq_stall_dependency");
-    eq(s.cyc_sm_warp_idle_group, s.sm_stall_warp_idle, epoch, "cycle_stack",
-       "warp_idle_group_eq_stall_warp_idle");
-    // Tenant rows partition the machine: the issue bucket is stamped at the
-    // same site as the per-tenant issued counter.
-    for (std::size_t t = 0; t < s.cyc_tenant_issue.size(); ++t) {
-      if (t < s.tenant_issued.size()) {
-        eq(s.cyc_tenant_issue[t], s.tenant_issued[t], epoch, "cycle_stack",
-           "tenant_issue_row_eq_issued");
-      }
+  std::uint64_t sm_stack_cycles = 0;
+  for (std::size_t i = 0; i < s.cyc_sm_sum.size(); ++i) {
+    eq(s.cyc_sm_sum[i], s.cyc_sm_counted[i], epoch, "cycle_stack",
+       "sm_bucket_sum_eq_counted");
+    sm_stack_cycles += s.cyc_sm_sum[i];
+  }
+  for (std::size_t i = 0; i < s.cyc_nsu_sum.size(); ++i) {
+    eq(s.cyc_nsu_sum[i], s.cyc_nsu_counted[i], epoch, "cycle_stack",
+       "nsu_bucket_sum_eq_counted");
+  }
+  for (std::size_t i = 0; i < s.cyc_vault_sum.size(); ++i) {
+    eq(s.cyc_vault_sum[i], s.cyc_vault_counted[i], epoch, "cycle_stack",
+       "vault_bucket_sum_eq_counted");
+  }
+  // No SM lags or runs ahead: every stack was flushed to the same cycle.
+  eq(sm_stack_cycles, s.cyc_sm_sum.size() * s.cyc_sm_flushed_to, epoch,
+     "cycle_stack", "sm_stacks_cover_flushed_cycles");
+  // The stack against counters kept outside it: issue slots, cycles with a
+  // valid warp, and the dep cycles parked until their load's serve class
+  // is known.
+  eq(s.cyc_sm_issue, s.sm_issued, epoch, "cycle_stack", "issue_eq_issued");
+  eq(s.cyc_sm_active, s.sm_active_cycles, epoch, "cycle_stack",
+     "active_groups_eq_active_cycles");
+  eq(s.cyc_sm_dep_pending, s.sm_parked_dep_cycles, epoch, "cycle_stack",
+     "dep_pending_eq_parked");
+  // Tenant rows partition the machine: the issue bucket is stamped at the
+  // same site as the per-tenant issued counter.
+  for (std::size_t t = 0; t < s.cyc_tenant_issue.size(); ++t) {
+    if (t < s.tenant_issued.size()) {
+      eq(s.cyc_tenant_issue[t], s.tenant_issued[t], epoch, "cycle_stack",
+         "tenant_issue_row_eq_issued");
     }
   }
 
@@ -346,9 +348,7 @@ void StatsAudit::check_final(const AuditSnapshot& s, bool drained) {
      "mem", "drained_copy_writes_eq_migrations");
   // Drained, every load's fill has arrived and its consumer issued, so no
   // dependency cycle can still be parked awaiting its serve class.
-  if (s.cyc_on) {
-    eq(s.cyc_sm_dep_pending, 0, -1, "cycle_stack", "drained_dep_pending");
-  }
+  eq(s.cyc_sm_dep_pending, 0, -1, "cycle_stack", "drained_dep_pending");
   eq(s.buf_free_cmd, s.buf_cap_cmd, -1, "buffers", "drained_cmd_credits");
   eq(s.buf_free_read_data, s.buf_cap_read_data, -1, "buffers",
      "drained_read_data_credits");

@@ -120,25 +120,24 @@ struct AuditSnapshot {
   std::vector<std::uint64_t> tenant_issued;     // per-tenant SM instructions
   std::vector<std::uint64_t> tenant_l2_reads;   // per-tenant L2 read outcomes
   std::vector<std::uint64_t> tenant_gov_instrs; // per-governor block instrs
-  // Cycle-stack profiler (src/obs/cycle_stack.*), filled when
-  // SystemConfig::profile is on.  Exhaustiveness: each component's bucket
-  // sum must equal its counted cycles at every instant (every counted cycle
-  // lands in exactly one bucket; reclassifications are sum-preserving).
-  // The machine-wide SM bucket groups must reproduce the legacy Fig. 8
-  // stall counters exactly, and the per-tenant issue rows must partition
-  // the per-tenant issued-instruction counters.
-  bool cyc_on = false;
+  // Cycle-stack profiler (src/obs/cycle_stack.*).  Exhaustiveness: each
+  // component's bucket sum must equal its counted cycles at every instant
+  // (every counted cycle lands in exactly one bucket; reclassifications are
+  // sum-preserving), and the SM stacks together cover num_sms x the SM
+  // cycle they were flushed to.  Each machine-wide SM stack quantity below
+  // must match its counterpart kept outside the stack: the issue bucket the
+  // issued-instruction counter, the non-no-warp buckets the SMs'
+  // `active_cycles`, the dep-pending bucket the warps' parked cycles, and
+  // the per-tenant issue rows the per-tenant issued-instruction counters.
   std::vector<std::uint64_t> cyc_sm_sum, cyc_sm_counted;        // per SM
   std::vector<std::uint64_t> cyc_nsu_sum, cyc_nsu_counted;      // per NSU
   std::vector<std::uint64_t> cyc_vault_sum, cyc_vault_counted;  // per vault
+  std::uint64_t cyc_sm_flushed_to = 0;   // SM cycle the stacks were flushed to
   std::uint64_t cyc_sm_issue = 0;
-  std::uint64_t cyc_sm_exec_group = 0;       // exec_busy + credit_wait
-  std::uint64_t cyc_sm_dep_group = 0;        // all dep_* buckets
-  std::uint64_t cyc_sm_warp_idle_group = 0;  // ofld_parked + barrier + warp_drain
-  std::uint64_t cyc_sm_dep_pending = 0;      // unresolved retroactive dep cycles
-  std::uint64_t sm_stall_dependency = 0;
-  std::uint64_t sm_stall_exec_busy = 0;
-  std::uint64_t sm_stall_warp_idle = 0;
+  std::uint64_t cyc_sm_active = 0;       // every bucket outside the no-warp group
+  std::uint64_t cyc_sm_dep_pending = 0;  // unresolved retroactive dep cycles
+  std::uint64_t sm_active_cycles = 0;    // sum of Sm::active_cycles
+  std::uint64_t sm_parked_dep_cycles = 0;  // sum of Sm::parked_dep_cycles()
   std::vector<std::uint64_t> cyc_tenant_issue;  // per-tenant issue-bucket rows
   // Geometry.
   unsigned line_bytes = 128;

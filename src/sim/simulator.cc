@@ -198,7 +198,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   hmcs[0]->set_timeline(&timeline);
 
   StatsAudit audit;
-  auto collect_audit = [&] {
+  // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
+  auto collect_audit = [&](Cycle sm_flushed_to) {
     AuditSnapshot s;
     for (const auto& sm : gpu.sms()) {
       s.sm_issued += sm->issued_instrs;
@@ -283,42 +284,31 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
       s.lat_finished = ls.finished;
       s.lat_cancelled = ls.cancelled;
     }
-    if (cfg_.profile) {
-      s.cyc_on = true;
-      for (const auto& sm : gpu.sms()) {
-        s.cyc_sm_sum.push_back(sm->cycle_stack().total());
-        s.cyc_sm_counted.push_back(sm->counted_cycles());
+    for (const auto& sm : gpu.sms()) {
+      s.cyc_sm_sum.push_back(sm->cycle_stack().total());
+      s.cyc_sm_counted.push_back(sm->counted_cycles());
+      s.sm_active_cycles += sm->active_cycles;
+      s.sm_parked_dep_cycles += sm->parked_dep_cycles();
+    }
+    s.cyc_sm_flushed_to = sm_flushed_to;
+    const SmCycleStack machine = gpu.cycle_stack();
+    s.cyc_sm_active = machine.total() - sm_group_total(machine, SmBucketGroup::kNoWarp);
+    s.cyc_sm_issue = machine.bucket_total(static_cast<std::size_t>(SmBucket::kIssue));
+    s.cyc_sm_dep_pending =
+        machine.bucket_total(static_cast<std::size_t>(SmBucket::kDepPending));
+    for (const auto& hmc : hmcs) {
+      s.cyc_nsu_sum.push_back(hmc->nsu().cycle_stack().total());
+      s.cyc_nsu_counted.push_back(hmc->nsu().counted_cycles());
+      for (unsigned v = 0; v < hmc->num_vaults(); ++v) {
+        s.cyc_vault_sum.push_back(hmc->vault(v).cycle_stack().total());
+        s.cyc_vault_counted.push_back(hmc->vault(v).counted_cycles());
       }
-      const SmCycleStack machine = gpu.cycle_stack();
-      for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-        const std::uint64_t n = machine.bucket_total(b);
-        switch (sm_bucket_group(static_cast<SmBucket>(b))) {
-          case SmBucketGroup::kIssue: s.cyc_sm_issue += n; break;
-          case SmBucketGroup::kExecBusy: s.cyc_sm_exec_group += n; break;
-          case SmBucketGroup::kDep: s.cyc_sm_dep_group += n; break;
-          case SmBucketGroup::kWarpIdle: s.cyc_sm_warp_idle_group += n; break;
-          case SmBucketGroup::kNoWarp: break;
-        }
-      }
-      s.cyc_sm_dep_pending =
-          machine.bucket_total(static_cast<std::size_t>(SmBucket::kDepPending));
-      s.sm_stall_dependency = gpu.total_stall_dependency();
-      s.sm_stall_exec_busy = gpu.total_stall_exec_busy();
-      s.sm_stall_warp_idle = gpu.total_stall_warp_idle();
-      for (const auto& hmc : hmcs) {
-        s.cyc_nsu_sum.push_back(hmc->nsu().cycle_stack().total());
-        s.cyc_nsu_counted.push_back(hmc->nsu().counted_cycles());
-        for (unsigned v = 0; v < hmc->num_vaults(); ++v) {
-          s.cyc_vault_sum.push_back(hmc->vault(v).cycle_stack().total());
-          s.cyc_vault_counted.push_back(hmc->vault(v).counted_cycles());
-        }
-      }
-      if (num_tenants > 1) {
-        s.cyc_tenant_issue.resize(num_tenants);
-        for (unsigned t = 0; t < num_tenants; ++t) {
-          s.cyc_tenant_issue[t] =
-              machine.rows[t][static_cast<std::size_t>(SmBucket::kIssue)];
-        }
+    }
+    if (num_tenants > 1) {
+      s.cyc_tenant_issue.resize(num_tenants);
+      for (unsigned t = 0; t < num_tenants; ++t) {
+        s.cyc_tenant_issue[t] =
+            machine.rows[t][static_cast<std::size_t>(SmBucket::kIssue)];
       }
     }
     return s;
@@ -336,18 +326,17 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     // EpochTick replays fast-forwarded boundaries before any SM does work at
     // the wake edge, so syncing to the boundary cycle here is exact in both
     // stepping modes.
+    const Cycle boundary = (info.epoch + 1) * cfg_.governor.epoch_cycles;
+    gpu.sync_cycle_stacks(boundary);
+    const SmCycleStack machine = gpu.cycle_stack();
     std::array<std::uint64_t, kNumSmBuckets> stack_totals{};
-    if (cfg_.profile) {
-      gpu.sync_cycle_stacks((info.epoch + 1) * cfg_.governor.epoch_cycles);
-      const SmCycleStack machine = gpu.cycle_stack();
-      for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-        stack_totals[b] = machine.bucket_total(b);
-      }
+    for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+      stack_totals[b] = machine.bucket_total(b);
     }
     timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
                       info.step, info.direction, issued, l1_hits, l1_misses,
-                      cfg_.profile ? stack_totals.data() : nullptr);
-    if (cfg_.audit) audit.check_epoch(info.epoch, collect_audit());
+                      stack_totals);
+    if (cfg_.audit) audit.check_epoch(info.epoch, collect_audit(boundary));
   });
 
   // Clock domains (Table 2).
@@ -414,9 +403,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     }
   }
 
-  // Flush fast-forward-deferred per-cycle accounting (stall/active
-  // counters, governor epoch clock, NSU tick counts) up to each domain's
-  // consumed-edge count.  No-ops in naive mode.  The gpu.finalize flush can
+  // Flush fast-forward-deferred per-cycle accounting (SM cycle stacks and
+  // active counters, governor epoch clock, NSU tick counts) up to each
+  // domain's consumed-edge count.  No-ops in naive mode.  The gpu.finalize flush can
   // roll one last epoch when the trailing fast-forward region crosses an
   // epoch boundary; the epoch observer audits it like any other.
   gpu.finalize(sm_domain.next_cycle());
@@ -454,16 +443,13 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.cube_link_bytes = net.cube_bytes();
   // Machine cycle-stack summary: everything is finalized above, so the SM
   // stacks cover every SM cycle and the vault stacks carry their idle tails.
-  result.cycle_stack.enabled = cfg_.profile;
   result.cycle_stack.tenants = num_tenants;
-  if (cfg_.profile) {
-    result.cycle_stack.sm = gpu.cycle_stack();
-    result.cycle_stack.nsu.init(num_tenants);
-    result.cycle_stack.vault.init(num_tenants);
-    for (const auto& hmc : hmcs) {
-      result.cycle_stack.nsu.accumulate(hmc->nsu().cycle_stack());
-      result.cycle_stack.vault.accumulate(hmc->vault_cycle_stack());
-    }
+  result.cycle_stack.sm = gpu.cycle_stack();
+  result.cycle_stack.nsu.init(num_tenants);
+  result.cycle_stack.vault.init(num_tenants);
+  for (const auto& hmc : hmcs) {
+    result.cycle_stack.nsu.accumulate(hmc->nsu().cycle_stack());
+    result.cycle_stack.vault.accumulate(hmc->vault_cycle_stack());
   }
   {
     auto it = net.bytes_by_type().find(PacketType::kCacheInval);
@@ -494,7 +480,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // Final flow-conservation audit.  Strict equalities (everything issued was
   // retired, credits home, energy mirrors consistent) only hold on a drained
   // run; valve-stopped or aborted runs get the monotonic/inequality subset.
-  if (cfg_.audit) audit.check_final(collect_audit(), completed && !aborted);
+  if (cfg_.audit) {
+    audit.check_final(collect_audit(sm_domain.next_cycle()), completed && !aborted);
+  }
 
   // End-of-run invariants: with everything drained, all NSU buffer credits
   // must be home and no WTA can still be in flight (§4.1.1 page-migration

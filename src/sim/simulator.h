@@ -81,7 +81,8 @@ struct RunResult {
   TimePs runtime_ps = 0;
   double ipc = 0.0;
 
-  // Fig. 8 stall cycles (aggregated over SMs).
+  // Fig. 8 stall cycles (aggregated over SMs; sums of the SM cycle-stack
+  // bucket groups that refine them).
   std::uint64_t stall_dependency = 0;
   std::uint64_t stall_exec_busy = 0;
   std::uint64_t stall_warp_idle = 0;
@@ -108,7 +109,6 @@ struct RunResult {
 
   // Machine-wide cycle stacks (src/obs/cycle_stack.*): per-tenant SM / NSU /
   // vault bucket counters, exhaustive over each component's counted cycles.
-  // `cycle_stack.enabled` is false when `SystemConfig::profile` is off.
   CycleStackSummary cycle_stack;
 
   // Per-tenant results; empty on single-tenant runs.

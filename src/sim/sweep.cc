@@ -145,59 +145,57 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
   // content — must precede "timing".  Machine totals per component; the
   // per-tenant rows (plus the shared row) appear only on multi-tenant runs,
   // mirroring the `cyc.*` stat export.
-  if (r.cycle_stack.enabled) {
-    const CycleStackSummary& cs = r.cycle_stack;
-    auto emit_row = [&w](const auto& stack, unsigned row, auto name_of,
-                         std::size_t nbuckets) {
-      w.begin_object();
-      for (std::size_t b = 0; b < nbuckets; ++b) {
-        w.key(name_of(b)).value(stack.rows[row][b]);
-      }
-      w.key("total").value(stack.row_total(row));
-      w.end_object();
-    };
-    auto emit_totals = [&w](const auto& stack, auto name_of, std::size_t nbuckets) {
-      w.begin_object();
-      for (std::size_t b = 0; b < nbuckets; ++b) {
-        w.key(name_of(b)).value(stack.bucket_total(b));
-      }
-      w.key("total").value(stack.total());
-      w.end_object();
-    };
-    const auto sm_name = [](std::size_t b) {
-      return sm_bucket_name(static_cast<SmBucket>(b));
-    };
-    const auto nsu_name = [](std::size_t b) {
-      return nsu_bucket_name(static_cast<NsuBucket>(b));
-    };
-    const auto vault_name = [](std::size_t b) {
-      return vault_bucket_name(static_cast<VaultBucket>(b));
-    };
-    w.key("cycle_stack").begin_object();
-    w.key("tenants").value(static_cast<std::uint64_t>(cs.tenants));
-    w.key("sm");
-    emit_totals(cs.sm, sm_name, kNumSmBuckets);
-    w.key("nsu");
-    emit_totals(cs.nsu, nsu_name, kNumNsuBuckets);
-    w.key("vault");
-    emit_totals(cs.vault, vault_name, kNumVaultBuckets);
-    if (cs.tenants > 1) {
-      w.key("rows").begin_array();
-      for (unsigned row = 0; row <= cs.tenants; ++row) {
-        w.begin_object();
-        w.key("row").value(row == cs.tenants ? "shared" : "t" + std::to_string(row));
-        w.key("sm");
-        emit_row(cs.sm, row, sm_name, kNumSmBuckets);
-        w.key("nsu");
-        emit_row(cs.nsu, row, nsu_name, kNumNsuBuckets);
-        w.key("vault");
-        emit_row(cs.vault, row, vault_name, kNumVaultBuckets);
-        w.end_object();
-      }
-      w.end_array();
+  const CycleStackSummary& cs = r.cycle_stack;
+  auto emit_row = [&w](const auto& stack, unsigned row, auto name_of,
+                       std::size_t nbuckets) {
+    w.begin_object();
+    for (std::size_t b = 0; b < nbuckets; ++b) {
+      w.key(name_of(b)).value(stack.rows[row][b]);
     }
+    w.key("total").value(stack.row_total(row));
     w.end_object();
+  };
+  auto emit_totals = [&w](const auto& stack, auto name_of, std::size_t nbuckets) {
+    w.begin_object();
+    for (std::size_t b = 0; b < nbuckets; ++b) {
+      w.key(name_of(b)).value(stack.bucket_total(b));
+    }
+    w.key("total").value(stack.total());
+    w.end_object();
+  };
+  const auto sm_name = [](std::size_t b) {
+    return sm_bucket_name(static_cast<SmBucket>(b));
+  };
+  const auto nsu_name = [](std::size_t b) {
+    return nsu_bucket_name(static_cast<NsuBucket>(b));
+  };
+  const auto vault_name = [](std::size_t b) {
+    return vault_bucket_name(static_cast<VaultBucket>(b));
+  };
+  w.key("cycle_stack").begin_object();
+  w.key("tenants").value(static_cast<std::uint64_t>(cs.tenants));
+  w.key("sm");
+  emit_totals(cs.sm, sm_name, kNumSmBuckets);
+  w.key("nsu");
+  emit_totals(cs.nsu, nsu_name, kNumNsuBuckets);
+  w.key("vault");
+  emit_totals(cs.vault, vault_name, kNumVaultBuckets);
+  if (cs.tenants > 1) {
+    w.key("rows").begin_array();
+    for (unsigned row = 0; row <= cs.tenants; ++row) {
+      w.begin_object();
+      w.key("row").value(row == cs.tenants ? "shared" : "t" + std::to_string(row));
+      w.key("sm");
+      emit_row(cs.sm, row, sm_name, kNumSmBuckets);
+      w.key("nsu");
+      emit_row(cs.nsu, row, nsu_name, kNumNsuBuckets);
+      w.key("vault");
+      emit_row(cs.vault, row, vault_name, kNumVaultBuckets);
+      w.end_object();
+    }
+    w.end_array();
   }
+  w.end_object();
   w.key("stats").begin_object();
   for (const auto& [name, value] : r.stats.values()) {
     w.key(name).value(value);

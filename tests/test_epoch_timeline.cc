@@ -34,8 +34,8 @@ TEST(EpochTimeline, AssemblesPerEpochDeltas) {
   SystemConfig cfg = timeline_cfg();
   EpochTimeline tl(cfg, cfg.num_hmcs);
   // Epoch 0: 300 of 400 L1 accesses hit; epoch 1: 200 of 400.
-  tl.on_epoch(0, 2.0, 1000, 0.5, 0.15, +1, /*issued=*/4000, 300, 100);
-  tl.on_epoch(1, 1.5, 750, 0.65, 0.15, +1, /*issued=*/6000, 500, 300);
+  tl.on_epoch(0, 2.0, 1000, 0.5, 0.15, +1, /*issued=*/4000, 300, 100, {});
+  tl.on_epoch(1, 1.5, 750, 0.65, 0.15, +1, /*issued=*/6000, 500, 300, {});
   // L2 saw 80 of 100 accesses hit in epoch 0, then nothing.
   tl.finalize(/*l2_hits=*/80, /*l2_misses=*/20, /*up=*/0, /*down=*/0,
               /*cube=*/0, std::vector<std::uint64_t>(cfg.num_hmcs, 0));
@@ -65,7 +65,7 @@ TEST(EpochTimeline, AssemblesPerEpochDeltas) {
 TEST(EpochTimeline, EmptyEpochHasZeroRates) {
   SystemConfig cfg = timeline_cfg();
   EpochTimeline tl(cfg, cfg.num_hmcs);
-  tl.on_epoch(0, 0.0, 0, 0.1, 0.15, +1, 0, 0, 0);
+  tl.on_epoch(0, 0.0, 0, 0.1, 0.15, +1, 0, 0, 0, {});
   tl.finalize(0, 0, 0, 0, 0, std::vector<std::uint64_t>(cfg.num_hmcs, 0));
   ASSERT_EQ(tl.samples().size(), 1u);
   const EpochSample& s = tl.samples()[0];
@@ -197,7 +197,7 @@ TEST(EpochTimeline, CapsSamplesAndCountsDrops) {
   EpochTimeline tl(cfg, cfg.num_hmcs);
   constexpr std::uint64_t kOver = 100'500;  // past the 100k cap
   for (std::uint64_t e = 0; e < kOver; ++e) {
-    tl.on_epoch(e, 0.0, 0, 0.1, 0.15, +1, e, 0, 0);
+    tl.on_epoch(e, 0.0, 0, 0.1, 0.15, +1, e, 0, 0, {});
   }
   tl.finalize(0, 0, 0, 0, 0, std::vector<std::uint64_t>(cfg.num_hmcs, 0));
   EXPECT_EQ(tl.samples().size(), 100'000u);

@@ -129,7 +129,7 @@ TEST(SmUnit, LoadsMissAndBlockUntilDelivered) {
   // One warp, 32 lanes x 8 B = 2 lines -> 2 read requests; warp stuck.
   EXPECT_EQ(h.count(PacketType::kMemRead), 2u);
   EXPECT_TRUE(h.sm->busy());
-  EXPECT_GT(h.sm->stall_dependency, 0u);
+  EXPECT_GT(h.sm->stall_dependency(), 0u);
 
   // Deliver both lines; the warp finishes.
   const TimePs now = tick_time_ps(h.cycle, h.cfg.clocks.sm_khz);
@@ -154,8 +154,8 @@ TEST(SmUnit, StallTaxonomySumsWithIssue) {
   SmHarness h(alu_only(), 64, 1);
   h.sm->assign_cta(0);
   h.tick(100);
-  const std::uint64_t accounted = h.sm->issued_instrs + h.sm->stall_dependency +
-                                  h.sm->stall_exec_busy + h.sm->stall_warp_idle;
+  const std::uint64_t accounted = h.sm->issued_instrs + h.sm->stall_dependency() +
+                                  h.sm->stall_exec_busy() + h.sm->stall_warp_idle();
   // Every active cycle is either an issue or a classified stall.
   EXPECT_EQ(accounted, h.sm->active_cycles);
 }
@@ -181,7 +181,7 @@ TEST(SmUnit, OffloadHoldsPacketsUntilCreditsGranted) {
   EXPECT_GT(h.count(PacketType::kWta), 0u);
   // The warp is parked at OFLD.END awaiting the ACK.
   EXPECT_TRUE(h.sm->busy());
-  EXPECT_GT(h.sm->stall_warp_idle, 0u);
+  EXPECT_GT(h.sm->stall_warp_idle(), 0u);
 
   // Deliver the ACK: live-out register set is empty for this block.
   Packet ack;

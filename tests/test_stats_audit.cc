@@ -15,6 +15,7 @@ namespace {
 AuditSnapshot consistent(std::uint64_t k) {
   AuditSnapshot s;
   s.sm_issued = 100 * k;
+  s.cyc_sm_issue = 100 * k;  // the SM stacks' issue bucket
   s.l1_hits = 10 * k;
   s.l1_miss_new = 5 * k;
   s.l1_merged = k;

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sndp.h"
@@ -95,36 +96,61 @@ TEST_P(StatsFingerprint, MatchesPinnedCyclesAndStatsHash) {
       << pin.id << ": stats hash moved to " << got;
 }
 
+// ctest lists each run under a name that ends with the raw bytes of its
+// Pin, and those begin with the id pointer.  As string literals the ids
+// landed wherever the linker put them, so the listed names moved with
+// unrelated code and with the checkout path.  Back to back in one
+// 256-byte-aligned table, in kPins order, each id sits at a fixed offset
+// and the low byte of its pointer no longer moves.
+alignas(256) constexpr char kIds[] =
+    "BPROP/dyn-cache\0BFS/dyn-cache\0BICG/dyn-cache\0FWT/dyn-cache\0"
+    "KMN/dyn-cache\0MiniFE/dyn-cache\0SP/dyn-cache\0STN/dyn-cache\0"
+    "STCL/dyn-cache\0VADD/dyn-cache\0GEMM/dyn-cache\0SPMV/dyn-cache\0"
+    "REDUCE/dyn-cache\0ATTN/dyn-cache\0BPROP/static-0.3-no-ff\0"
+    "BFS/static-0.3-no-ff\0BICG/static-0.3-no-ff\0FWT/static-0.3-no-ff\0"
+    "KMN/static-0.3-no-ff\0MiniFE/static-0.3-no-ff\0SP/static-0.3-no-ff\0"
+    "STN/static-0.3-no-ff\0STCL/static-0.3-no-ff\0VADD/static-0.3-no-ff\0"
+    "GEMM/static-0.3-no-ff\0SPMV/static-0.3-no-ff\0"
+    "REDUCE/static-0.3-no-ff\0ATTN/static-0.3-no-ff\0mix/weighted";
+
+// The entry of kIds that spells `want`; an id missing from it fails to compile.
+consteval const char* id(std::string_view want) {
+  for (std::size_t at = 0; at < sizeof kIds; at += std::char_traits<char>::length(kIds + at) + 1) {
+    if (want == kIds + at) return kIds + at;
+  }
+  throw "pin id missing from kIds";
+}
+
 constexpr Pin kPins[] = {
-    {"BPROP/dyn-cache", 5494, 0xedb5ed66208b1767ull},
-    {"BFS/dyn-cache", 4712, 0xf8758c7e0a29be92ull},
-    {"BICG/dyn-cache", 1472, 0x5bb4890edcba2032ull},
-    {"FWT/dyn-cache", 1062, 0xc03356861f7e50efull},
-    {"KMN/dyn-cache", 742, 0x63f3d5c61c8cb9b2ull},
-    {"MiniFE/dyn-cache", 1962, 0x66d5fc543a5f5d50ull},
-    {"SP/dyn-cache", 742, 0x1026cd26e0699689ull},
-    {"STN/dyn-cache", 744, 0x179abc19c8468d5aull},
-    {"STCL/dyn-cache", 1231, 0x4239cbbfb9faadddull},
-    {"VADD/dyn-cache", 685, 0xf57f85800f6db965ull},
-    {"GEMM/dyn-cache", 3538, 0x67c5c1f87a47a5ccull},
-    {"SPMV/dyn-cache", 3816, 0x119753446e3fde5eull},
-    {"REDUCE/dyn-cache", 2337, 0x07a7097e291de39cull},
-    {"ATTN/dyn-cache", 5542, 0x76121accbfd7266dull},
-    {"BPROP/static-0.3-no-ff", 5255, 0x2e00109551940d12ull},
-    {"BFS/static-0.3-no-ff", 4964, 0x67000aa4c29e0712ull},
-    {"BICG/static-0.3-no-ff", 1554, 0xaabc588380cf7020ull},
-    {"FWT/static-0.3-no-ff", 954, 0x691c3bd3afa4cfaeull},
-    {"KMN/static-0.3-no-ff", 739, 0x2a9a02dd2fcea55dull},
-    {"MiniFE/static-0.3-no-ff", 1904, 0xa5b991e2dad60f2eull},
-    {"SP/static-0.3-no-ff", 828, 0x1aea46b1f7006728ull},
-    {"STN/static-0.3-no-ff", 1045, 0x9ee6036f3982a7fdull},
-    {"STCL/static-0.3-no-ff", 1288, 0xabd1890a2c014f4cull},
-    {"VADD/static-0.3-no-ff", 723, 0xa847847ca856eea4ull},
-    {"GEMM/static-0.3-no-ff", 4321, 0x732f43aedcf2d46aull},
-    {"SPMV/static-0.3-no-ff", 4030, 0x1217adbeafeb6e27ull},
-    {"REDUCE/static-0.3-no-ff", 2337, 0xc58cfa412fbac067ull},
-    {"ATTN/static-0.3-no-ff", 5809, 0x6be3a1394f562e5bull},
-    {"mix/weighted", 4903, 0x48ca899521e4c541ull},
+    {id("BPROP/dyn-cache"), 5494, 0xedb5ed66208b1767ull},
+    {id("BFS/dyn-cache"), 4712, 0xf8758c7e0a29be92ull},
+    {id("BICG/dyn-cache"), 1472, 0x5bb4890edcba2032ull},
+    {id("FWT/dyn-cache"), 1062, 0xc03356861f7e50efull},
+    {id("KMN/dyn-cache"), 742, 0x63f3d5c61c8cb9b2ull},
+    {id("MiniFE/dyn-cache"), 1962, 0x66d5fc543a5f5d50ull},
+    {id("SP/dyn-cache"), 742, 0x1026cd26e0699689ull},
+    {id("STN/dyn-cache"), 744, 0x179abc19c8468d5aull},
+    {id("STCL/dyn-cache"), 1231, 0x4239cbbfb9faadddull},
+    {id("VADD/dyn-cache"), 685, 0xf57f85800f6db965ull},
+    {id("GEMM/dyn-cache"), 3538, 0x67c5c1f87a47a5ccull},
+    {id("SPMV/dyn-cache"), 3816, 0x119753446e3fde5eull},
+    {id("REDUCE/dyn-cache"), 2337, 0x07a7097e291de39cull},
+    {id("ATTN/dyn-cache"), 5542, 0x76121accbfd7266dull},
+    {id("BPROP/static-0.3-no-ff"), 5255, 0x2e00109551940d12ull},
+    {id("BFS/static-0.3-no-ff"), 4964, 0x67000aa4c29e0712ull},
+    {id("BICG/static-0.3-no-ff"), 1554, 0xaabc588380cf7020ull},
+    {id("FWT/static-0.3-no-ff"), 954, 0x691c3bd3afa4cfaeull},
+    {id("KMN/static-0.3-no-ff"), 739, 0x2a9a02dd2fcea55dull},
+    {id("MiniFE/static-0.3-no-ff"), 1904, 0xa5b991e2dad60f2eull},
+    {id("SP/static-0.3-no-ff"), 828, 0x1aea46b1f7006728ull},
+    {id("STN/static-0.3-no-ff"), 1045, 0x9ee6036f3982a7fdull},
+    {id("STCL/static-0.3-no-ff"), 1288, 0xabd1890a2c014f4cull},
+    {id("VADD/static-0.3-no-ff"), 723, 0xa847847ca856eea4ull},
+    {id("GEMM/static-0.3-no-ff"), 4321, 0x732f43aedcf2d46aull},
+    {id("SPMV/static-0.3-no-ff"), 4030, 0x1217adbeafeb6e27ull},
+    {id("REDUCE/static-0.3-no-ff"), 2337, 0xc58cfa412fbac067ull},
+    {id("ATTN/static-0.3-no-ff"), 5809, 0x6be3a1394f562e5bull},
+    {id("mix/weighted"), 4903, 0x48ca899521e4c541ull},
 };
 
 std::string pin_name(const ::testing::TestParamInfo<Pin>& info) {
