@@ -33,6 +33,7 @@ Sm::Sm(SmId id, const SystemContext& ctx)
   cyc_.init(ctx.num_tenants());
   pending_dep_cycles_.assign(cfg_.max_warps(), 0);
   warp_worst_serve_.assign(cfg_.max_warps(), 0);
+  unpark_cycle_.assign(cfg_.max_warps(), kCycleNever);
 }
 
 bool Sm::can_accept_cta(unsigned tenant) const {
@@ -46,6 +47,30 @@ void Sm::set_state(Warp& w, WarpState state) {
   const SlotMask b = slot_bit(w.id);
   live_mask_ = state == WarpState::kInvalid ? live_mask_ & ~b : live_mask_ | b;
   ready_mask_ = state == WarpState::kReady ? ready_mask_ | b : ready_mask_ & ~b;
+  unpark(b);
+}
+
+// Take a warp whose issue attempt failed out of the scan until `until`
+// (kCycleNever: until an event re-arms it).
+void Sm::park(unsigned slot, SlotMask& set, Cycle until) {
+  set |= slot_bit(slot);
+  unpark_cycle_[slot] = until;
+  unpark_min_ = std::min(unpark_min_, until);
+}
+
+// Re-arm the parked warps whose unpark cycle has come, and recompute the
+// minimum over the rest.
+void Sm::unpark_due(Cycle cycle) {
+  Cycle next = kCycleNever;
+  for (SlotMask m = dep_park_ | busy_park_; m != 0; m &= m - 1) {
+    const unsigned i = lowest_slot(m);
+    if (unpark_cycle_[i] <= cycle) {
+      unpark(slot_bit(i));
+    } else {
+      next = std::min(next, unpark_cycle_[i]);
+    }
+  }
+  unpark_min_ = next;
 }
 
 void Sm::assign_cta(unsigned cta_id, unsigned tenant) {
@@ -128,6 +153,7 @@ void Sm::complete_tracker(unsigned idx, Cycle cycle, LineServe serve) {
   if (--t.lines_pending > 0) return;
   Warp& w = warps_.at(t.warp);
   w.scoreboard.complete_load(t.dst, cycle);
+  unpark(slot_bit(t.warp));
   if (w.outstanding_loads == 0) throw std::logic_error("Sm: load count underflow");
   --w.outstanding_loads;
   t.valid = false;
@@ -226,28 +252,34 @@ std::uint64_t Sm::parked_dep_cycles() const {
 
 // Pick the bucket (and owning tenant row) for one no-issue cycle with at
 // least one valid warp, in the Fig. 8 priority: dependency before exec-busy
-// before warp-idle.  The result is stored in gap_{bucket,row,pending_warp}_
-// so a sleep through the same state replays it.
-void Sm::classify_stall_cycle(Cycle cycle) {
+// before warp-idle.  With nothing issued every kReady warp is parked or in
+// `credit_wait`, so the first blocked warp in GTO order (the one a full
+// retry scan would meet first) comes from those masks.  The result is
+// stored in gap_{bucket,row,pending_warp}_ so a sleep through the same
+// state replays it.
+void Sm::classify_stall_cycle(Cycle cycle, SlotMask credit_wait) {
   gap_pending_warp_ = kInvalidId;
-  if (dep_warp_ != kInvalidId) {
-    const Warp& w = warps_[dep_warp_];
+  const SlotMask busy = busy_park_ | credit_wait;
+  if (dep_park_ != 0) {
+    const unsigned dep_warp = first_in_gto(dep_park_);
+    const Warp& w = warps_[dep_warp];
     gap_row_ = w.tenant;
     const Instr& in = ctx_.image_of(w.tenant)->gpu.at(w.pc);
     if (w.scoreboard.blocked_on_pending_load(in)) {
       // In-flight load: park the cycle; re-billed to the serving level
       // (L2 / local DRAM / remote DRAM) when the warp issues again.
       gap_bucket_ = SmBucket::kDepPending;
-      gap_pending_warp_ = dep_warp_;
+      gap_pending_warp_ = dep_warp;
     } else {
       gap_bucket_ = w.scoreboard.blocking_source(in, cycle) == DepSource::kL1
                         ? SmBucket::kDepL1
                         : SmBucket::kDepPipe;
     }
-  } else if (busy_warp_ != kInvalidId) {
-    gap_row_ = warps_[busy_warp_].tenant;
-    gap_bucket_ = busy_warp_cause_ == BusyCause::kCredit ? SmBucket::kCreditWait
-                                                         : SmBucket::kExecBusy;
+  } else if (busy != 0) {
+    const unsigned busy_warp = first_in_gto(busy);
+    gap_row_ = warps_[busy_warp].tenant;
+    gap_bucket_ = (credit_wait & slot_bit(busy_warp)) != 0 ? SmBucket::kCreditWait
+                                                           : SmBucket::kExecBusy;
   } else {
     // Warp idle: attribute to the first valid warp in slot order, with any
     // warp parked on an offload ACK taking precedence over one parked at a
@@ -309,8 +341,10 @@ void Sm::tick(Cycle cycle, TimePs now) {
   next_expected_cycle_ = cycle + 1;
   now_cycle_ = cycle;
 
-  // Line fills (L2 hits and DRAM fills) wake trackers through the L1 MSHRs.
+  // Line fills (L2 hits and DRAM fills) wake trackers through the L1 MSHRs;
+  // each frees MSHRs or trackers, so the structure-parked warps re-arm.
   while (auto line = line_fills_.pop_ready(now)) {
+    unpark_structural();
     for (std::uint64_t token : l1_.fill(line->line_addr)) {
       complete_tracker(static_cast<unsigned>(token), cycle, line->serve);
     }
@@ -356,16 +390,13 @@ void Sm::tick(Cycle cycle, TimePs now) {
   }
 
   bool issued = false;
-  // Earliest cycle at which any blocked ready warp could unblock on its own
-  // (timed scoreboard entry, exec unit freeing up); kCycleNever when every
-  // blocker needs an external event.  Complete only when nothing issued —
-  // which is the only case the sleep decision reads it.
-  Cycle self_wake = kCycleNever;
-  dep_warp_ = kInvalidId;
-  busy_warp_ = kInvalidId;
+  SlotMask credit_wait = 0;  // warps refused pending-buffer credit this edge
+  if (cycle >= unpark_min_) unpark_due(cycle);
 
-  // Only kReady warps are tried.  A failed attempt changes no warp's state,
-  // so the scan can walk a snapshot of ready_mask_.
+  // Only armed warps are tried: kReady and not parked.  A failed attempt
+  // parks that one warp (a credit-starved one stays armed, since each of
+  // its attempts counts a stall) and sets no other warp's bit, so the scan
+  // can walk a snapshot.
   auto consider = [&](Warp& w) -> bool {
     switch (try_issue(w, cycle, now)) {
       case IssueOutcome::kIssued:
@@ -377,42 +408,41 @@ void Sm::tick(Cycle cycle, TimePs now) {
         flush_pending_dep(w);
         return true;
       case IssueOutcome::kDependency:
-        if (dep_warp_ == kInvalidId) dep_warp_ = w.id;
-        self_wake = std::min(
-            self_wake, w.scoreboard.ready_cycle(ctx_.image_of(w.tenant)->gpu.at(w.pc)));
+        park(w.id, dep_park_, retry_cycle_);
         return false;
       case IssueOutcome::kExecBusy:
-        if (busy_warp_ == kInvalidId) {
-          busy_warp_ = w.id;
-          busy_warp_cause_ = busy_cause_;
-        }
-        self_wake = std::min(self_wake, retry_cycle_);
+        park(w.id, busy_park_, retry_cycle_);
+        if (retry_cycle_ == kCycleNever) struct_park_ |= slot_bit(w.id);
+        return false;
+      case IssueOutcome::kCreditWait:
+        credit_wait |= slot_bit(w.id);
         return false;
     }
     return false;
   };
 
-  if ((ready_mask_ & slot_bit(greedy_ptr_)) != 0 && consider(warps_[greedy_ptr_])) {
+  const SlotMask armed = ready_mask_ & ~(dep_park_ | busy_park_);
+  if ((armed & slot_bit(greedy_ptr_)) != 0 && consider(warps_[greedy_ptr_])) {
     // keep greedy_ptr_
   } else {
-    for (SlotMask m = ready_mask_ & ~slot_bit(greedy_ptr_); m != 0 && !issued; m &= m - 1) {
+    for (SlotMask m = armed & ~slot_bit(greedy_ptr_); m != 0 && !issued; m &= m - 1) {
       const unsigned i = lowest_slot(m);
       if (consider(warps_[i])) greedy_ptr_ = i;
     }
   }
 
-  if (!issued && any_warp) classify_stall_cycle(cycle);
+  if (!issued && any_warp) classify_stall_cycle(cycle, credit_wait);
 
   // Decide whether the SM can sleep (the hint is computed the same way in
   // both stepping modes: naive stepping never reads it, and one
   // mode-independent path keeps the SM free of a stepping-mode branch).
   // It can whenever nothing issued and no credit grant is being polled:
-  // every blocked ready warp then stays blocked — and its retry stays
-  // side-effect-free — until either a known future cycle (self_wake: exec
-  // unit frees, timed scoreboard entry resolves) or an external event that
-  // lowers wake_ps_ (line fill, ACK, egress drain).  Each slept cycle then
-  // counts as this one: the stall bucket classify_stall_cycle recorded, or
-  // dispatch idle when no warp is resident.
+  // every kReady warp is then parked, and stays blocked until either its
+  // unpark cycle (unpark_min_: exec unit frees, timed scoreboard entry
+  // resolves) or an external event that lowers wake_ps_ (line fill, ACK,
+  // egress drain).  Each slept cycle then counts as this one: the stall
+  // bucket classify_stall_cycle recorded, or dispatch idle when no warp is
+  // resident.
   if (!busy()) {
     // Fully drained (the last warp may have exited this very cycle): only a
     // new CTA re-arms the SM, and assign_cta lowers the hint directly.
@@ -430,17 +460,19 @@ void Sm::tick(Cycle cycle, TimePs now) {
   TimePs wake = kTimeNever;
   if (!line_fills_.empty()) wake = std::min(wake, line_fills_.front_ready_ps());
   if (!acks_in_.empty()) wake = std::min(wake, acks_in_.front_ready_ps());
-  if (self_wake != kCycleNever) {
-    wake = std::min(wake, tick_time_ps(self_wake, ctx_.cfg->clocks.sm_khz));
+  if (unpark_min_ != kCycleNever) {
+    wake = std::min(wake, tick_time_ps(unpark_min_, ctx_.cfg->clocks.sm_khz));
   }
   wake_ps_ = wake;
 }
 
 Sm::IssueOutcome Sm::try_issue(Warp& w, Cycle cycle, TimePs now) {
   const Instr& in = ctx_.image_of(w.tenant)->gpu.at(w.pc);
-  busy_cause_ = BusyCause::kUnit;  // overridden by the credit-starved site
 
-  if (!w.scoreboard.can_issue(in, cycle)) return IssueOutcome::kDependency;
+  if (!w.scoreboard.can_issue(in, cycle)) {
+    retry_cycle_ = w.scoreboard.ready_cycle(in);  // kCycleNever on a pending load
+    return IssueOutcome::kDependency;
+  }
 
   // @NSU instructions are replaced by NOPs on the GPU while the block is
   // offloaded (duplicated address-calculation instructions still run here).
@@ -688,10 +720,10 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
     return IssueOutcome::kIssued;
   }
 
-  // Cheap structural pre-checks before paying for address generation —
-  // stalled warps retry every cycle, so this path must stay light.  All of
-  // these resolve only on external events: an egress drain (on_egress_pop)
-  // or a line fill freeing MSHRs/trackers (deliver_line).
+  // Cheap structural pre-checks before paying for address generation.  All
+  // of these resolve only on external events, an egress drain
+  // (on_egress_pop) or a line fill freeing MSHRs/trackers, and each such
+  // event re-arms every structure-parked warp for another attempt.
   if (out_.size() >= ctx_.cfg->ndp_buffers.sm_ready_entries) {
     retry_cycle_ = kCycleNever;
     return IssueOutcome::kExecBusy;  // egress queue full
@@ -842,12 +874,10 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
   // yet) or the ready/egress queue.
   if (!ofld.credits_granted) {
     if (pending_count_ + n_lines > ctx_.cfg->ndp_buffers.sm_pending_entries) {
+      // Counted per attempt, so the warp is never parked: it retries at
+      // every edge, and the SM polls its credit grant at every edge anyway.
       ++pending_full_stalls_;
-      busy_cause_ = BusyCause::kCredit;
-      // Mutating retry (the stall counter advances every cycle): the SM must
-      // NOT sleep through this state, so demand a retry at the very next edge.
-      retry_cycle_ = cycle + 1;
-      return IssueOutcome::kExecBusy;
+      return IssueOutcome::kCreditWait;
     }
   } else if (out_.size() + n_lines > ctx_.cfg->ndp_buffers.sm_ready_entries) {
     retry_cycle_ = kCycleNever;  // unblocked only by an egress drain

@@ -55,15 +55,17 @@ class Sm final : public Tickable {
 
   // Fast-forward wake hint: 0/now while the SM can make progress on its
   // own; otherwise the earliest of (a) an ingress-channel delivery, (b) a
-  // known self-resolve cycle (ALU/SFU/LSU frees up, a timed scoreboard
+  // parked warp's unpark cycle (ALU/SFU/LSU frees up, a timed scoreboard
   // entry becomes readable); never while fully drained.  Maintained at the
   // end of tick() and lowered by deliver_line / deliver_ofld_ack /
   // assign_cta / on_egress_pop.
   TimePs next_work_ps(TimePs /*now*/) override { return wake_ps_; }
 
   // The GPU drained a packet from out(): an egress-full warp may now be
-  // issuable, so a sleeping SM must retry at its next edge.
+  // issuable, so the structure-parked warps re-arm and a sleeping SM
+  // retries them at its next edge.  Whoever pops out() must call this.
   void on_egress_pop(TimePs now) {
+    unpark_structural();
     if (now < wake_ps_) wake_ps_ = now;
   }
 
@@ -151,15 +153,14 @@ class Sm final : public Tickable {
     unsigned tenant = 0;
   };
 
-  enum class IssueOutcome { kIssued, kDependency, kExecBusy };
-
-  // Why the first exec-busy warp of the cycle was blocked: a real unit /
-  // queue conflict, or NDP pending-buffer credit starvation.
-  enum class BusyCause : std::uint8_t { kUnit, kCredit };
+  // kExecBusy is a busy unit or a full egress queue, MSHR file or tracker
+  // pool; kCreditWait is NDP pending-buffer credit starvation.
+  enum class IssueOutcome { kIssued, kDependency, kExecBusy, kCreditWait };
 
   // "No self-resolve cycle": the blocked warp can only be unblocked by an
   // external event (memory fill, ACK, egress drain).
   static constexpr Cycle kCycleNever = ~Cycle{0};
+  static_assert(kCycleNever == Scoreboard::kPendingLoad);
 
   // One scheduling attempt for `warp` at this cycle.
   IssueOutcome try_issue(Warp& warp, Cycle cycle, TimePs now);
@@ -172,13 +173,27 @@ class Sm final : public Tickable {
   void handle_barrier(Warp& warp);
   void handle_exit(Warp& warp);
   void set_state(Warp& warp, WarpState state);
+  void park(unsigned slot, SlotMask& set, Cycle until);
+  void unpark(SlotMask b) {
+    dep_park_ &= ~b;
+    busy_park_ &= ~b;
+    struct_park_ &= ~b;
+  }
+  void unpark_structural() {
+    busy_park_ &= ~struct_park_;
+    struct_park_ = 0;
+  }
+  void unpark_due(Cycle cycle);
+  unsigned first_in_gto(SlotMask m) const {
+    return (m & slot_bit(greedy_ptr_)) != 0 ? greedy_ptr_ : lowest_slot(m);
+  }
   void complete_tracker(unsigned idx, Cycle cycle, LineServe serve);
   void retry_credit_grants(TimePs now);
   const CoalesceCache& coalesced(Warp& w, const Instr& in, LaneMask lanes);
   void emit_or_hold(Warp& warp, Packet&& p, TimePs now);
   void push_out(Packet&& p, TimePs ready_ps);
   void apply_gap(Cycle gap);
-  void classify_stall_cycle(Cycle cycle);
+  void classify_stall_cycle(Cycle cycle, SlotMask credit_wait);
   void record_no_warp_gap();
   void add_recorded_cycles(Cycle n);
   void flush_pending_dep(Warp& w);
@@ -214,6 +229,20 @@ class Sm final : public Tickable {
   SlotMask live_mask_ = 0;
   SlotMask ready_mask_ = 0;
   SlotMask grant_mask_ = 0;
+
+  // Parked warps (DESIGN.md "Warp parking"): kReady warps whose last issue
+  // attempt failed, kept out of the issue scan until the one event that
+  // can change the attempt's outcome re-arms them.  dep_park_: failed on
+  // the scoreboard; busy_park_: on a busy unit or a full structure;
+  // struct_park_ (within busy_park_): on egress, MSHRs or trackers.
+  // unpark_cycle_[slot] is when a timed park re-arms (kCycleNever for the
+  // event-only ones); unpark_min_ never exceeds its minimum over parked
+  // warps (a stale, early value costs one no-op wake).
+  SlotMask dep_park_ = 0;
+  SlotMask busy_park_ = 0;
+  SlotMask struct_park_ = 0;
+  std::vector<Cycle> unpark_cycle_;
+  Cycle unpark_min_ = kCycleNever;
   unsigned free_cta_slots_ = 0;
   unsigned active_trackers_ = 0; // valid LoadTrackers (incremental, for busy())
 
@@ -221,9 +250,10 @@ class Sm final : public Tickable {
   bool fast_forward_ = false;
   TimePs wake_ps_ = 0;
   Cycle next_expected_cycle_ = 0;
-  // Set by every kExecBusy return in try_issue: the cycle at which a retry
-  // could succeed (unit-busy cases), or kCycleNever when only an external
-  // event unblocks (egress/MSHR/tracker exhaustion).
+  // Set by every kDependency / kExecBusy return in try_issue: the cycle at
+  // which a retry could succeed (a timed scoreboard entry resolves, a unit
+  // frees up), or kCycleNever when only an event re-arms the warp (its
+  // pending load's fill; egress/MSHR/tracker exhaustion).
   Cycle retry_cycle_ = 0;
   TimePs* l2_wake_ = nullptr;
   bool* dispatch_wake_ = nullptr;
@@ -261,11 +291,6 @@ class Sm final : public Tickable {
   // the worst serve class seen among that warp's fills since its last issue.
   std::vector<std::uint64_t> pending_dep_cycles_;
   std::vector<std::uint8_t> warp_worst_serve_;
-  // Per-cycle attribution scratch, reset each issue scan.
-  unsigned dep_warp_ = kInvalidId;    // first warp that returned kDependency
-  unsigned busy_warp_ = kInvalidId;   // first warp that returned kExecBusy
-  BusyCause busy_warp_cause_ = BusyCause::kUnit;
-  BusyCause busy_cause_ = BusyCause::kUnit;  // set by every kExecBusy return
   // What each cycle the SM sleeps through counts as in naive stepping: the
   // bucket (and row, and parked warp) of the cycle the sleep decision froze,
   // replayed by apply_gap.  kNoGap while the SM cannot sleep.

@@ -42,10 +42,11 @@ struct GpuOffloadCtx {
   std::vector<unsigned> votes;
 };
 
-// Memoized coalescing result: a warp stalled on resources retries the same
-// memory instruction every cycle; its addresses cannot change while it is
-// stalled, so the (expensive, divergent) coalesce is computed once per
-// issue attempt stream and invalidated when the warp actually issues.
+// Memoized coalescing result: a warp stalled on egress, MSHRs or trackers
+// retries the same memory instruction after every line fill and egress pop
+// that re-arms it; its addresses cannot change while it is stalled, so the
+// (expensive, divergent) coalesce is computed once per issue attempt stream
+// and invalidated when the warp actually issues.
 struct CoalesceCache {
   unsigned pc = kInvalidId;
   std::uint64_t stamp = ~std::uint64_t{0};
