@@ -13,6 +13,7 @@
 #   sndpsim --stats  -w all -s tiny -m always --seed 7
 #   sndpsim --stats  -w all -s tiny -m static -r 0.3 --no-ff
 #   sndpsim --stats  -w BFS -s small
+#   sndpsim --stats  -w all -s small                      (the ndp-mem scale)
 #   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 #   fig08_stall_breakdown
 set -euo pipefail
@@ -57,6 +58,7 @@ compare "sndpsim -w all -s tiny -m always --seed 7" \
 compare "sndpsim -w all -s tiny -m static -r 0.3 --no-ff" \
   examples/sndpsim --stats -w all -s tiny -m static -r 0.3 --no-ff
 compare "sndpsim -w BFS -s small" examples/sndpsim --stats -w BFS -s small
+compare "sndpsim -w all -s small" examples/sndpsim --stats -w all -s small
 compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "fig08_stall_breakdown" bench/fig08_stall_breakdown
