@@ -311,9 +311,9 @@ TEST(SmUnit, InvalidateDropsL1Line) {
 }
 
 // The stall cases below each drive one blocker class to the event that
-// clears it, under both stepping modes.  The pins were captured before
-// the issue scan learned to skip blocked warps, so they also hold that
-// scan to the retry-every-edge numbers.
+// clears it, under both stepping modes.  The pins are the numbers of an
+// issue scan that retries every blocked warp at every edge, so they hold
+// warp parking to that scan's results.
 
 TEST(SmStall, EgressFullWaitsForDrain) {
   const auto run = [](bool ff) {
