@@ -14,12 +14,16 @@
 //   --stats-json FILE  machine-readable results (sndp-bench-v1 JSON),
 //                      e.g. BENCH_sim_throughput.json
 //
-// Wall-clock numbers are machine- and load-dependent; the speedup column is
-// a ratio on the same machine and is the number the ISSUE targets refer to.
+// Wall-clock numbers are machine- and load-dependent, so the JSON records
+// the CPU model and hardware thread count.  The speedup column is a ratio on
+// the same machine; it also rises whenever naive stepping gets slower, so it
+// is not a measure of simulator speed.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -61,6 +65,18 @@ struct Row {
   bool identical = false;
 };
 
+// The first "model name" entry of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t start = line.find_first_not_of(" \t:", line.find(':'));
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
 double timed_run(const std::string& workload, ProblemScale scale, const SystemConfig& cfg,
                  RunResult* out) {
   auto wl = make_workload(workload, scale);
@@ -90,9 +106,6 @@ int main(int argc, char** argv) {
   for (const std::string& w : workloads) {
     for (OffloadMode mode : modes) {
       SystemConfig cfg = paper_config(mode);
-      // Throughput baseline: latency tracing off, so the recorded
-      // edges-per-second measures the simulator core and its cycle stacks.
-      cfg.latency_trace = false;
       cfg.fast_forward = true;
       RunResult ff;
       const double wall_ff = timed_run(w, scale, cfg, &ff);
@@ -136,6 +149,8 @@ int main(int argc, char** argv) {
     j.key("bench").value("perf_throughput");
     j.key("quick").value(opt.quick);
     j.key("scale").value(opt.quick ? "tiny" : "small");
+    j.key("cpu_model").value(cpu_model());
+    j.key("hw_threads").value(std::thread::hardware_concurrency());
     j.key("geomean_speedup").value(gm);
     j.key("all_identical").value(all_identical);
     j.key("rows").begin_array();

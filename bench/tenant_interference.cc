@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   }
 
   SystemConfig base = paper_config(OffloadMode::kDynamicCache);
-  base.latency_trace = true;
   std::vector<SweepOutcome> outcomes;  // hand-built; exported as sndp-sweep-v1
 
   // Solo baselines: each tenant alone on the whole machine.

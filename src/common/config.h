@@ -296,21 +296,10 @@ struct SystemConfig {
   // test and for perf comparisons (bench/perf_throughput).
   bool fast_forward = true;
 
-  // Flow-conservation stats audit (`sim.audit`): cross-check every
-  // component's counters against each other at each governor epoch boundary
-  // and at end-of-run (src/obs/stats_audit.*).  On by default — the checks
-  // are a handful of integer compares per epoch; `--no-audit` disables them
-  // for perf measurement runs.
-  bool audit = true;
-
-  // Request-lifecycle latency tracing (`sim.latency_trace`, src/obs/
-  // latency.*): stamp every tracked packet at each hop and aggregate
-  // per-path-class log2 latency histograms.  On by default (a few integer
-  // adds per hop); `--no-latency` disables it entirely — with the knob off
-  // no PacketTiming field is ever touched.  `latency_sample`: every Nth
+  // Request-lifecycle latency tracing (src/obs/latency.*) stamps every
+  // tracked packet at each hop in every run.  `latency_sample`: every Nth
   // tracked request per packet type also records a full per-hop span
   // (Chrome-trace flow events); 0 disables span capture.
-  bool latency_trace = true;
   unsigned latency_sample = 64;
 
   // When non-empty, write a Chrome-trace JSON of packet flights and

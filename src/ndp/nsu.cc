@@ -90,7 +90,7 @@ void Nsu::tick(Cycle cycle, TimePs now) {
 
   // Ingress.
   while (auto p = in_.pop_ready(now)) {
-    if (ctx_.latency != nullptr) ctx_.latency->queue_hop(*p, now, "nsu_rx", hmc_id_);
+    ctx_.latency->queue_hop(*p, now, "nsu_rx", hmc_id_);
     switch (p->type) {
       case PacketType::kOfldCmd:
         cmds_.push(std::move(*p));
@@ -99,14 +99,14 @@ void Nsu::tick(Cycle cycle, TimePs now) {
         // The RDF span ends at delivery into the read-data buffer; the wait
         // until the consuming warp issues is NSU-side execution state, not
         // part of the fetch round trip.
-        if (ctx_.latency != nullptr) ctx_.latency->finish_stamped(*p, now, hmc_id_);
+        ctx_.latency->finish_stamped(*p, now, hmc_id_);
         read_data_.deposit(*p);
         break;
       case PacketType::kWta:
         write_addr_.deposit(*p);
         break;
       case PacketType::kNsuWriteAck: {
-        if (ctx_.latency != nullptr) ctx_.latency->finish_stamped(*p, now, hmc_id_);
+        ctx_.latency->finish_stamped(*p, now, hmc_id_);
         bool matched = false;
         for (SlotMask m = live_; m != 0; m &= m - 1) {
           NsuWarp& w = warps_[lowest_slot(m)];
@@ -225,7 +225,7 @@ void Nsu::try_spawn(Cycle cycle, TimePs now) {
     Packet cmd = cmds_.pop();
     // Command-buffer residency (waiting for a free warp slot) is queueing;
     // the stamp then parks on the warp until the ACK is emitted.
-    if (ctx_.latency != nullptr) ctx_.latency->queue_hop(cmd, now, "nsu_spawn", hmc_id_);
+    ctx_.latency->queue_hop(cmd, now, "nsu_spawn", hmc_id_);
     const unsigned idx = lowest_slot(free);
     NsuWarp* slot = &warps_[idx];
     *slot = NsuWarp{};
@@ -259,7 +259,7 @@ void Nsu::try_spawn(Cycle cycle, TimePs now) {
     credit.target_nsu = static_cast<std::uint8_t>(hmc_id_);
     credit.credit_cmd = 1;
     credit.tenant = cmd.tenant;
-    if (ctx_.latency != nullptr) ctx_.latency->start(credit, now, hmc_id_);
+    ctx_.latency->start(credit, now, hmc_id_);
     send_network_(std::move(credit), now);
   }
 }
@@ -368,11 +368,9 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
         wr.src_node = static_cast<std::uint16_t>(hmc_id_);
         wr.dst_node = static_cast<std::uint16_t>(dest);
         ++write_packets_;
-        if (ctx_.latency != nullptr) {
-          ctx_.latency->start(wr, now, hmc_id_);
-          ctx_.latency->set_path(wr, dest == hmc_id_ ? PathClass::kNsuWriteLocal
-                                                     : PathClass::kNsuWriteRemote);
-        }
+        ctx_.latency->start(wr, now, hmc_id_);
+        ctx_.latency->set_path(wr, dest == hmc_id_ ? PathClass::kNsuWriteLocal
+                                                   : PathClass::kNsuWriteRemote);
         if (dest == hmc_id_) {
           send_local_vault_(std::move(wr), now);
         } else {
@@ -439,12 +437,10 @@ void Nsu::finish_warp(unsigned slot, TimePs now) {
   ack.credit_read_data = static_cast<std::uint16_t>(info.num_loads);
   ack.credit_write_addr = static_cast<std::uint16_t>(info.num_stores);
   ack.target_nsu = static_cast<std::uint8_t>(hmc_id_);
-  if (ctx_.latency != nullptr) {
-    ctx_.latency->adopt(ack, warp.lt);
-    // Spawn-to-ACK time is NSU execution, not queueing: advance the stamp
-    // so it lands in the "other" segment at finish.
-    ctx_.latency->exec_hop(ack, now, "nsu_exec", hmc_id_);
-  }
+  ctx_.latency->adopt(ack, warp.lt);
+  // Spawn-to-ACK time is NSU execution, not queueing: advance the stamp
+  // so it lands in the "other" segment at finish.
+  ctx_.latency->exec_hop(ack, now, "nsu_exec", hmc_id_);
   send_network_(std::move(ack), now);
 
   ++blocks_completed_;

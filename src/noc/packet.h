@@ -123,7 +123,7 @@ struct Packet {
   std::uint16_t credit_read_data = 0;
   std::uint16_t credit_write_addr = 0;
 
-  // Latency-tracer stamp; inert when tracing is disabled.
+  // Latency-tracer stamp; inert until LatencyTracer::start().
   PacketTiming lt{};
 };
 

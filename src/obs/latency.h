@@ -128,9 +128,9 @@ struct LatencySummary {
   bool operator==(const LatencySummary&) const = default;
 };
 
-// The tracer.  All mutating calls are no-ops on packets whose stamp is not
-// active (never start()ed), so instrumentation sites only need the single
-// `if (ctx.latency)` guard for the zero-cost-when-disabled path.
+// The tracer.  Every run has one (SystemContext::latency).  All mutating
+// calls are no-ops on packets whose stamp is not active (never start()ed),
+// so instrumentation sites call it unconditionally.
 class LatencyTracer {
  public:
   // `sample`: every Nth tracked request per packet type gets a full

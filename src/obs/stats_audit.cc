@@ -262,36 +262,34 @@ void StatsAudit::instant_checks(std::int64_t epoch, const AuditSnapshot& s) {
   // counter's increment site are exact at every instant; classes whose span
   // closes a hop later (RDF / NSU-write ACKs finish at the NSU, offload
   // spans at the GPU) lag their producer counter and only tie out drained.
-  if (s.latency_on) {
-    std::uint64_t lat_total = 0;
-    for (std::uint64_t c : s.lat_counts) lat_total += c;
-    eq(lat_total, s.lat_finished, epoch, "latency", "class_counts_sum");
-    le(s.lat_finished + s.lat_cancelled, s.lat_started, epoch, "latency",
-       "lifecycle_le_started");
-    // Same-instant identities.
-    eq(s.lat(PathClass::kGpuReadL2), s.l2_hits - s.rdf_l2_hits, epoch,
-       "latency", "gpu_read_l2_eq_demand_hits");
-    eq(s.lat(PathClass::kGpuReadDram), s.mem_read_resps, epoch, "latency",
-       "gpu_read_dram_eq_fill_resps");
-    eq(s.lat(PathClass::kGpuWrite), s.mem_write_completions, epoch,
-       "latency", "gpu_write_eq_completions");
-    eq(s.lat_cancelled, s.l2_merged, epoch, "latency",
-       "cancelled_eq_l2_merged");
-    // Lagging-finish flow bounds.
-    le(s.lat(PathClass::kRdfCacheHit), s.sm_rdf_l1_hits + s.rdf_l2_hits,
-       epoch, "latency", "rdf_cache_hit_le_hits");
-    le(s.lat(PathClass::kRdfLocal) + s.lat(PathClass::kRdfRemote),
-       s.rdf_completions, epoch, "latency", "rdf_le_completions");
-    le(s.lat(PathClass::kNsuWriteLocal) + s.lat(PathClass::kNsuWriteRemote),
-       s.nsu_write_completions, epoch, "latency",
-       "nsu_write_le_completions");
-    le(s.ofld_acks, s.lat(PathClass::kOfldCmd), epoch, "latency",
-       "sm_acks_le_ofld_spans");
-    le(s.lat(PathClass::kOfldCmd), s.offloads_started, epoch, "latency",
-       "ofld_spans_le_started");
-    le(s.lat(PathClass::kCredit), s.offloads_started, epoch, "latency",
-       "credits_le_spawns");
-  }
+  std::uint64_t lat_total = 0;
+  for (std::uint64_t c : s.lat_counts) lat_total += c;
+  eq(lat_total, s.lat_finished, epoch, "latency", "class_counts_sum");
+  le(s.lat_finished + s.lat_cancelled, s.lat_started, epoch, "latency",
+     "lifecycle_le_started");
+  // Same-instant identities.
+  eq(s.lat(PathClass::kGpuReadL2), s.l2_hits - s.rdf_l2_hits, epoch,
+     "latency", "gpu_read_l2_eq_demand_hits");
+  eq(s.lat(PathClass::kGpuReadDram), s.mem_read_resps, epoch, "latency",
+     "gpu_read_dram_eq_fill_resps");
+  eq(s.lat(PathClass::kGpuWrite), s.mem_write_completions, epoch,
+     "latency", "gpu_write_eq_completions");
+  eq(s.lat_cancelled, s.l2_merged, epoch, "latency",
+     "cancelled_eq_l2_merged");
+  // Lagging-finish flow bounds.
+  le(s.lat(PathClass::kRdfCacheHit), s.sm_rdf_l1_hits + s.rdf_l2_hits,
+     epoch, "latency", "rdf_cache_hit_le_hits");
+  le(s.lat(PathClass::kRdfLocal) + s.lat(PathClass::kRdfRemote),
+     s.rdf_completions, epoch, "latency", "rdf_le_completions");
+  le(s.lat(PathClass::kNsuWriteLocal) + s.lat(PathClass::kNsuWriteRemote),
+     s.nsu_write_completions, epoch, "latency",
+     "nsu_write_le_completions");
+  le(s.ofld_acks, s.lat(PathClass::kOfldCmd), epoch, "latency",
+     "sm_acks_le_ofld_spans");
+  le(s.lat(PathClass::kOfldCmd), s.offloads_started, epoch, "latency",
+     "ofld_spans_le_started");
+  le(s.lat(PathClass::kCredit), s.offloads_started, epoch, "latency",
+     "credits_le_spawns");
 }
 
 void StatsAudit::check_epoch(std::uint64_t epoch, const AuditSnapshot& s) {
@@ -369,25 +367,23 @@ void StatsAudit::check_final(const AuditSnapshot& s, bool drained) {
   // equal the delivered-packet counts exactly, and the span lifecycle must
   // balance.  A tracked request that vanished (span never finished or
   // cancelled) or was double-counted shows up here.
-  if (s.latency_on) {
-    eq(s.lat_started, s.lat_finished + s.lat_cancelled, -1, "latency",
-       "drained_lifecycle");
-    eq(s.lat(PathClass::kRdfCacheHit), s.sm_rdf_l1_hits + s.rdf_l2_hits, -1,
-       "latency", "drained_rdf_cache_hit");
-    eq(s.lat(PathClass::kRdfLocal) + s.lat(PathClass::kRdfRemote),
-       s.rdf_completions, -1, "latency", "drained_rdf_eq_completions");
-    eq(s.lat(PathClass::kNsuWriteLocal) + s.lat(PathClass::kNsuWriteRemote),
-       s.nsu_write_completions, -1, "latency",
-       "drained_nsu_write_eq_completions");
-    eq(s.lat(PathClass::kOfldCmd), s.ofld_acks, -1, "latency",
-       "drained_ofld_eq_acks");
-    eq(s.lat(PathClass::kCredit), s.offloads_started, -1, "latency",
-       "drained_credit_eq_spawns");
-    // Every demand L2 read either hit, filled from DRAM, or merged.
-    eq(s.lat(PathClass::kGpuReadL2) + s.lat(PathClass::kGpuReadDram) +
-           s.lat_cancelled,
-       s.l2_read_reqs, -1, "latency", "drained_read_outcomes");
-  }
+  eq(s.lat_started, s.lat_finished + s.lat_cancelled, -1, "latency",
+     "drained_lifecycle");
+  eq(s.lat(PathClass::kRdfCacheHit), s.sm_rdf_l1_hits + s.rdf_l2_hits, -1,
+     "latency", "drained_rdf_cache_hit");
+  eq(s.lat(PathClass::kRdfLocal) + s.lat(PathClass::kRdfRemote),
+     s.rdf_completions, -1, "latency", "drained_rdf_eq_completions");
+  eq(s.lat(PathClass::kNsuWriteLocal) + s.lat(PathClass::kNsuWriteRemote),
+     s.nsu_write_completions, -1, "latency",
+     "drained_nsu_write_eq_completions");
+  eq(s.lat(PathClass::kOfldCmd), s.ofld_acks, -1, "latency",
+     "drained_ofld_eq_acks");
+  eq(s.lat(PathClass::kCredit), s.offloads_started, -1, "latency",
+     "drained_credit_eq_spawns");
+  // Every demand L2 read either hit, filled from DRAM, or merged.
+  eq(s.lat(PathClass::kGpuReadL2) + s.lat(PathClass::kGpuReadDram) +
+         s.lat_cancelled,
+     s.l2_read_reqs, -1, "latency", "drained_read_outcomes");
 }
 
 std::string StatsAudit::first_violation_message() const {

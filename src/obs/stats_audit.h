@@ -97,11 +97,9 @@ struct AuditSnapshot {
   std::uint64_t energy_offchip_bytes = 0;
   std::uint64_t energy_nsu_lane_ops = 0;
   // Latency tracer (src/obs/latency.*): per-path-class finished-span counts
-  // plus the span lifecycle counters.  Only audited when the tracer was
-  // enabled for the run (latency_on) — the histograms must reconcile with
+  // plus the span lifecycle counters.  The histograms must reconcile with
   // the delivered-packet counters above, so a lost or double-counted span
   // fails the run like any other conservation bug.
-  bool latency_on = false;
   std::array<std::uint64_t, kNumPathClasses> lat_counts{};
   std::uint64_t lat_started = 0;
   std::uint64_t lat_finished = 0;

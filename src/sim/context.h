@@ -34,8 +34,8 @@ struct LaunchParams {
 
 // One resident kernel stream (DESIGN.md "Multi-tenant serving").  The
 // Simulator owns the images and governors; the table is shared read-only by
-// every component via SystemContext.  Tenant 0 of a single-tenant run is
-// the classic single-kernel path.
+// every component via SystemContext.  A single-kernel run is a one-entry
+// table.
 struct TenantInfo {
   const KernelImage* image = nullptr;
   LaunchParams launch{};
@@ -50,36 +50,22 @@ struct SystemContext {
   GlobalMemory* gmem = nullptr;
   // The memory network every cross-component packet travels through.
   Network* net = nullptr;
-  OffloadGovernor* governor = nullptr;
   NdpBufferManager* bufmgr = nullptr;
   EnergyCounters* energy = nullptr;
   RoCacheMirror* ro_cache = nullptr;
   WtaInflightTracker* wta_tracker = nullptr;
-  // Non-null iff SystemConfig::latency_trace — the single guard every
-  // instrumentation site uses (src/obs/latency.*).
+  // Request-lifecycle latency tracer (src/obs/latency.*); every run has one.
   LatencyTracer* latency = nullptr;
-  const KernelImage* image = nullptr;
-  LaunchParams launch{};
 
-  // Tenant table (null or size 1 = single-tenant: every helper falls back
-  // to the legacy image/launch/governor fields, so components written
-  // against the helpers behave identically on the classic path).
+  // Tenant table, one entry per kernel stream.  A tenant index is assigned
+  // by the CTA arbiter and copied onto every packet, so it is always below
+  // num_tenants().
   const std::vector<TenantInfo>* tenants = nullptr;
 
-  unsigned num_tenants() const {
-    return tenants ? static_cast<unsigned>(tenants->size()) : 1u;
-  }
-  const KernelImage* image_of(unsigned t) const {
-    return (tenants && t < tenants->size()) ? (*tenants)[t].image : image;
-  }
-  const LaunchParams& launch_of(unsigned t) const {
-    return (tenants && t < tenants->size()) ? (*tenants)[t].launch : launch;
-  }
-  OffloadGovernor* governor_of(unsigned t) const {
-    return (tenants && t < tenants->size() && (*tenants)[t].governor)
-               ? (*tenants)[t].governor
-               : governor;
-  }
+  unsigned num_tenants() const { return static_cast<unsigned>(tenants->size()); }
+  const KernelImage* image_of(unsigned t) const { return (*tenants)[t].image; }
+  const LaunchParams& launch_of(unsigned t) const { return (*tenants)[t].launch; }
+  OffloadGovernor* governor_of(unsigned t) const { return (*tenants)[t].governor; }
 };
 
 }  // namespace sndp

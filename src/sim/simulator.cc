@@ -106,8 +106,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   if (jobs.empty() || jobs[0].image == nullptr) {
     throw std::invalid_argument("run_images: no tenant jobs");
   }
-  const KernelImage& image = *jobs[0].image;
-  const LaunchParams& launch = jobs[0].launch;
   const unsigned num_tenants = static_cast<unsigned>(jobs.size());
   RunResult result;
   result.workload = name;
@@ -123,40 +121,27 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     trace.name_row(static_cast<int>(cfg_.num_hmcs) + 1, "Governor");
     net.set_trace(&trace);
   }
-  // Request-lifecycle latency tracer (cfg_.latency_trace): a null ctx
-  // pointer is the zero-cost-disabled path — no stamp is ever touched.
-  std::unique_ptr<LatencyTracer> latency;
-  if (cfg_.latency_trace) {
-    latency = std::make_unique<LatencyTracer>(cfg_.latency_sample);
-    latency->set_num_tenants(num_tenants);
-    net.set_latency(latency.get());
-  }
+  LatencyTracer latency(cfg_.latency_sample);
+  latency.set_num_tenants(num_tenants);
+  net.set_latency(&latency);
   EnergyCounters counters;
-  OffloadGovernor governor(cfg_.governor, static_cast<unsigned>(image.blocks.size()),
-                           cfg_.l2.line_bytes, cfg_.placement_seed ^ 0x60BE44);
   // One governor per tenant: each climbs its own offload ratio from its own
   // completion signal, so one tenant's phase change cannot contaminate
-  // another's epoch stats.  Tenant 0 keeps the exact classic seed/ctor;
-  // later tenants perturb the seed by their index.
-  std::vector<std::unique_ptr<OffloadGovernor>> extra_govs;
-  std::vector<OffloadGovernor*> all_govs{&governor};
-  for (unsigned t = 1; t < num_tenants; ++t) {
-    extra_govs.push_back(std::make_unique<OffloadGovernor>(
+  // another's epoch stats.  Tenant t perturbs the seed by its index, so
+  // tenant 0 keeps the classic seed.
+  std::vector<std::unique_ptr<OffloadGovernor>> govs;
+  std::vector<TenantInfo> tenant_table;
+  for (unsigned t = 0; t < num_tenants; ++t) {
+    govs.push_back(std::make_unique<OffloadGovernor>(
         cfg_.governor, static_cast<unsigned>(jobs[t].image->blocks.size()), cfg_.l2.line_bytes,
         (cfg_.placement_seed ^ 0x60BE44) ^ (static_cast<std::uint64_t>(t) << 32)));
-    all_govs.push_back(extra_govs.back().get());
-  }
-  std::vector<TenantInfo> tenant_table;
-  if (num_tenants > 1) {
-    for (unsigned t = 0; t < num_tenants; ++t) {
-      TenantInfo ti;
-      ti.image = jobs[t].image;
-      ti.launch = jobs[t].launch;
-      ti.governor = all_govs[t];
-      ti.weight = jobs[t].weight;
-      ti.priority = jobs[t].priority;
-      tenant_table.push_back(ti);
-    }
+    TenantInfo ti;
+    ti.image = jobs[t].image;
+    ti.launch = jobs[t].launch;
+    ti.governor = govs[t].get();
+    ti.weight = jobs[t].weight;
+    ti.priority = jobs[t].priority;
+    tenant_table.push_back(ti);
   }
   NdpBufferManager bufmgr(cfg_.ndp_buffers, cfg_.num_hmcs);
   if (num_tenants > 1) bufmgr.set_tenancy(num_tenants, cfg_.tenancy.credit_share);
@@ -171,15 +156,12 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   ctx.amap = &amap;
   ctx.gmem = &gmem;
   ctx.net = &net;
-  ctx.governor = &governor;
   ctx.bufmgr = &bufmgr;
   ctx.energy = &counters;
   ctx.ro_cache = &ro_cache;
   ctx.wta_tracker = &wta_tracker;
-  ctx.latency = latency.get();
-  ctx.image = &image;
-  ctx.launch = launch;
-  if (num_tenants > 1) ctx.tenants = &tenant_table;
+  ctx.latency = &latency;
+  ctx.tenants = &tenant_table;
 
   Gpu gpu(ctx);
   std::vector<std::unique_ptr<Hmc>> hmcs;
@@ -187,8 +169,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     hmcs.push_back(std::make_unique<Hmc>(h, ctx));
   }
 
-  // Observability: per-epoch timeline (always on — the polls are one
-  // compare in the hot paths) and the flow-conservation audit (cfg_.audit).
+  // Observability: the per-epoch timeline and the flow-conservation audit.
   EpochTimeline timeline(cfg_, cfg_.num_hmcs);
   gpu.set_timeline(&timeline);
   net.set_timeline(&timeline);
@@ -199,7 +180,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   StatsAudit audit;
   // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
-  auto collect_audit = [&](Cycle sm_flushed_to) {
+  auto audit_snapshot = [&](Cycle sm_flushed_to) {
     AuditSnapshot s;
     for (const auto& sm : gpu.sms()) {
       s.sm_issued += sm->issued_instrs;
@@ -222,7 +203,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     s.rdf_l2_hits = gpu.rdf_l2_hits();
     s.mem_read_resps = gpu.mem_read_resps();
     s.gpu_rx_packets = gpu.rx_packets();
-    for (const OffloadGovernor* g : all_govs) s.gov_block_instrs += g->total_block_instrs();
+    for (const auto& g : govs) s.gov_block_instrs += g->total_block_instrs();
     if (num_tenants > 1) {
       s.tenant_issued.resize(num_tenants);
       s.tenant_l2_reads.resize(num_tenants);
@@ -231,7 +212,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
         s.tenant_issued[t] = gpu.issued_by_tenant(t);
         s.tenant_l2_reads[t] =
             gpu.tenant_l2_hits(t) + gpu.tenant_l2_misses(t) + gpu.tenant_l2_merged(t);
-        s.tenant_gov_instrs[t] = all_govs[t]->total_block_instrs();
+        s.tenant_gov_instrs[t] = govs[t]->total_block_instrs();
       }
     }
     s.net_injected = net.packets_injected();
@@ -274,16 +255,11 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     s.pages_migrated = amap.policy().pages_migrated();
     s.migration_bytes = amap.policy().migration_bytes();
     s.page_bytes = cfg_.page_bytes;
-    if (latency != nullptr) {
-      const LatencySummary& ls = latency->summary();
-      s.latency_on = true;
-      for (std::size_t c = 0; c < kNumPathClasses; ++c) {
-        s.lat_counts[c] = ls.per_class[c].count();
-      }
-      s.lat_started = ls.started;
-      s.lat_finished = ls.finished;
-      s.lat_cancelled = ls.cancelled;
-    }
+    const LatencySummary& ls = latency.summary();
+    for (std::size_t c = 0; c < kNumPathClasses; ++c) s.lat_counts[c] = ls.per_class[c].count();
+    s.lat_started = ls.started;
+    s.lat_finished = ls.finished;
+    s.lat_cancelled = ls.cancelled;
     for (const auto& sm : gpu.sms()) {
       s.cyc_sm_sum.push_back(sm->cycle_stack().total());
       s.cyc_sm_counted.push_back(sm->counted_cycles());
@@ -314,7 +290,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     return s;
   };
 
-  governor.set_epoch_observer([&](const EpochRollInfo& info) {
+  govs[0]->set_epoch_observer([&](const EpochRollInfo& info) {
     std::uint64_t issued = 0, l1_hits = 0, l1_misses = 0;
     for (const auto& sm : gpu.sms()) {
       issued += sm->issued_instrs;
@@ -336,7 +312,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
                       info.step, info.direction, issued, l1_hits, l1_misses,
                       stack_totals);
-    if (cfg_.audit) audit.check_epoch(info.epoch, collect_audit(boundary));
+    audit.check_epoch(info.epoch, audit_snapshot(boundary));
   });
 
   // Clock domains (Table 2).
@@ -480,9 +456,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // Final flow-conservation audit.  Strict equalities (everything issued was
   // retired, credits home, energy mirrors consistent) only hold on a drained
   // run; valve-stopped or aborted runs get the monotonic/inequality subset.
-  if (cfg_.audit) {
-    audit.check_final(collect_audit(sm_domain.next_cycle()), completed && !aborted);
-  }
+  audit.check_final(audit_snapshot(sm_domain.next_cycle()), completed && !aborted);
 
   // End-of-run invariants: with everything drained, all NSU buffer credits
   // must be home and no WTA can still be in flight (§4.1.1 page-migration
@@ -505,7 +479,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
       tr.l2_hits = gpu.tenant_l2_hits(t);
       tr.l2_misses = gpu.tenant_l2_misses(t);
       tr.l2_merged = gpu.tenant_l2_merged(t);
-      tr.gov_block_instrs = all_govs[t]->total_block_instrs();
+      tr.gov_block_instrs = govs[t]->total_block_instrs();
       result.stats.set("gov.t" + std::to_string(t) + ".block_instrs",
                        static_cast<double>(tr.gov_block_instrs));
       result.tenants.push_back(std::move(tr));
@@ -514,7 +488,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   // Export stats.
   gpu.export_stats(result.stats);
-  governor.export_stats(result.stats);
+  govs[0]->export_stats(result.stats);
   bufmgr.export_stats(result.stats);
   net.export_stats(result.stats);
   for (unsigned h = 0; h < hmcs.size(); ++h) {
@@ -542,19 +516,16 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.stats.set("sim.valve_overshoot_ps", static_cast<double>(overshoot));
   timeline.export_stats(result.stats);
   export_cycle_stats(result.cycle_stack, result.stats);
-  if (latency != nullptr) {
-    result.latency_enabled = true;
-    result.latency = latency->summary();
-    latency->export_stats(result.stats);
-  }
-  if (cfg_.audit) audit.export_stats(result.stats);
+  result.latency = latency.summary();
+  latency.export_stats(result.stats);
+  audit.export_stats(result.stats);
 
   if (!completed && !aborted) {
     SNDP_WARN("sim", "run '%s' hit the simulated-time safety valve", name.c_str());
   }
   if (!cfg_.trace_path.empty()) {
     timeline.emit_trace(trace, static_cast<int>(cfg_.num_hmcs) + 1);
-    if (latency != nullptr) latency->emit_trace(trace);
+    latency.emit_trace(trace);
     const bool wrote = trace.write(cfg_.trace_path);
     if (!wrote) {
       SNDP_WARN("sim", "failed to write trace to '%s'", cfg_.trace_path.c_str());
@@ -567,7 +538,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // Audit failures are modeling bugs, not workload outcomes — fail loudly,
   // after the stats/trace artifacts above are flushed so the violation is
   // diagnosable from them.  Mirrors the buffer-credit-leak throw.
-  if (cfg_.audit && !audit.ok()) {
+  if (!audit.ok()) {
     throw std::logic_error("Simulator: stats audit failed: " + audit.first_violation_message());
   }
   return result;

@@ -111,36 +111,33 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
   w.end_array();
   // Request-lifecycle latency histograms (src/obs/latency.*).  Like the
   // timeline, this is deterministic sim content and must precede "timing".
-  if (r.latency_enabled) {
-    const LatencySummary& lat = r.latency;
-    w.key("latency").begin_object();
-    w.key("started").value(lat.started);
-    w.key("finished").value(lat.finished);
-    w.key("cancelled").value(lat.cancelled);
-    w.key("spans_sampled").value(lat.spans_sampled);
-    w.key("spans_dropped").value(lat.spans_dropped);
-    w.key("classes").begin_object();
-    for (std::size_t c = 0; c < kNumPathClasses; ++c) {
-      const Log2Histogram& h = lat.per_class[c];
-      w.key(path_class_name(static_cast<PathClass>(c))).begin_object();
-      w.key("count").value(h.count());
-      w.key("sum_ps").value(h.sum());
-      w.key("min_ps").value(h.min());
-      w.key("max_ps").value(h.max());
-      w.key("p50_ps").value(h.percentile(0.50));
-      w.key("p95_ps").value(h.percentile(0.95));
-      w.key("p99_ps").value(h.percentile(0.99));
-      w.key("segments_ps").begin_object();
-      for (std::size_t seg = 0; seg < kNumLatSegments; ++seg) {
-        w.key(lat_segment_name(static_cast<LatSegment>(seg)))
-            .value(lat.seg_sum_ps[c][seg]);
-      }
-      w.end_object();
-      w.end_object();
+  const LatencySummary& lat = r.latency;
+  w.key("latency").begin_object();
+  w.key("started").value(lat.started);
+  w.key("finished").value(lat.finished);
+  w.key("cancelled").value(lat.cancelled);
+  w.key("spans_sampled").value(lat.spans_sampled);
+  w.key("spans_dropped").value(lat.spans_dropped);
+  w.key("classes").begin_object();
+  for (std::size_t c = 0; c < kNumPathClasses; ++c) {
+    const Log2Histogram& h = lat.per_class[c];
+    w.key(path_class_name(static_cast<PathClass>(c))).begin_object();
+    w.key("count").value(h.count());
+    w.key("sum_ps").value(h.sum());
+    w.key("min_ps").value(h.min());
+    w.key("max_ps").value(h.max());
+    w.key("p50_ps").value(h.percentile(0.50));
+    w.key("p95_ps").value(h.percentile(0.95));
+    w.key("p99_ps").value(h.percentile(0.99));
+    w.key("segments_ps").begin_object();
+    for (std::size_t seg = 0; seg < kNumLatSegments; ++seg) {
+      w.key(lat_segment_name(static_cast<LatSegment>(seg))).value(lat.seg_sum_ps[c][seg]);
     }
     w.end_object();
     w.end_object();
   }
+  w.end_object();
+  w.end_object();
   // Machine-wide cycle stacks (src/obs/cycle_stack.*).  Deterministic sim
   // content — must precede "timing".  Machine totals per component; the
   // per-tenant rows (plus the shared row) appear only on multi-tenant runs,

@@ -7,7 +7,10 @@
 # own checkout).  The script runs the same commands with each build's
 # `examples/sndpsim` and `bench/fig08_stall_breakdown`, compares the two
 # outputs byte for byte, and exits 1 on the first difference (0 when every
-# pair is identical, 2 on bad usage).
+# pair is identical, 2 on bad usage).  The --stats-json rows compare the
+# JSON files without their wall-clock fields (meta.jobs,
+# meta.total_point_wall_seconds, points[].timing), as CI's sweep-determinism
+# step does.
 #
 #   sndpsim --stats  -w all -s tiny                       (dyn-cache default)
 #   sndpsim --stats  -w all -s tiny -m always --seed 7
@@ -15,6 +18,8 @@
 #   sndpsim --stats  -w BFS -s small
 #   sndpsim --stats  -w all -s small                      (the ndp-mem scale)
 #   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted
+#   sndpsim --stats-json  -w all -s tiny
+#   sndpsim --stats-json  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 #   fig08_stall_breakdown
 set -euo pipefail
 
@@ -37,6 +42,16 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 n=0
+# check NAME: cmp the parent and change outputs of comparison $n.
+check() {
+  if ! cmp -s "$out/$n.parent" "$out/$n.change"; then
+    echo "DIFFERS    $1"
+    diff "$out/$n.parent" "$out/$n.change" | head -20
+    exit 1
+  fi
+  echo "identical  $1"
+}
+
 # compare NAME PROG ARGS...: run PROG from both builds, cmp the stdouts.
 compare() {
   local name=$1 prog=$2
@@ -44,12 +59,28 @@ compare() {
   n=$((n + 1))
   "$parent/$prog" "$@" > "$out/$n.parent"
   "$change/$prog" "$@" > "$out/$n.change"
-  if ! cmp -s "$out/$n.parent" "$out/$n.change"; then
-    echo "DIFFERS    $name"
-    diff "$out/$n.parent" "$out/$n.change" | head -20
-    exit 1
-  fi
-  echo "identical  $name"
+  check "$name"
+}
+
+# compare_json NAME ARGS...: run sndpsim ARGS --stats-json from both builds,
+# drop the wall-clock fields, cmp the rest.
+compare_json() {
+  local name=$1
+  shift
+  n=$((n + 1))
+  "$parent/examples/sndpsim" "$@" --stats-json "$out/$n.parent.json" > /dev/null
+  "$change/examples/sndpsim" "$@" --stats-json "$out/$n.change.json" > /dev/null
+  local side
+  for side in parent change; do
+    python3 -c 'import json, sys
+d = json.load(open(sys.argv[1]))
+d["meta"].pop("jobs", None)
+d["meta"].pop("total_point_wall_seconds", None)
+for p in d["points"]:
+    p.pop("timing", None)
+json.dump(d, sys.stdout, indent=1, sort_keys=True)' "$out/$n.$side.json" > "$out/$n.$side"
+  done
+  check "$name"
 }
 
 compare "sndpsim -w all -s tiny" examples/sndpsim --stats -w all -s tiny
@@ -61,5 +92,8 @@ compare "sndpsim -w BFS -s small" examples/sndpsim --stats -w BFS -s small
 compare "sndpsim -w all -s small" examples/sndpsim --stats -w all -s small
 compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted
+compare_json "sndpsim --stats-json -w all -s tiny" -w all -s tiny
+compare_json "sndpsim --stats-json --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
+  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "fig08_stall_breakdown" bench/fig08_stall_breakdown
 echo "all $n outputs identical"

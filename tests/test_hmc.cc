@@ -4,33 +4,20 @@
 
 #include "sndp.h"
 
+#include "context_harness.h"
 #include "mem/hmc.h"
 
 namespace sndp {
 namespace {
 
-struct HmcHarness {
-  HmcHarness()
-      : cfg(SystemConfig::small_test()),
-        amap(cfg),
-        net(cfg),
-        governor(cfg.governor, 8, 128, 1),
-        bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
-        ro_cache(cfg.num_hmcs, cfg.nsu, 128),
-        wta(cfg.num_hmcs) {
-    ProgramBuilder b;
-    b.movi(16, 0).ld(9, 16).alu(Opcode::kFAdd, 10, 9, 9).st(16, 10).exit();
-    image = analyze_and_generate(b.build());
-    ctx.cfg = &cfg;
-    ctx.amap = &amap;
-    ctx.gmem = &gmem;
-    ctx.net = &net;
-    ctx.governor = &governor;
-    ctx.bufmgr = &bufmgr;
-    ctx.energy = &energy;
-    ctx.ro_cache = &ro_cache;
-    ctx.wta_tracker = &wta;
-    ctx.image = &image;
+Program load_add_store() {
+  ProgramBuilder b;
+  b.movi(16, 0).ld(9, 16).alu(Opcode::kFAdd, 10, 9, 9).st(16, 10).exit();
+  return b.build();
+}
+
+struct HmcHarness : ContextHarness {
+  HmcHarness() : ContextHarness(SystemConfig::small_test(), load_add_store()) {
     hmc = std::make_unique<Hmc>(0, ctx);
   }
 
@@ -61,17 +48,6 @@ struct HmcHarness {
     }
   }
 
-  SystemConfig cfg;
-  AddressMap amap;
-  GlobalMemory gmem;
-  Network net;
-  OffloadGovernor governor;
-  NdpBufferManager bufmgr;
-  RoCacheMirror ro_cache;
-  WtaInflightTracker wta;
-  EnergyCounters energy;
-  KernelImage image;
-  SystemContext ctx;
   std::unique_ptr<Hmc> hmc;
   Cycle cycle = 0;
 };

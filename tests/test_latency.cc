@@ -189,40 +189,44 @@ TEST(LatencyTracer, SpanTableOverflowIsCountedNeverSilent) {
 // System-level determinism pins
 // ---------------------------------------------------------------------------
 
-RunResult run_one(const std::string& workload, bool fast_forward, bool latency_on) {
+RunResult run_one(const std::string& workload, bool fast_forward,
+                  unsigned latency_sample = SystemConfig{}.latency_sample) {
   SystemConfig cfg = SystemConfig::small_test();
   cfg.governor.mode = OffloadMode::kDynamicCache;
   cfg.fast_forward = fast_forward;
-  cfg.latency_trace = latency_on;
+  cfg.latency_sample = latency_sample;
   auto wl = make_workload(workload, ProblemScale::kTiny);
   return Simulator(cfg).run(*wl);
 }
 
 TEST(LatencySystem, HistogramsBitIdenticalWithFastForwardOnOff) {
   for (const char* w : {"VADD", "BFS"}) {
-    const RunResult ff = run_one(w, /*fast_forward=*/true, /*latency_on=*/true);
-    const RunResult naive = run_one(w, /*fast_forward=*/false, /*latency_on=*/true);
+    const RunResult ff = run_one(w, /*fast_forward=*/true);
+    const RunResult naive = run_one(w, /*fast_forward=*/false);
     ASSERT_TRUE(ff.completed) << w;
-    ASSERT_TRUE(ff.latency_enabled);
+    ASSERT_GT(ff.latency.finished, 0u) << w;
     EXPECT_EQ(ff.latency, naive.latency) << w;
     EXPECT_EQ(ff.stats.values(), naive.stats.values()) << w;
   }
 }
 
 TEST(LatencySystem, DisabledTracerDoesNotPerturbTheMachine) {
-  const RunResult on = run_one("VADD", true, /*latency_on=*/true);
-  const RunResult off = run_one("VADD", true, /*latency_on=*/false);
-  EXPECT_TRUE(on.latency_enabled);
-  EXPECT_FALSE(off.latency_enabled);
-  EXPECT_EQ(off.latency, LatencySummary{});
-  // Identical simulation: same cycles, same runtime.
+  // Span capture is the tracer's one setting: a span for every tracked
+  // request against none at all.
+  const RunResult on = run_one("VADD", true, /*latency_sample=*/1);
+  const RunResult off = run_one("VADD", true, /*latency_sample=*/0);
+  EXPECT_GT(on.latency.spans_sampled, 0u);
+  EXPECT_EQ(off.latency.spans_sampled, 0u);
+  // Identical simulation: same cycles, same runtime, same histograms.
   EXPECT_EQ(on.sm_cycles, off.sm_cycles);
   EXPECT_EQ(on.runtime_ps, off.runtime_ps);
-  // No lat.* keys exported when disabled.
-  for (const auto& [name, value] : off.stats.values()) {
-    EXPECT_TRUE(name.rfind("lat.", 0) != 0 &&
-                name.rfind("sim.latency", 0) != 0)
-        << name;
+  EXPECT_EQ(on.latency.per_class, off.latency.per_class);
+  EXPECT_EQ(on.latency.seg_sum_ps, off.latency.seg_sum_ps);
+  // Every stat but the span counts is unchanged.
+  ASSERT_EQ(on.stats.values().size(), off.stats.values().size());
+  for (const auto& [name, value] : on.stats.values()) {
+    if (name.rfind("sim.latency_spans", 0) == 0) continue;
+    EXPECT_EQ(value, off.stats.get(name)) << name;
   }
   // Enabled run reconciles: finished == sum of per-class counts, and the
   // lifecycle balances (also enforced at runtime by the stats audit).

@@ -4,6 +4,7 @@
 
 #include "sndp.h"
 
+#include "context_harness.h"
 #include "gpu/sm.h"
 #include "ndp/nsu.h"
 
@@ -27,21 +28,8 @@ Program block_program() {
   return b.build();
 }
 
-struct NsuHarness {
-  NsuHarness() : cfg(SystemConfig::small_test()), amap(cfg), net(cfg),
-                 governor(cfg.governor, 8, 128, 1), bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
-                 ro_cache(cfg.num_hmcs, cfg.nsu, 128), wta(cfg.num_hmcs) {
-    image = analyze_and_generate(block_program());
-    ctx.cfg = &cfg;
-    ctx.amap = &amap;
-    ctx.gmem = &gmem;
-    ctx.net = &net;
-    ctx.governor = &governor;
-    ctx.bufmgr = &bufmgr;
-    ctx.energy = &energy;
-    ctx.ro_cache = &ro_cache;
-    ctx.wta_tracker = &wta;
-    ctx.image = &image;
+struct NsuHarness : ContextHarness {
+  NsuHarness() : ContextHarness(SystemConfig::small_test(), block_program()) {
     nsu = std::make_unique<Nsu>(
         0, ctx, [this](Packet&& p, TimePs) { to_network.push_back(std::move(p)); },
         [this](Packet&& p, TimePs) { to_local_vault.push_back(std::move(p)); });
@@ -96,17 +84,6 @@ struct NsuHarness {
     return n;
   }
 
-  SystemConfig cfg;
-  AddressMap amap;
-  GlobalMemory gmem;
-  Network net;
-  OffloadGovernor governor;
-  NdpBufferManager bufmgr;
-  RoCacheMirror ro_cache;
-  WtaInflightTracker wta;
-  EnergyCounters energy;
-  KernelImage image;
-  SystemContext ctx;
   std::unique_ptr<Nsu> nsu;
   std::vector<Packet> to_network;
   std::vector<Packet> to_local_vault;

@@ -7,37 +7,20 @@
 
 #include "sndp.h"
 
+#include "context_harness.h"
 #include "gpu/sm.h"
 #include "ndp/nsu.h"
 
 namespace sndp {
 namespace {
 
-struct SmHarness {
-  explicit SmHarness(Program prog, unsigned cta_threads = 64, unsigned num_ctas = 1,
+struct SmHarness : ContextHarness {
+  explicit SmHarness(const Program& prog, unsigned cta_threads = 64, unsigned num_ctas = 1,
                      OffloadMode mode = OffloadMode::kOff)
-      : SmHarness(std::move(prog), make_cfg(mode), cta_threads, num_ctas) {}
+      : SmHarness(prog, make_cfg(mode), cta_threads, num_ctas) {}
 
-  SmHarness(Program prog, SystemConfig c, unsigned cta_threads, unsigned num_ctas)
-      : cfg(std::move(c)),
-        amap(cfg),
-        net(cfg),
-        governor(cfg.governor, 8, 128, 1),
-        bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
-        ro_cache(cfg.num_hmcs, cfg.nsu, 128),
-        wta(cfg.num_hmcs) {
-    image = analyze_and_generate(prog);
-    ctx.cfg = &cfg;
-    ctx.amap = &amap;
-    ctx.gmem = &gmem;
-    ctx.net = &net;
-    ctx.governor = &governor;
-    ctx.bufmgr = &bufmgr;
-    ctx.energy = &energy;
-    ctx.ro_cache = &ro_cache;
-    ctx.wta_tracker = &wta;
-    ctx.image = &image;
-    ctx.launch = LaunchParams{cta_threads, num_ctas};
+  SmHarness(const Program& prog, SystemConfig c, unsigned cta_threads, unsigned num_ctas)
+      : ContextHarness(std::move(c), prog, LaunchParams{cta_threads, num_ctas}) {
     sm = std::make_unique<Sm>(0, ctx);
   }
 
@@ -76,17 +59,6 @@ struct SmHarness {
     return n;
   }
 
-  SystemConfig cfg;
-  AddressMap amap;
-  GlobalMemory gmem;
-  Network net;
-  OffloadGovernor governor;
-  NdpBufferManager bufmgr;
-  RoCacheMirror ro_cache;
-  WtaInflightTracker wta;
-  EnergyCounters energy;
-  KernelImage image;
-  SystemContext ctx;
   std::unique_ptr<Sm> sm;
   std::vector<Packet> sent;
   Cycle cycle = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string_view>
 
 #include "sndp.h"
 
@@ -145,6 +146,23 @@ TEST(Sweep, OutcomesKeepSubmissionOrder) {
   EXPECT_EQ(i2, 2u);
 }
 
+// `json` with every number that follows a ':' replaced by 0.
+std::string zero_values(const std::string& json) {
+  constexpr std::string_view kNumberChars = "-+.0123456789eE";
+  std::string out;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    out += json[i];
+    if (json[i] != ':') continue;
+    std::size_t end = i + 1;
+    while (end < json.size() && kNumberChars.find(json[end]) != std::string_view::npos) ++end;
+    if (end > i + 1) {
+      out += '0';
+      i = end - 1;
+    }
+  }
+  return out;
+}
+
 TEST(Sweep, BadPointIsContainedAndReported) {
   SweepRunner runner({.jobs = 2});
   SweepPoint bad = test_point("VADD", OffloadMode::kOff);
@@ -158,6 +176,27 @@ TEST(Sweep, BadPointIsContainedAndReported) {
   EXPECT_FALSE(runner.outcome(bad_idx).ran);
   EXPECT_NE(runner.outcome(bad_idx).error.find("HMC count"), std::string::npos);
   EXPECT_THROW(runner.result(bad_idx), std::runtime_error);
+
+  // The failed point's JSON record carries every object a point that ran
+  // does, and its latency object is that of an empty summary: all zeros.
+  const std::string json = sweep_to_json(runner.outcomes(), 2);
+  const std::size_t bad_at = json.find("{\"id\":\"bad\"");
+  ASSERT_NE(bad_at, std::string::npos);
+  const std::string good_rec = json.substr(0, bad_at);
+  const std::string bad_rec = json.substr(bad_at);
+  for (const char* key : {"\"stall\":{", "\"traffic\":{", "\"energy_j\":{", "\"counters\":{",
+                          "\"timeline\":[", "\"latency\":{", "\"cycle_stack\":{", "\"stats\":{",
+                          "\"timing\":{"}) {
+    ASSERT_NE(good_rec.find(key), std::string::npos) << key;
+    ASSERT_NE(bad_rec.find(key), std::string::npos) << key;
+  }
+  auto latency_of = [](const std::string& rec) {
+    const std::size_t from = rec.find("\"latency\":{");
+    return rec.substr(from, rec.find(",\"cycle_stack\":", from) - from);
+  };
+  const std::string good_latency = latency_of(good_rec);
+  EXPECT_EQ(good_latency.find("\"finished\":0,"), std::string::npos);
+  EXPECT_EQ(latency_of(bad_rec), zero_values(good_latency));
 }
 
 TEST(Sweep, WallClockTimeoutAbortsPoint) {

