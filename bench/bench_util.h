@@ -84,9 +84,15 @@ class BenchSweep {
 
   std::size_t add(const std::string& id, const SystemConfig& cfg, const std::string& workload,
                   ProblemScale scale = ProblemScale::kSmall) {
+    return add(id, cfg, std::vector<TenantSpec>{{workload}}, scale);
+  }
+
+  // A concurrent tenant mix as one point (a one-entry list is a solo run).
+  std::size_t add(const std::string& id, const SystemConfig& cfg,
+                  std::vector<TenantSpec> tenants, ProblemScale scale = ProblemScale::kSmall) {
     SweepPoint p;
     p.id = bench_name_ + "/" + id;
-    p.workload = workload;
+    p.tenants = std::move(tenants);
     p.scale = scale;
     p.cfg = cfg;
     return runner_.add(std::move(p));
@@ -104,11 +110,11 @@ class BenchSweep {
       }
       if (!o.result.verified) {
         std::fprintf(stderr, "WARNING: %s failed functional verification!\n",
-                     o.point.workload.c_str());
+                     o.point.workload().c_str());
       }
       if (!o.result.completed) {
         std::fprintf(stderr, "WARNING: %s hit the simulated-time limit!\n",
-                     o.point.workload.c_str());
+                     o.point.workload().c_str());
       }
     }
     if (!opts_.stats_json.empty() &&

@@ -33,6 +33,9 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--workload" && i + 1 < argc) {
       selected.emplace_back(argv[++i]);
+      if (!is_workload_name(selected.back())) {
+        flag_value_error(argv[0], a, selected.back(), "unknown workload");
+      }
     } else {
       std::fprintf(stderr, "usage: %s [--scale tiny|small] [--workload NAME]...\n",
                    argv[0]);
@@ -52,7 +55,7 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   for (const std::string& name : selected) {
-    const DiffReport report = diff_check_workload(name, scale, matrix);
+    const DiffReport report = diff_check({name}, scale, matrix);
     std::fputs(to_string(report).c_str(), stdout);
     if (!report.ok()) all_ok = false;
   }

@@ -60,6 +60,9 @@ Options parse(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "-w" || a == "--workload") {
       o.workload = need_value(i);
+      if (!is_workload_name(o.workload)) {
+        flag_value_error(argv[0], a, o.workload, "unknown workload");
+      }
     } else if (a == "-s" || a == "--scale") {
       const std::string s = need_value(i);
       o.scale = s == "tiny"    ? ProblemScale::kTiny

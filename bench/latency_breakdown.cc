@@ -64,8 +64,10 @@ Options parse(int argc, char** argv) {
       while (pos != std::string::npos) {
         const std::size_t comma = list.find(',', pos);
         const std::string name = list.substr(pos, comma - pos);
-        if (!name.empty()) o.workloads.push_back(name);
         pos = comma == std::string::npos ? comma : comma + 1;
+        if (name.empty()) continue;
+        if (!is_workload_name(name)) flag_value_error(argv[0], a, name, "unknown workload");
+        o.workloads.push_back(name);
       }
     } else if (a == "-m" || a == "--mode") {
       const std::string m = need_value(i);

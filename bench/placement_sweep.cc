@@ -75,6 +75,9 @@ Options parse(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "-w" || a == "--workloads" || a == "--workload") {
       o.workloads = split_list(need_value(i));
+      for (const std::string& n : o.workloads) {
+        if (!is_workload_name(n)) flag_value_error(argv[0], a, n, "unknown workload");
+      }
     } else if (a == "-p" || a == "--policies") {
       for (const std::string& name : split_list(need_value(i))) {
         PlacementPolicyKind kind;

@@ -22,11 +22,9 @@
 //       --arbiters LIST   subset of rr,weighted,strict     (default all three)
 //       --quota N         per-tenant NSU warp quota        (default 0 = off)
 //       --credit-share F  per-tenant NoC credit cap        (default 0 = off)
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,6 +87,9 @@ Options parse(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "-w" || a == "--workloads") {
       o.workloads = split_list(need_value(i));
+      for (const std::string& n : o.workloads) {
+        if (!is_workload_name(n)) flag_value_error(argv[0], a, n, "unknown workload");
+      }
     } else if (a == "--scale") {
       const std::string s = need_value(i);
       if (s == "tiny") o.scale = ProblemScale::kTiny;
@@ -135,78 +136,49 @@ double jain_index(const std::vector<double>& xs) {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-  using WallClock = std::chrono::steady_clock;
 
   print_header("Multi-tenant interference: slowdown, fairness, tail latency",
                "the multi-tenant serving extension (DESIGN.md)");
 
-  std::string mix_name;
-  for (const std::string& n : o.workloads) {
-    mix_name += (mix_name.empty() ? "" : "+") + n;
-  }
-
-  SystemConfig base = paper_config(OffloadMode::kDynamicCache);
-  std::vector<SweepOutcome> outcomes;  // hand-built; exported as sndp-sweep-v1
+  const SystemConfig base = paper_config(OffloadMode::kDynamicCache);
+  BenchSweep sweep(o.bench, "tenant_interference");
 
   // Solo baselines: each tenant alone on the whole machine.
-  std::vector<Cycle> solo_cycles;
+  std::vector<std::size_t> solos;
   for (const std::string& name : o.workloads) {
-    if (o.bench.progress) std::fprintf(stderr, "solo %s...\n", name.c_str());
-    const auto start = WallClock::now();
-    auto wl = make_workload(name, o.scale);
-    SweepOutcome out;
-    out.point.id = "tenant_interference/solo/" + name;
-    out.point.workload = name;
-    out.point.scale = o.scale;
-    out.point.cfg = base;
-    out.result = Simulator(base).run(*wl);
-    out.ran = true;
-    out.wall_seconds = std::chrono::duration<double>(WallClock::now() - start).count();
-    if (!out.result.verified || !out.result.completed) {
-      std::fprintf(stderr, "WARNING: solo %s did not complete cleanly\n", name.c_str());
-    }
-    solo_cycles.push_back(out.result.sm_cycles);
-    outcomes.push_back(std::move(out));
+    solos.push_back(sweep.add("solo/" + name, base, name, o.scale));
   }
 
   // The mix under each arbiter.  Tenant 0 is the "latency-sensitive"
   // tenant: double weight under weighted-share, priority 0 (highest) under
   // strict-priority; the rest are best-effort batch tenants.
+  std::vector<TenantSpec> mix;
+  for (unsigned t = 0; t < o.workloads.size(); ++t) {
+    mix.push_back(TenantSpec{o.workloads[t], t == 0 ? 2.0 : 1.0, t});
+  }
   struct MixRun {
     TenantArbiter arbiter{};
-    RunResult result;
+    std::size_t point = 0;
   };
   std::vector<MixRun> mixes;
   for (const TenantArbiter arb : o.arbiters) {
-    if (o.bench.progress) {
-      std::fprintf(stderr, "mix %s under %s...\n", mix_name.c_str(), arbiter_name(arb));
-    }
     SystemConfig cfg = base;
     cfg.tenancy.arbiter = arb;
     cfg.tenancy.nsu_warp_quota = o.quota;
     cfg.tenancy.credit_share = o.credit_share;
-    std::vector<std::unique_ptr<Workload>> wls;
-    std::vector<TenantDesc> descs;
-    for (unsigned t = 0; t < o.workloads.size(); ++t) {
-      wls.push_back(make_workload(o.workloads[t], o.scale));
-      descs.push_back(TenantDesc{wls.back().get(), t == 0 ? 2.0 : 1.0, t});
-    }
-    const auto start = WallClock::now();
-    SweepOutcome out;
-    out.point.id = std::string("tenant_interference/mix/") + arbiter_name(arb);
-    out.point.workload = mix_name;
-    out.point.scale = o.scale;
-    out.point.cfg = cfg;
-    out.result = Simulator(cfg).run_tenants(descs, mix_name);
-    out.ran = true;
-    out.wall_seconds = std::chrono::duration<double>(WallClock::now() - start).count();
-    if (!out.result.verified || !out.result.completed) {
-      std::fprintf(stderr, "WARNING: mix under %s did not complete cleanly\n",
-                   arbiter_name(arb));
-    }
-    mixes.push_back(MixRun{arb, out.result});
-    outcomes.push_back(std::move(out));
+    mixes.push_back({arb, sweep.add(std::string("mix/") + arbiter_name(arb), cfg, mix, o.scale)});
   }
+  sweep.run();
+
+  // A point that did not complete and verify makes the exit status 1.
+  int rc = 0;
+  auto result = [&](std::size_t point) -> const RunResult& {
+    const RunResult& r = sweep.result(point);
+    if (!r.completed || !r.verified) rc = 1;
+    return r;
+  };
+  std::vector<Cycle> solo_cycles;
+  for (const std::size_t point : solos) solo_cycles.push_back(result(point).sm_cycles);
 
   // ---- Slowdown + fairness table ----
   std::printf("\nPer-tenant slowdown vs solo (mix finish_cycle / solo sm_cycles)\n");
@@ -214,12 +186,13 @@ int main(int argc, char** argv) {
   for (const std::string& n : o.workloads) std::printf("  %10s", n.c_str());
   std::printf("  %8s\n", "fairness");
   for (const MixRun& m : mixes) {
+    const RunResult& r = result(m.point);
     std::printf("%-16s", arbiter_name(m.arbiter));
     std::vector<double> progress;
     for (unsigned t = 0; t < o.workloads.size(); ++t) {
       const double slowdown = solo_cycles[t] == 0
                                   ? 0.0
-                                  : static_cast<double>(m.result.tenants[t].finish_cycle) /
+                                  : static_cast<double>(r.tenants[t].finish_cycle) /
                                         static_cast<double>(solo_cycles[t]);
       progress.push_back(slowdown == 0.0 ? 0.0 : 1.0 / slowdown);
       std::printf("  %9.2fx", slowdown);
@@ -229,12 +202,13 @@ int main(int argc, char** argv) {
 
   // ---- Per-tenant tail latency ----
   for (const MixRun& m : mixes) {
+    const LatencySummary& lat = result(m.point).latency;
     std::printf("\nTail latency under %s (ps)\n", arbiter_name(m.arbiter));
     std::printf("  %-8s %-14s %10s %10s %10s %10s\n", "tenant", "class", "count",
                 "p50", "p95", "p99");
-    for (unsigned t = 0; t < m.result.latency.per_tenant.size(); ++t) {
+    for (unsigned t = 0; t < lat.per_tenant.size(); ++t) {
       for (std::size_t c = 0; c < kNumPathClasses; ++c) {
-        const Log2Histogram& h = m.result.latency.per_tenant[t][c];
+        const Log2Histogram& h = lat.per_tenant[t][c];
         if (h.count() == 0) continue;
         std::printf("  t%u %-5s %-14s %10llu %10.0f %10.0f %10.0f\n", t,
                     o.workloads[t].c_str(), path_class_name(static_cast<PathClass>(c)),
@@ -244,15 +218,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!o.bench.stats_json.empty() &&
-      !write_sweep_json(o.bench.stats_json, outcomes, 1)) {
-    std::fprintf(stderr, "WARNING: failed to write stats JSON to '%s'\n",
-                 o.bench.stats_json.c_str());
-  }
-
-  int rc = 0;
-  for (const SweepOutcome& out : outcomes) {
-    if (!out.result.completed || !out.result.verified) rc = 1;
-  }
   return rc;
 }

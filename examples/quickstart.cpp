@@ -13,6 +13,7 @@ using namespace sndp;
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "VADD";
+  if (!is_workload_name(name)) flag_value_error(argv[0], "WORKLOAD", name, "unknown workload");
   const std::string scale_str = argc > 2 ? argv[2] : "small";
   const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
                              : scale_str == "large" ? ProblemScale::kLarge

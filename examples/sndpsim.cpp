@@ -7,7 +7,8 @@
 // Options:
 //   -w, --workload NAME     Table 1 workload or operator-library generator
 //                           (GEMM/SPMV/REDUCE/ATTN; default VADD); "all"
-//                           runs every kernel and operator.
+//                           runs every kernel and operator.  An unknown name
+//                           exits 2.
 //   -s, --scale S           tiny | small | large          (default small)
 //   -m, --mode M            off | always | static | dyn | dyn-cache (default dyn-cache)
 //   -r, --ratio R           static offload ratio           (default 0.5)
@@ -45,17 +46,18 @@
 //                           slices of one memory.  SPEC is a comma list of
 //                           NAME[:WEIGHT[:PRIORITY]], e.g.
 //                           "BFS:2:0,VADD,KMN" (weight default 1, priority
-//                           default 0 = highest).  Incompatible with -w.
+//                           default 0 = highest).  Incompatible with -w
+//                           (both exit 2).  The mix is one run like any
+//                           other: --timeout, --csv, --epoch-csv,
+//                           --profile-csv and --stats-json apply to it.
 //       --arbiter A         CTA arbiter for --tenants:
 //                           rr | weighted | strict         (default rr)
 //       --nsu-quota N       per-tenant NSU warp-slot quota (0 = off)
 //       --credit-share F    per-tenant NoC credit cap as a fraction of each
 //                           pool (0 = off)
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,15 +67,8 @@ using namespace sndp;
 
 namespace {
 
-// One --tenants entry: NAME[:WEIGHT[:PRIORITY]].
-struct TenantSpec {
-  std::string name;
-  double weight = 1.0;
-  unsigned priority = 0;
-};
-
 struct Options {
-  std::string workload = "VADD";
+  std::string workload;  // empty: VADD, unless --tenants names the run
   ProblemScale scale = ProblemScale::kSmall;
   OffloadMode mode = OffloadMode::kDynamicCache;
   double ratio = 0.5;
@@ -171,8 +166,8 @@ const char* mode_name(OffloadMode m) {
   return "?";
 }
 
-// Parses a --tenants SPEC (comma list of NAME[:WEIGHT[:PRIORITY]]); a bad
-// number or an empty list exits 2.
+// Parses a --tenants SPEC (comma list of NAME[:WEIGHT[:PRIORITY]]); an
+// unknown name, a bad number or an empty list exits 2.
 std::vector<TenantSpec> parse_tenants(const char* prog, const std::string& spec) {
   std::vector<TenantSpec> specs;
   std::size_t pos = 0;
@@ -184,6 +179,7 @@ std::vector<TenantSpec> parse_tenants(const char* prog, const std::string& spec)
     TenantSpec s;
     const std::size_t c1 = entry.find(':');
     s.name = entry.substr(0, c1);
+    if (!is_workload_name(s.name)) flag_value_error(prog, "--tenants", s.name, "unknown workload");
     if (c1 != std::string::npos) {
       const std::size_t c2 = entry.find(':', c1 + 1);
       s.weight = parse_flag(prog, "--tenants weight", entry.substr(c1 + 1, c2 - c1 - 1), 0.0);
@@ -210,6 +206,9 @@ Options parse(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "-w" || a == "--workload") {
       o.workload = need_value(i);
+      if (o.workload != "all" && !is_workload_name(o.workload)) {
+        flag_value_error(argv[0], a, o.workload, "unknown workload");
+      }
     } else if (a == "-s" || a == "--scale") {
       const std::string s = need_value(i);
       o.scale = s == "tiny"    ? ProblemScale::kTiny
@@ -284,6 +283,8 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  if (!o.workload.empty() && !o.tenants.empty()) usage(argv[0]);
+  if (o.workload.empty()) o.workload = "VADD";
   return o;
 }
 
@@ -307,36 +308,21 @@ SystemConfig config_of(const Options& o) {
   return cfg;
 }
 
-// --tenants path: NAME[:WEIGHT[:PRIORITY]] entries, one concurrent run.
-int run_tenants_main(const Options& o) {
-  const std::vector<TenantSpec>& specs = o.tenants;
-  std::vector<std::unique_ptr<Workload>> wls;
-  std::vector<TenantDesc> descs;
-  std::string mix_name;
-  for (const TenantSpec& s : specs) {
-    wls.push_back(make_workload(s.name, o.scale));
-    descs.push_back(TenantDesc{wls.back().get(), s.weight, s.priority});
-    mix_name += (mix_name.empty() ? "" : "+") + s.name;
-  }
-
-  const SystemConfig cfg = config_of(o);
-  Simulator sim(cfg);
-  const auto start = std::chrono::steady_clock::now();
-  const RunResult r = sim.run_tenants(descs, mix_name);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
+// One run's report: the headline line, one line per tenant of a mix, the
+// stats dump and the CSV row.
+int report_one(const Options& o, const SweepPoint& p, const RunResult& r) {
+  const std::string name = p.workload();
   std::printf("%-8s mode=%-9s cycles=%-10llu ipc=%-6.2f verified=%-3s "
               "gpu-link=%.2fMB network=%.2fMB energy=%.4fJ\n",
-              mix_name.c_str(), mode_name(o.mode),
+              name.c_str(), mode_name(o.mode),
               static_cast<unsigned long long>(r.sm_cycles), r.ipc,
-              r.verified ? "yes" : "NO", r.gpu_link_bytes / 1e6,
-              r.cube_link_bytes / 1e6, r.energy.total());
+              r.verified ? "yes" : "NO", r.gpu_link_bytes / 1e6, r.cube_link_bytes / 1e6,
+              r.energy.total());
   for (std::size_t t = 0; t < r.tenants.size(); ++t) {
     const TenantResult& tr = r.tenants[t];
     std::printf("  t%zu %-8s weight=%-4.1f prio=%-2u finish=%-10llu issued=%-10llu "
                 "l2(h/m/g)=%llu/%llu/%llu verified=%s\n",
-                t, tr.name.c_str(), specs[t].weight, specs[t].priority,
+                t, tr.name.c_str(), p.tenants[t].weight, p.tenants[t].priority,
                 static_cast<unsigned long long>(tr.finish_cycle),
                 static_cast<unsigned long long>(tr.issued),
                 static_cast<unsigned long long>(tr.l2_hits),
@@ -344,39 +330,6 @@ int run_tenants_main(const Options& o) {
                 static_cast<unsigned long long>(tr.l2_merged),
                 tr.verified ? "yes" : "NO");
   }
-  if (o.dump_stats) {
-    std::fputs(r.stats.to_string().c_str(), stdout);
-    std::printf("  request latency by path class:\n");
-    print_latency_table(r.latency, "    ");
-  }
-  if (!o.profile_csv.empty() && !write_profile_csv(o.profile_csv, r.cycle_stack)) {
-    std::fprintf(stderr, "failed to write profile CSV to '%s'\n", o.profile_csv.c_str());
-    return 1;
-  }
-  if (!o.stats_json.empty()) {
-    SweepOutcome out;
-    out.point.id = mix_name + "/" + mode_name(o.mode);
-    out.point.workload = mix_name;
-    out.point.scale = o.scale;
-    out.point.cfg = cfg;
-    out.result = r;
-    out.ran = true;
-    out.wall_seconds = wall;
-    if (!write_sweep_json(o.stats_json, {out}, 1)) {
-      std::fprintf(stderr, "failed to write stats JSON to '%s'\n", o.stats_json.c_str());
-      return 1;
-    }
-  }
-  return r.verified && r.completed ? 0 : 1;
-}
-
-int report_one(const Options& o, const std::string& name, const RunResult& r) {
-  std::printf("%-8s mode=%-9s cycles=%-10llu ipc=%-6.2f verified=%-3s "
-              "gpu-link=%.2fMB network=%.2fMB energy=%.4fJ\n",
-              name.c_str(), mode_name(o.mode),
-              static_cast<unsigned long long>(r.sm_cycles), r.ipc,
-              r.verified ? "yes" : "NO", r.gpu_link_bytes / 1e6, r.cube_link_bytes / 1e6,
-              r.energy.total());
   if (o.dump_stats) {
     std::fputs(r.stats.to_string().c_str(), stdout);
     std::printf("  request latency by path class:\n");
@@ -396,52 +349,53 @@ int report_one(const Options& o, const std::string& name, const RunResult& r) {
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
 
-  if (!o.tenants.empty()) return run_tenants_main(o);
-
-  // All runs — one or many — go through the sweep runner, so -j parallelism,
-  // per-run wall-clock timeouts, and the JSON export behave identically for
-  // a single workload and for `-w all`.
-  std::vector<std::string> names;
-  if (o.workload == "all") {
-    names = all_workload_names();
+  // All runs — one kernel, `-w all`, or a --tenants mix — go through the
+  // sweep runner as tenant lists, so -j parallelism, per-run wall-clock
+  // timeouts, and the CSV and JSON exports behave identically for each.
+  std::vector<std::vector<TenantSpec>> runs;
+  if (!o.tenants.empty()) {
+    runs.push_back(o.tenants);
+  } else if (o.workload == "all") {
+    for (const std::string& name : all_workload_names()) runs.push_back({{name}});
   } else {
-    names.push_back(o.workload);
+    runs.push_back({{o.workload}});
   }
 
   SweepRunner runner({.jobs = o.jobs, .point_timeout_s = o.timeout_s, .progress = false});
-  for (const std::string& name : names) {
+  for (std::vector<TenantSpec>& tenants : runs) {
     SweepPoint p;
-    p.id = name + "/" + mode_name(o.mode);
-    p.workload = name;
+    p.tenants = std::move(tenants);
+    p.id = p.workload() + "/" + mode_name(o.mode);
     p.scale = o.scale;
     p.cfg = config_of(o);
     runner.add(std::move(p));
   }
   runner.run();
 
+  const bool multi = runner.size() > 1;
   int rc = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const SweepOutcome& out = runner.outcome(i);
+  for (const SweepOutcome& out : runner.outcomes()) {
+    const std::string name = out.point.workload();
     if (!out.ran) {
-      std::fprintf(stderr, "%s: %s\n", names[i].c_str(),
+      std::fprintf(stderr, "%s: %s\n", name.c_str(),
                    out.error.empty() ? "did not run" : out.error.c_str());
       rc = 1;
       continue;
     }
     if (out.timed_out) {
-      std::fprintf(stderr, "%s: aborted after wall-clock timeout (%.1fs)\n",
-                   names[i].c_str(), out.wall_seconds);
+      std::fprintf(stderr, "%s: aborted after wall-clock timeout (%.1fs)\n", name.c_str(),
+                   out.wall_seconds);
     }
-    rc |= report_one(o, names[i], out.result);
+    rc |= report_one(o, out.point, out.result);
     if (!o.epoch_csv.empty()) {
-      const std::string path = epoch_csv_path(o.epoch_csv, names[i], names.size() > 1);
+      const std::string path = epoch_csv_path(o.epoch_csv, name, multi);
       if (!write_epoch_csv(path, out.result.timeline)) {
         std::fprintf(stderr, "failed to write epoch CSV to '%s'\n", path.c_str());
         rc = 1;
       }
     }
     if (!o.profile_csv.empty()) {
-      const std::string path = epoch_csv_path(o.profile_csv, names[i], names.size() > 1);
+      const std::string path = epoch_csv_path(o.profile_csv, name, multi);
       if (!write_profile_csv(path, out.result.cycle_stack)) {
         std::fprintf(stderr, "failed to write profile CSV to '%s'\n", path.c_str());
         rc = 1;

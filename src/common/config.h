@@ -218,9 +218,9 @@ struct PlacementConfig {
   // trigger a re-home onto the majority remote accessor.
   std::uint32_t migration_threshold = 64;
   // kLocality: profile from the reference-interpreter pre-pass
-  // (src/ref/placement_profile.*).  Simulator::run builds it automatically
-  // when null; run_image callers supply their own (unprofiled pages fall
-  // back to the random hash).
+  // (src/ref/placement_profile.*).  A one-kernel run_tenants (and so
+  // Simulator::run) builds it when null; run_image callers supply their own
+  // (unprofiled pages fall back to the random hash).
   std::shared_ptr<const PlacementProfile> locality_profile;
 };
 

@@ -55,97 +55,8 @@ std::vector<OraclePoint> oracle_matrix(const SystemConfig& base) {
   return points;
 }
 
-DiffReport diff_check_workload(const std::string& workload_name, ProblemScale scale,
-                               const std::vector<OraclePoint>& points) {
-  DiffReport report;
-  report.workload = workload_name;
-  if (points.empty()) return report;
-
-  // Setup once, with the same rng stream Simulator::run derives, so the
-  // image under test is the image a normal run would see.
-  auto wl = make_workload(workload_name, scale);
-  GlobalMemory initial;
-  MemoryAllocator alloc;
-  Rng rng(points.front().cfg.placement_seed ^ 0xABCDEF);
-  wl->setup(initial, alloc, rng);
-
-  const std::vector<OutputRegion> regions = wl->output_regions();
-
-  // Reference execution on a copy of the initial image.
-  GlobalMemory ref_mem = initial;
-  const RefResult ref = ref_run(wl->program(), wl->launch(), ref_mem);
-  report.ref_completed = ref.completed;
-  report.ref_error = ref.error;
-  if (!ref.completed) return report;
-  if (!wl->verify(ref_mem)) {
-    report.ref_completed = false;
-    report.ref_error = "reference image fails the workload's host oracle";
-    return report;
-  }
-
-  for (const OraclePoint& point : points) {
-    DiffOutcome out;
-    out.workload = workload_name;
-    out.label = point.label;
-
-    GlobalMemory sim_mem = initial;
-    try {
-      const KernelImage image = analyze_and_generate(wl->program(), point.analyzer);
-      SystemConfig cfg = point.cfg;
-      // run_image() bypasses Simulator::run's auto-profiling, so a locality
-      // point needs its profile built here, from the same pristine image.
-      if (cfg.placement.policy == PlacementPolicyKind::kLocality &&
-          cfg.placement.locality_profile == nullptr) {
-        cfg.placement.locality_profile = build_placement_profile(
-            wl->program(), wl->launch(), initial, cfg, point.analyzer);
-      }
-      Simulator sim(cfg);
-      const RunResult r =
-          sim.run_image(image, wl->launch(), sim_mem, workload_name + "/" + point.label);
-      out.sim_completed = r.completed;
-      if (!r.completed) {
-        out.detail = r.aborted ? "aborted" : "hit the simulated-time safety valve";
-        report.outcomes.push_back(std::move(out));
-        continue;
-      }
-    } catch (const std::exception& e) {
-      out.detail = std::string("simulator threw: ") + e.what();
-      report.outcomes.push_back(std::move(out));
-      continue;
-    }
-    out.sim_verified = wl->verify(sim_mem);
-
-    char buf[160];
-    Addr where = 0;
-    out.outputs_match = true;
-    for (const OutputRegion& region : regions) {
-      if (!sim_mem.equal_range(ref_mem, region.base, region.bytes, &where)) {
-        out.outputs_match = false;
-        std::snprintf(buf, sizeof(buf),
-                      "output region '%s' differs at 0x%llx (ref byte %02x, sim byte %02x)",
-                      region.name.c_str(), static_cast<unsigned long long>(where),
-                      static_cast<unsigned>(ref_mem.read(where, 1)),
-                      static_cast<unsigned>(sim_mem.read(where, 1)));
-        out.detail = buf;
-        break;
-      }
-    }
-    out.image_matches = sim_mem.equal_contents(ref_mem, &where);
-    if (!out.image_matches && out.detail.empty()) {
-      std::snprintf(buf, sizeof(buf),
-                    "memory image differs at 0x%llx (ref byte %02x, sim byte %02x)",
-                    static_cast<unsigned long long>(where),
-                    static_cast<unsigned>(ref_mem.read(where, 1)),
-                    static_cast<unsigned>(sim_mem.read(where, 1)));
-      out.detail = buf;
-    }
-    report.outcomes.push_back(std::move(out));
-  }
-  return report;
-}
-
-DiffReport diff_check_tenants(const std::vector<std::string>& workload_names,
-                              ProblemScale scale, const std::vector<OraclePoint>& points) {
+DiffReport diff_check(const std::vector<std::string>& workload_names, ProblemScale scale,
+                      const std::vector<OraclePoint>& points) {
   DiffReport report;
   for (const std::string& n : workload_names) {
     report.workload += (report.workload.empty() ? "" : "+") + n;
@@ -203,7 +114,13 @@ DiffReport diff_check_tenants(const std::vector<std::string>& workload_names,
         job.name = wls[t]->name();
         jobs.push_back(std::move(job));
       }
-      Simulator sim(point.cfg);
+      SystemConfig cfg = point.cfg;
+      if (auto profile = auto_placement_profile(wls.size(), wls[0]->program(),
+                                                wls[0]->launch(), initial, cfg,
+                                                point.analyzer)) {
+        cfg.placement.locality_profile = std::move(profile);
+      }
+      Simulator sim(cfg);
       const RunResult r =
           sim.run_images(jobs, sim_mem, report.workload + "/" + point.label);
       out.sim_completed = r.completed;

@@ -4,7 +4,7 @@
 // is semantics-preserving — translation stays on the GPU, computation moves
 // to the NSU, and the result is identical at any offload ratio and any data
 // placement.  This module turns that claim into a checked property: for a
-// workload, it runs the same initialized memory image through
+// workload or a tenant mix, it runs the same initialized memory image through
 //
 //   (a) the scalar reference interpreter (src/ref/ref_interp.*), and
 //   (b) the full timing simulator under a matrix of configurations
@@ -68,24 +68,18 @@ struct DiffReport {
   }
 };
 
-// Runs `workload_name` through the reference interpreter once and through
-// the timing simulator once per point, comparing final memory images.
-// Setup is performed exactly once, with the rng stream the Simulator
-// itself would use for the first point, and the initial image is deep-
-// copied per run — every execution sees identical inputs.
-DiffReport diff_check_workload(const std::string& workload_name, ProblemScale scale,
-                               const std::vector<OraclePoint>& points);
-
-// Multi-tenant axis: set up all `workload_names` in one shared memory image
-// (the exact per-tenant bases and setup seeds Simulator::run_tenants uses),
-// replay each tenant's program INDEPENDENTLY through the reference
-// interpreter — tenants never share state, so sequential replay is the
-// semantic ground truth for concurrent execution — and compare against one
-// concurrent timing-simulator run per point: per-tenant output regions and
-// the whole final image must be byte-identical.  Locality-profile points
-// are run without a profile (the auto-profile is per-kernel).
-DiffReport diff_check_tenants(const std::vector<std::string>& workload_names,
-                              ProblemScale scale, const std::vector<OraclePoint>& points);
+// Sets up `workload_names` in one memory image (the exact per-tenant bases
+// and setup seeds Simulator::run_tenants uses; one name is a classic
+// single-kernel image), replays each tenant's program INDEPENDENTLY through
+// the reference interpreter once — tenants never share state, so sequential
+// replay is the semantic ground truth for concurrent execution — and runs
+// the timing simulator once per point on a copy of the same initial image:
+// every tenant's output regions and the whole final image must be
+// byte-identical.  A one-kernel locality point builds its profile from that
+// image, as Simulator::run does (auto_placement_profile); a mix runs
+// without one.
+DiffReport diff_check(const std::vector<std::string>& workload_names, ProblemScale scale,
+                      const std::vector<OraclePoint>& points);
 
 // Formats a report as an aligned human-readable table (one line per point).
 std::string to_string(const DiffReport& report);

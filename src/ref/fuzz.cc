@@ -313,6 +313,70 @@ std::unique_ptr<Workload> make_fuzz_operator(const std::string& name, unsigned v
 
 namespace {
 
+// The differential core of every case, one kernel or a mix: replays each
+// kernel independently through the reference interpreter on one copy of
+// `initial` (disjoint slices make sequential replay the ground truth for a
+// concurrent run), runs them all through run_images on another copy, and
+// compares the final images.  `host`, when set, is the workload whose host
+// verify() must also pass on the sim image.
+std::optional<std::string> diff_kernels(const std::vector<Program>& progs,
+                                        const LaunchParams& launch, const GlobalMemory& initial,
+                                        SystemConfig cfg, const std::string& name,
+                                        const Workload* host = nullptr) {
+  GlobalMemory ref_mem = initial;
+  for (unsigned t = 0; t < progs.size(); ++t) {
+    const RefResult ref = ref_run(progs[t], launch, ref_mem);
+    if (!ref.completed) {
+      return "tenant " + std::to_string(t) + " reference failed: " +
+             (ref.error.empty() ? "budget exhausted" : ref.error);
+    }
+  }
+
+  GlobalMemory sim_mem = initial;
+  try {
+    if (auto profile = auto_placement_profile(progs.size(), progs[0], launch, initial, cfg)) {
+      cfg.placement.locality_profile = std::move(profile);
+    }
+    std::vector<KernelImage> images;
+    images.reserve(progs.size());
+    for (const Program& p : progs) images.push_back(analyze_and_generate(p));
+    std::vector<TenantJob> jobs;
+    for (unsigned t = 0; t < progs.size(); ++t) {
+      TenantJob job;
+      job.image = &images[t];
+      job.launch = launch;
+      job.name = name;
+      // Give the weighted/strict arbiters distinct knobs to act on; tenant
+      // 0 keeps the defaults, so a one-kernel case is the classic run.
+      job.weight = 1.0 + t;
+      job.priority = t;
+      jobs.push_back(std::move(job));
+    }
+    const RunResult r = Simulator(cfg).run_images(jobs, sim_mem, name);
+    if (!r.completed) {
+      return std::string("simulator did not complete: ") +
+             (r.aborted ? "aborted" : "hit the simulated-time safety valve");
+    }
+  } catch (const std::exception& e) {
+    return std::string("simulator threw: ") + e.what();
+  }
+
+  if (host != nullptr && !host->verify(sim_mem)) {
+    return "operator host verify failed on the sim image";
+  }
+  Addr where = 0;
+  if (!sim_mem.equal_contents(ref_mem, &where)) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "memory mismatch at 0x%llx: ref byte %02x, sim byte %02x",
+                  static_cast<unsigned long long>(where),
+                  static_cast<unsigned>(ref_mem.read(where, 1)),
+                  static_cast<unsigned>(sim_mem.read(where, 1)));
+    return std::string(buf);
+  }
+  return std::nullopt;
+}
+
 // Operator-mode differential case: the operator brings its own kernel,
 // launch, and host verify(); the spec contributes the config axes.  Runs
 // single-tenant regardless of the tenant axis (operators join tenant mixes
@@ -328,43 +392,8 @@ std::optional<std::string> run_operator_case(const FuzzSpec& spec) {
   } catch (const std::exception& e) {
     return std::string("operator setup failed: ") + e.what();
   }
-
-  GlobalMemory ref_mem = initial;
-  const RefResult ref = ref_run(wl->program(), wl->launch(), ref_mem);
-  if (!ref.completed) {
-    return "reference failed: " + (ref.error.empty() ? "budget exhausted" : ref.error);
-  }
-
-  GlobalMemory sim_mem = initial;
-  try {
-    SystemConfig cfg = fuzz_config(spec);
-    if (cfg.placement.policy == PlacementPolicyKind::kLocality) {
-      cfg.placement.locality_profile =
-          build_placement_profile(wl->program(), wl->launch(), initial, cfg);
-    }
-    const KernelImage image = analyze_and_generate(wl->program());
-    Simulator sim(cfg);
-    const RunResult r = sim.run_image(image, wl->launch(), sim_mem, spec.op_workload);
-    if (!r.completed) {
-      return std::string("simulator did not complete: ") +
-             (r.aborted ? "aborted" : "hit the simulated-time safety valve");
-    }
-  } catch (const std::exception& e) {
-    return std::string("simulator threw: ") + e.what();
-  }
-
-  if (!wl->verify(sim_mem)) return "operator host verify failed on the sim image";
-  Addr where = 0;
-  if (!sim_mem.equal_contents(ref_mem, &where)) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "memory mismatch at 0x%llx: ref byte %02x, sim byte %02x",
-                  static_cast<unsigned long long>(where),
-                  static_cast<unsigned>(ref_mem.read(where, 1)),
-                  static_cast<unsigned>(sim_mem.read(where, 1)));
-    return std::string(buf);
-  }
-  return std::nullopt;
+  return diff_kernels({wl->program()}, wl->launch(), initial, fuzz_config(spec),
+                      spec.op_workload, wl.get());
 }
 
 }  // namespace
@@ -381,68 +410,7 @@ std::optional<std::string> run_fuzz_case(const FuzzSpec& spec) {
 
   GlobalMemory initial;
   init_fuzz_memory(spec, initial);
-
-  // Reference: each tenant's program replayed independently — disjoint
-  // slices make sequential replay the ground truth for concurrent runs.
-  GlobalMemory ref_mem = initial;
-  for (unsigned t = 0; t < tenants; ++t) {
-    const RefResult ref = ref_run(progs[t], spec.launch, ref_mem);
-    if (!ref.completed) {
-      return "tenant " + std::to_string(t) + " reference failed: " +
-             (ref.error.empty() ? "budget exhausted" : ref.error);
-    }
-  }
-
-  GlobalMemory sim_mem = initial;
-  try {
-    SystemConfig cfg = fuzz_config(spec);
-    // run_image() bypasses Simulator::run's auto-profiling; locality cases
-    // build their profile here from the same pristine image (single-tenant
-    // only — the profile is per-kernel, so tenant mixes run unprofiled).
-    if (cfg.placement.policy == PlacementPolicyKind::kLocality && tenants == 1) {
-      cfg.placement.locality_profile =
-          build_placement_profile(progs[0], spec.launch, initial, cfg);
-    }
-    std::vector<KernelImage> images;
-    images.reserve(tenants);
-    for (const Program& p : progs) images.push_back(analyze_and_generate(p));
-    Simulator sim(cfg);
-    RunResult r;
-    if (tenants == 1) {
-      r = sim.run_image(images[0], spec.launch, sim_mem, "fuzz");
-    } else {
-      std::vector<TenantJob> jobs;
-      for (unsigned t = 0; t < tenants; ++t) {
-        TenantJob job;
-        job.image = &images[t];
-        job.launch = spec.launch;
-        job.name = "fuzz-t" + std::to_string(t);
-        // Give the weighted/strict arbiters distinct knobs to act on.
-        job.weight = 1.0 + t;
-        job.priority = t;
-        jobs.push_back(std::move(job));
-      }
-      r = sim.run_images(jobs, sim_mem, "fuzz");
-    }
-    if (!r.completed) {
-      return std::string("simulator did not complete: ") +
-             (r.aborted ? "aborted" : "hit the simulated-time safety valve");
-    }
-  } catch (const std::exception& e) {
-    return std::string("simulator threw: ") + e.what();
-  }
-
-  Addr where = 0;
-  if (!sim_mem.equal_contents(ref_mem, &where)) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "memory mismatch at 0x%llx: ref byte %02x, sim byte %02x",
-                  static_cast<unsigned long long>(where),
-                  static_cast<unsigned>(ref_mem.read(where, 1)),
-                  static_cast<unsigned>(sim_mem.read(where, 1)));
-    return std::string(buf);
-  }
-  return std::nullopt;
+  return diff_kernels(progs, spec.launch, initial, fuzz_config(spec), "fuzz");
 }
 
 FuzzSpec shrink_fuzz_case(const FuzzSpec& spec) {

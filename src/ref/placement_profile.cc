@@ -99,4 +99,14 @@ std::shared_ptr<const PlacementProfile> build_placement_profile(
   return profile;
 }
 
+std::shared_ptr<const PlacementProfile> auto_placement_profile(
+    std::size_t num_kernels, const Program& prog, const LaunchParams& launch,
+    const GlobalMemory& initial, const SystemConfig& cfg, const AnalyzerOptions& analyzer_opts) {
+  if (num_kernels != 1 || cfg.placement.policy != PlacementPolicyKind::kLocality ||
+      cfg.placement.locality_profile != nullptr) {
+    return nullptr;
+  }
+  return build_placement_profile(prog, launch, initial, cfg, analyzer_opts);
+}
+
 }  // namespace sndp

@@ -15,6 +15,7 @@
 // is free of side effects.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "common/config.h"
@@ -28,5 +29,14 @@ namespace sndp {
 std::shared_ptr<const PlacementProfile> build_placement_profile(
     const Program& prog, const LaunchParams& launch, const GlobalMemory& initial,
     const SystemConfig& cfg, const AnalyzerOptions& analyzer_opts = {});
+
+// The profile a run builds for itself: the pre-pass above over `prog` when
+// the run has one kernel and `cfg` selects kLocality with no profile
+// supplied; null otherwise (a mix gets none: the pre-pass profiles one
+// kernel).  Simulator::run_tenants, the diff oracle and the fuzzer ask here.
+std::shared_ptr<const PlacementProfile> auto_placement_profile(
+    std::size_t num_kernels, const Program& prog, const LaunchParams& launch,
+    const GlobalMemory& initial, const SystemConfig& cfg,
+    const AnalyzerOptions& analyzer_opts = {});
 
 }  // namespace sndp

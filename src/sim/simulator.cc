@@ -25,27 +25,7 @@ namespace sndp {
 Simulator::Simulator(const SystemConfig& cfg) : cfg_(cfg) { cfg_.validate(); }
 
 RunResult Simulator::run(Workload& workload) {
-  GlobalMemory gmem;
-  MemoryAllocator alloc;
-  Rng rng(cfg_.placement_seed ^ 0xABCDEF);
-  workload.setup(gmem, alloc, rng);
-  const KernelImage image = analyze_and_generate(workload.program(), analyzer_opts_);
-  // Locality placement: build the profiling pre-pass over the reference
-  // interpreter automatically when the caller did not supply a profile.
-  // (Reads a copy of the launch-time memory image; gmem is untouched.)
-  const bool auto_profile = cfg_.placement.policy == PlacementPolicyKind::kLocality &&
-                            cfg_.placement.locality_profile == nullptr;
-  if (auto_profile) {
-    cfg_.placement.locality_profile = build_placement_profile(
-        workload.program(), workload.launch(), gmem, cfg_, analyzer_opts_);
-  }
-  RunResult result = run_image(image, workload.launch(), gmem, workload.name());
-  // The auto-built profile is specific to this workload; drop it so a reused
-  // Simulator re-profiles the next one.
-  if (auto_profile) cfg_.placement.locality_profile = nullptr;
-  result.verified = workload.verify(gmem);
-  if (final_memory_sink_ != nullptr) *final_memory_sink_ = gmem;
-  return result;
+  return run_tenants({TenantDesc{&workload}}, workload.name());
 }
 
 RunResult Simulator::run_image(const KernelImage& image, const LaunchParams& launch,
@@ -77,9 +57,13 @@ RunResult Simulator::run_tenants(const std::vector<TenantDesc>& tenants,
     wl.setup(gmem, alloc, rng);
     images.push_back(analyze_and_generate(wl.program(), analyzer_opts_));
   }
-  // (No locality auto-profile here: the profile is per-kernel, and the
-  // placement policy takes one profile per run.  Multi-tenant locality
-  // placement needs an explicitly supplied merged profile.)
+  // Locality placement: a one-kernel run profiles itself over the reference
+  // interpreter when the caller supplied no profile (the pre-pass reads a
+  // copy of the launch-time image; gmem is untouched).
+  const Workload& first = *tenants[0].workload;
+  const auto profile = auto_placement_profile(tenants.size(), first.program(),
+                                              first.launch(), gmem, cfg_, analyzer_opts_);
+  if (profile != nullptr) cfg_.placement.locality_profile = profile;
   for (unsigned t = 0; t < tenants.size(); ++t) {
     TenantJob job;
     job.image = &images[t];
@@ -90,6 +74,9 @@ RunResult Simulator::run_tenants(const std::vector<TenantDesc>& tenants,
     jobs.push_back(std::move(job));
   }
   RunResult result = run_images(jobs, gmem, name);
+  // The auto-built profile is specific to this kernel; drop it so a reused
+  // Simulator re-profiles the next one.
+  if (profile != nullptr) cfg_.placement.locality_profile = nullptr;
   bool all_ok = true;
   for (unsigned t = 0; t < tenants.size(); ++t) {
     const bool ok = tenants[t].workload->verify(gmem);

@@ -62,7 +62,7 @@ struct TenantResult {
 };
 
 // Deterministic per-tenant setup parameters, shared by the timing path
-// (Simulator::run_tenants) and the reference replay (diff_check_tenants):
+// (Simulator::run_tenants) and the reference replay (diff_check):
 // tenant 0 uses the exact classic seed (so its address space and contents
 // are byte-identical to a solo run); later tenants perturb it by a
 // golden-ratio stride.  Address spaces are kept disjoint by rounding the
@@ -120,7 +120,8 @@ class Simulator {
  public:
   explicit Simulator(const SystemConfig& cfg);
 
-  // Runs `workload` to completion on a freshly-built system.
+  // Runs `workload` to completion on a freshly-built system: a one-tenant
+  // run_tenants.
   RunResult run(Workload& workload);
 
   // For tests: run a pre-built kernel image directly (the workload's setup
@@ -137,10 +138,11 @@ class Simulator {
   RunResult run_images(const std::vector<TenantJob>& jobs, class GlobalMemory& gmem,
                        const std::string& name);
 
-  // Workload-level multi-tenant entry: sets up each tenant in its own
-  // 16 MiB-aligned slice of one shared GlobalMemory (tenant 0 laid out
-  // exactly as a solo run would), builds each image, runs them
-  // concurrently, and verifies every tenant's output region.
+  // Workload-level entry, for one kernel or a mix: sets up each tenant in
+  // its own 16 MiB-aligned slice of one shared GlobalMemory (tenant 0 laid
+  // out exactly as a solo run would), builds each image, runs them
+  // concurrently, and verifies every tenant's output region.  A one-kernel
+  // locality run profiles itself (auto_placement_profile).
   RunResult run_tenants(const std::vector<TenantDesc>& tenants, const std::string& name);
 
   const AnalyzerOptions& analyzer_options() const { return analyzer_opts_; }
@@ -152,7 +154,7 @@ class Simulator {
   using AbortPoll = std::function<bool()>;
   void set_abort_poll(AbortPoll poll) { abort_poll_ = std::move(poll); }
 
-  // Final-memory snapshot hook: when set, run(Workload&) deep-copies the
+  // Final-memory snapshot hook: when set, run and run_tenants deep-copy the
   // functional memory image into `sink` after the run (post-verify), so
   // callers that go through the workload path — the differential oracle,
   // image-dumping tools — can inspect or compare the final memory without

@@ -41,7 +41,7 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
   const RunResult& r = o.result;
   w.begin_object();
   w.key("id").value(o.point.id);
-  w.key("workload").value(o.point.workload);
+  w.key("workload").value(o.point.workload());
   w.key("seed").value(static_cast<std::uint64_t>(o.point.cfg.placement_seed));
   w.key("placement").value(placement_policy_name(o.point.cfg.placement.policy));
   w.key("num_hmcs").value(static_cast<std::uint64_t>(o.point.cfg.num_hmcs));
@@ -226,6 +226,12 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
 
 }  // namespace
 
+std::string SweepPoint::workload() const {
+  std::string name;
+  for (const TenantSpec& t : tenants) name += (name.empty() ? "" : "+") + t.name;
+  return name;
+}
+
 std::size_t SweepRunner::add(SweepPoint point) {
   if (ran_) throw std::logic_error("SweepRunner: add() after run()");
   points_.push_back(std::move(point));
@@ -256,8 +262,13 @@ void SweepRunner::run_point(std::size_t index) {
         return true;
       });
     }
-    auto wl = make_workload(out.point.workload, out.point.scale);
-    out.result = sim.run(*wl);
+    std::vector<std::unique_ptr<Workload>> wls;
+    std::vector<TenantDesc> descs;
+    for (const TenantSpec& t : out.point.tenants) {
+      wls.push_back(make_workload(t.name, out.point.scale));
+      descs.push_back(TenantDesc{wls.back().get(), t.weight, t.priority});
+    }
+    out.result = sim.run_tenants(descs, out.point.workload());
     out.ran = true;
   } catch (const std::exception& e) {
     out.error = e.what();

@@ -1,8 +1,9 @@
 // Parallel experiment sweep runner.
 //
 // The paper's evaluation (Figs. 5-11, Tables 1-2) is a grid of independent
-// (SystemConfig, workload) simulations; `Simulator::run_image` owns all of
-// its state, so the grid is embarrassingly parallel.  SweepRunner executes
+// (SystemConfig, workload) simulations; each point, one kernel or a tenant
+// mix, is one `Simulator::run_tenants` call that owns all of its state, so
+// the grid is embarrassingly parallel.  SweepRunner executes
 // the points on a thread pool and guarantees that the results — including
 // every StatSet counter — are byte-identical to a serial run:
 //
@@ -23,7 +24,8 @@
 // Typical use (see bench/bench_util.h):
 //
 //   SweepRunner runner({.jobs = 4});
-//   auto i = runner.add({.id = "VADD/dyn", .workload = "VADD", .cfg = cfg});
+//   auto i = runner.add({.id = "VADD/dyn", .tenants = {{"VADD"}}, .cfg = cfg});
+//   auto m = runner.add({.id = "mix", .tenants = {{"BFS", 2.0}, {"VADD"}}, .cfg = cfg});
 //   runner.run();
 //   const RunResult& r = runner.result(i);
 //   write_sweep_json("out.json", runner.outcomes());
@@ -40,12 +42,24 @@
 
 namespace sndp {
 
+// One tenant of a sweep point: a workload name plus its arbiter inputs
+// (weight for kWeightedShare, priority for kStrictPriority; see TenantJob).
+struct TenantSpec {
+  std::string name;
+  double weight = 1.0;
+  unsigned priority = 0;
+};
+
 struct SweepPoint {
   std::string id;  // unique human-readable label, e.g. "fig09/VADD/static0.4"
-  std::string workload;
+  std::vector<TenantSpec> tenants;  // one entry: a classic single-kernel run
   ProblemScale scale = ProblemScale::kSmall;
   SystemConfig cfg{};
   AnalyzerOptions analyzer{};
+
+  // The tenant names joined by '+' ("VADD", "BFS+VADD+KMN"): the run's name
+  // in RunResult::workload and the JSON "workload" key.
+  std::string workload() const;
 };
 
 struct SweepOutcome {

@@ -1,5 +1,6 @@
 #include "workloads/registry.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "workloads/ops/ops.h"
@@ -26,6 +27,11 @@ const std::vector<std::string>& all_workload_names() {
     return names;
   }();
   return kNames;
+}
+
+bool is_workload_name(const std::string& name) {
+  const auto& names = all_workload_names();
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 std::unique_ptr<Workload> make_workload(const std::string& name, ProblemScale scale) {

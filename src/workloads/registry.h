@@ -19,6 +19,9 @@ const std::vector<std::string>& operator_names();
 // accepts.
 const std::vector<std::string>& all_workload_names();
 
+// True when make_workload accepts `name`.
+bool is_workload_name(const std::string& name);
+
 // Throws std::invalid_argument for unknown names.
 std::unique_ptr<Workload> make_workload(const std::string& name, ProblemScale scale);
 

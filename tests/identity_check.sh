@@ -5,7 +5,8 @@
 #
 # Both arguments are CMake build directories (one per commit, each from its
 # own checkout).  The script runs the same commands with each build's
-# `examples/sndpsim` and `bench/fig08_stall_breakdown`, compares the two
+# `examples/sndpsim`, `bench/fig08_stall_breakdown`,
+# `bench/tenant_interference` and `bench/diff_check`, compares the two
 # outputs byte for byte, and exits 1 on the first difference (0 when every
 # pair is identical, 2 on bad usage).  The --stats-json rows compare the
 # JSON files without their wall-clock fields (meta.jobs,
@@ -21,6 +22,8 @@
 #   sndpsim --stats-json  -w all -s tiny
 #   sndpsim --stats-json  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 #   fig08_stall_breakdown
+#   tenant_interference --scale tiny
+#   diff_check --scale tiny                               (182 oracle points)
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -30,7 +33,8 @@ fi
 parent=$1
 change=$2
 for build in "$parent" "$change"; do
-  for prog in examples/sndpsim bench/fig08_stall_breakdown; do
+  for prog in examples/sndpsim bench/fig08_stall_breakdown bench/tenant_interference \
+      bench/diff_check; do
     if [[ ! -x "$build/$prog" ]]; then
       echo "$0: missing $build/$prog" >&2
       exit 2
@@ -96,4 +100,6 @@ compare_json "sndpsim --stats-json -w all -s tiny" -w all -s tiny
 compare_json "sndpsim --stats-json --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "fig08_stall_breakdown" bench/fig08_stall_breakdown
+compare "tenant_interference --scale tiny" bench/tenant_interference --scale tiny
+compare "diff_check --scale tiny" bench/diff_check --scale tiny
 echo "all $n outputs identical"

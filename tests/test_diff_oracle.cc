@@ -42,7 +42,7 @@ class DiffOracle : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DiffOracle, SimulatorMatchesReferenceByteForByte) {
   const DiffReport report =
-      diff_check_workload(GetParam(), ProblemScale::kTiny, oracle_matrix(oracle_base()));
+      diff_check({GetParam()}, ProblemScale::kTiny, oracle_matrix(oracle_base()));
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   EXPECT_TRUE(report.ok()) << to_string(report);
   EXPECT_EQ(report.outcomes.size(), 13u);
@@ -90,7 +90,7 @@ std::vector<OraclePoint> tenant_points() {
 
 TEST(DiffOracleTenants, HomogeneousPairMatchesIndependentReplay) {
   const DiffReport report =
-      diff_check_tenants({"VADD", "VADD"}, ProblemScale::kTiny, tenant_points());
+      diff_check({"VADD", "VADD"}, ProblemScale::kTiny, tenant_points());
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   EXPECT_TRUE(report.ok()) << to_string(report);
   EXPECT_EQ(report.outcomes.size(), 5u);
@@ -98,7 +98,7 @@ TEST(DiffOracleTenants, HomogeneousPairMatchesIndependentReplay) {
 
 TEST(DiffOracleTenants, HeterogeneousTripleMatchesIndependentReplay) {
   const DiffReport report =
-      diff_check_tenants({"BFS", "VADD", "KMN"}, ProblemScale::kTiny, tenant_points());
+      diff_check({"BFS", "VADD", "KMN"}, ProblemScale::kTiny, tenant_points());
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   EXPECT_TRUE(report.ok()) << to_string(report);
   EXPECT_EQ(report.outcomes.size(), 5u);
@@ -114,7 +114,7 @@ TEST(DiffOracle, IncompleteSimulationIsReportedNotMasked) {
   p.cfg.governor.mode = OffloadMode::kOff;
   p.cfg.max_time_ps = 50'000;  // 50 ns: cannot finish
   points.push_back(p);
-  const DiffReport report = diff_check_workload("VADD", ProblemScale::kTiny, points);
+  const DiffReport report = diff_check({"VADD"}, ProblemScale::kTiny, points);
   ASSERT_TRUE(report.ref_completed) << report.ref_error;
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_FALSE(report.ok());

@@ -148,7 +148,7 @@ TEST(EpochTimeline, SweepJsonCarriesTimelineArray) {
   SweepRunner runner({.jobs = 1});
   SweepPoint p;
   p.id = "timeline/BFS";
-  p.workload = "BFS";
+  p.tenants = {{"BFS"}};
   p.scale = ProblemScale::kTiny;
   p.cfg = timeline_cfg();
   runner.add(std::move(p));

@@ -3,6 +3,9 @@
 // determinism, protocol invariants, and the paper's qualitative behaviors.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "ref/placement_profile.h"
 #include "sndp.h"
 
 namespace sndp {
@@ -202,6 +205,44 @@ TEST(Behaviors, RunImageDirectInterface) {
   const RunResult r = sim.run_image(img, wl->launch(), mem, "vadd-direct");
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(wl->verify(mem));
+}
+
+// `name` set up exactly as Simulator::run sets it up, then run through
+// run_image under `profile`, or under the pre-pass built from that image
+// when `profile` is null.
+RunResult run_image_profiled(const std::string& name, SystemConfig cfg,
+                             std::shared_ptr<const PlacementProfile> profile) {
+  auto wl = make_workload(name, ProblemScale::kTiny);
+  GlobalMemory mem;
+  MemoryAllocator alloc;
+  Rng rng(tenant_setup_seed(cfg.placement_seed, 0));
+  wl->setup(mem, alloc, rng);
+  cfg.placement.locality_profile =
+      profile != nullptr ? profile
+                         : build_placement_profile(wl->program(), wl->launch(), mem, cfg);
+  const KernelImage img = analyze_and_generate(wl->program());
+  return Simulator(cfg).run_image(img, wl->launch(), mem, wl->name());
+}
+
+TEST(Behaviors, LocalityRunBuildsItsOwnProfile) {
+  // Simulator::run is a one-tenant run_tenants.  Under kLocality with no
+  // supplied profile it must profile its one kernel itself, exactly as a
+  // caller building the profile explicitly would; and the profile must
+  // change the run, or this check could not tell the two apart.
+  SystemConfig cfg = SystemConfig::paper();
+  cfg.governor.mode = OffloadMode::kDynamicCache;
+  cfg.governor.epoch_cycles = 1000;
+  cfg.placement.policy = PlacementPolicyKind::kLocality;
+  for (const char* name : {"VADD", "KMN", "BFS"}) {
+    SCOPED_TRACE(name);
+    const RunResult automatic = run(name, cfg);
+    ASSERT_TRUE(automatic.completed && automatic.verified);
+    const RunResult explicit_profile = run_image_profiled(name, cfg, nullptr);
+    EXPECT_EQ(automatic.stats.values(), explicit_profile.stats.values());
+    const RunResult unprofiled =
+        run_image_profiled(name, cfg, std::make_shared<PlacementProfile>());
+    EXPECT_NE(automatic.stats.get("net.cube_bytes"), unprofiled.stats.get("net.cube_bytes"));
+  }
 }
 
 }  // namespace

@@ -243,7 +243,7 @@ TEST(LatencySystem, SerialAndParallelSweepsAgree) {
     for (const char* w : {"VADD", "KMN", "STN", "FWT"}) {
       SweepPoint p;
       p.id = std::string(w) + "/lat";
-      p.workload = w;
+      p.tenants = {{w}};
       p.scale = ProblemScale::kTiny;
       p.cfg = SystemConfig::small_test();
       p.cfg.governor.mode = OffloadMode::kDynamicCache;

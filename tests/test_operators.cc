@@ -159,7 +159,7 @@ TEST(Operators, TenantMixMatchesReferenceUnderEveryArbiter) {
     p.cfg.governor.mode = OffloadMode::kAlways;
     p.cfg.tenancy.arbiter = arb;
     const DiffReport report =
-        diff_check_tenants({"ATTN", "VADD"}, ProblemScale::kTiny, {p});
+        diff_check({"ATTN", "VADD"}, ProblemScale::kTiny, {p});
     ASSERT_TRUE(report.ref_completed) << label << ": " << report.ref_error;
     EXPECT_TRUE(report.ok()) << label << "\n" << to_string(report);
     EXPECT_EQ(report.outcomes.size(), 1u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string_view>
 
 #include "sndp.h"
@@ -79,7 +80,7 @@ TEST(Json, WriterRejectsMalformedSequences) {
 SweepPoint test_point(const std::string& workload, OffloadMode mode) {
   SweepPoint p;
   p.id = workload + "/" + std::to_string(static_cast<int>(mode));
-  p.workload = workload;
+  p.tenants = {{workload}};
   p.scale = ProblemScale::kTiny;
   p.cfg = SystemConfig::small_test();
   p.cfg.governor.mode = mode;
@@ -119,17 +120,57 @@ TEST(Sweep, ParallelMatchesSerialExactly) {
   }
 }
 
+// The sweep's JSON with the (explicitly segregated) wall-clock metadata
+// neutralized.
+std::string json_modulo_timing(std::vector<SweepOutcome> outcomes) {
+  for (auto& o : outcomes) {
+    o.wall_seconds = 0.0;
+    o.timed_out = false;
+  }
+  return sweep_to_json(outcomes, 0);
+}
+
 TEST(Sweep, JsonExportIsIdenticalModuloTiming) {
-  // Byte-identical documents once the (explicitly segregated) wall-clock
-  // metadata is neutralized.
-  auto neutralize = [](std::vector<SweepOutcome> outcomes) {
-    for (auto& o : outcomes) {
-      o.wall_seconds = 0.0;
-      o.timed_out = false;
-    }
-    return sweep_to_json(outcomes, 0);
-  };
-  EXPECT_EQ(neutralize(run_sweep(1)), neutralize(run_sweep(4)));
+  EXPECT_EQ(json_modulo_timing(run_sweep(1)), json_modulo_timing(run_sweep(4)));
+}
+
+// One-kernel points around a weighted three-tenant mix point.
+std::vector<SweepOutcome> run_mixed_sweep(unsigned jobs) {
+  SweepRunner runner({.jobs = jobs});
+  runner.add(test_point("VADD", OffloadMode::kDynamicCache));
+  SweepPoint mix = test_point("BFS", OffloadMode::kDynamicCache);
+  mix.id = "mix";
+  mix.tenants = {{"BFS", 2.0}, {"VADD"}, {"KMN"}};
+  mix.cfg.tenancy.arbiter = TenantArbiter::kWeightedShare;
+  runner.add(std::move(mix));
+  runner.add(test_point("KMN", OffloadMode::kAlways));
+  return runner.run();
+}
+
+TEST(Sweep, TenantMixSweepIsIdenticalAcrossJobCounts) {
+  const auto serial = run_mixed_sweep(1);
+  for (const SweepOutcome& o : serial) ASSERT_TRUE(o.ran) << o.point.id << ": " << o.error;
+  EXPECT_EQ(serial[1].point.workload(), "BFS+VADD+KMN");
+  EXPECT_EQ(json_modulo_timing(serial), json_modulo_timing(run_mixed_sweep(4)));
+}
+
+TEST(Sweep, TenantMixPointMatchesRunTenants) {
+  const SweepOutcome mix = run_mixed_sweep(1)[1];
+  ASSERT_TRUE(mix.ran) << mix.error;
+  std::vector<std::unique_ptr<Workload>> wls;
+  std::vector<TenantDesc> descs;
+  for (const TenantSpec& t : mix.point.tenants) {
+    wls.push_back(make_workload(t.name, mix.point.scale));
+    descs.push_back(TenantDesc{wls.back().get(), t.weight, t.priority});
+  }
+  SweepOutcome direct = mix;
+  direct.result = Simulator(mix.point.cfg).run_tenants(descs, "BFS+VADD+KMN");
+  EXPECT_TRUE(mix.result.completed && mix.result.verified);
+  EXPECT_EQ(mix.result.tenants.size(), 3u);
+  EXPECT_EQ(mix.result.workload, direct.result.workload);
+  EXPECT_EQ(mix.result.stats.values(), direct.result.stats.values());
+  // The JSON carries every TenantResult field and the rest of the RunResult.
+  EXPECT_EQ(json_modulo_timing({mix}), json_modulo_timing({direct}));
 }
 
 TEST(Sweep, OutcomesKeepSubmissionOrder) {
@@ -138,8 +179,8 @@ TEST(Sweep, OutcomesKeepSubmissionOrder) {
   const auto i1 = runner.add(test_point("BFS", OffloadMode::kOff));
   const auto i2 = runner.add(test_point("VADD", OffloadMode::kAlways));
   runner.run();
-  EXPECT_EQ(runner.outcome(i0).point.workload, "VADD");
-  EXPECT_EQ(runner.outcome(i1).point.workload, "BFS");
+  EXPECT_EQ(runner.outcome(i0).point.workload(), "VADD");
+  EXPECT_EQ(runner.outcome(i1).point.workload(), "BFS");
   EXPECT_EQ(runner.outcome(i2).point.id, "VADD/1");
   EXPECT_EQ(i0, 0u);
   EXPECT_EQ(i1, 1u);
