@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   json.end_object();
   json.key("nsu").begin_object();
   json.key("max_warps").value(c.nsu.max_warps);
-  json.key("warp_width").value(c.nsu.warp_width);
+  json.key("warp_width").value(kWarpWidth);
   json.key("simd_lanes").value(c.nsu.simd_lanes);
   json.key("icache_bytes").value(static_cast<std::uint64_t>(c.nsu.icache_bytes));
   json.key("const_cache_bytes").value(static_cast<std::uint64_t>(c.nsu.const_cache_bytes));
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   std::printf("  SM                      : %u threads, %u CTAs, %u registers, %llu KB scratchpad,"
               " warp width %u\n",
               c.sm.max_threads, c.sm.max_ctas, c.sm.max_registers,
-              static_cast<unsigned long long>(c.sm.scratchpad_bytes / 1024), c.sm.warp_width);
+              static_cast<unsigned long long>(c.sm.scratchpad_bytes / 1024), kWarpWidth);
   std::printf("  L1 data cache           : %llu KB, %u-way, %u B line, MSHR: %u\n",
               static_cast<unsigned long long>(c.sm.l1d.size_bytes / 1024), c.sm.l1d.ways,
               c.sm.l1d.line_bytes, c.sm.l1d.mshr_entries);
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   std::printf("  NSU                     : %llu MHz, %u warps, warp width %u, %u physical lanes,"
               " %llu KB const cache, %llu KB i-cache\n",
               static_cast<unsigned long long>(c.clocks.nsu_khz / 1000), c.nsu.max_warps,
-              c.nsu.warp_width, c.nsu.simd_lanes,
+              kWarpWidth, c.nsu.simd_lanes,
               static_cast<unsigned long long>(c.nsu.const_cache_bytes / 1024),
               static_cast<unsigned long long>(c.nsu.icache_bytes / 1024));
   std::printf("  Buffers in GPU SM       : 8 B x %u pending, 8 B x %u ready\n",

@@ -46,11 +46,11 @@ void SystemConfig::validate() const {
   require(placement.policy != PlacementPolicyKind::kMigration ||
               placement.migration_threshold >= 1,
           "migration threshold must be at least 1");
-  require(sm.warp_width == kWarpWidth, "warp width must be 32");
-  require(sm.max_threads % sm.warp_width == 0, "SM thread count must be warp-aligned");
+  require(sm.max_threads % kWarpWidth == 0, "SM thread count must be warp-aligned");
   // Per-slot activity masks (Sm, Nsu, Hmc) are one 64-bit word each.
   require(sm.max_warps() <= 64, "SM warp slots (sm.max_threads / 32) must be <= 64");
   require(nsu.max_warps <= 64, "NSU warp slots (nsu.max_warps) must be <= 64");
+  require(nsu.simd_lanes >= 1, "NSU SIMD lanes (nsu.simd_lanes) must be at least 1");
   require(hmc.num_vaults >= 1 && hmc.num_vaults <= 64,
           "vault count (hmc.num_vaults) must be in [1, 64]");
   require(std::has_single_bit(static_cast<std::uint64_t>(sm.l1d.line_bytes)),

@@ -32,8 +32,6 @@ struct CacheConfig {
   unsigned ways = 4;
   unsigned line_bytes = 128;
   unsigned mshr_entries = 48;
-  // Accesses the cache can begin per cycle (ports).
-  unsigned ports = 1;
   // Tag/array access latency, in the owning clock domain's cycles.
   unsigned latency_cycles = 1;
 
@@ -50,7 +48,6 @@ struct SmConfig {
   unsigned max_ctas = 8;
   unsigned max_registers = 32768;
   std::uint64_t scratchpad_bytes = 48 * KiB;
-  unsigned warp_width = kWarpWidth;
 
   // Execution model: single dual-purpose issue port; ALU ops have a fixed
   // pipeline depth (latency) and an initiation interval per op class.
@@ -59,10 +56,10 @@ struct SmConfig {
   unsigned alu_ii = 1;           // initiation interval (issue occupancy)
   unsigned sfu_ii = 2;
   unsigned shm_latency = 24;     // scratchpad access
-  unsigned max_warps() const { return max_threads / warp_width; }
+  unsigned max_warps() const { return max_threads / kWarpWidth; }
 
   CacheConfig l1d{.size_bytes = 32 * KiB, .ways = 4, .line_bytes = 128,
-                  .mshr_entries = 48, .ports = 1, .latency_cycles = 25};
+                  .mshr_entries = 48, .latency_cycles = 25};
 };
 
 // ---------------------------------------------------------------------------
@@ -103,7 +100,6 @@ struct LinkConfig {
   unsigned header_bytes = 8;     // per-packet routing/CRC overhead
   TimePs propagation_ps = 3200;  // ~3.2 ns flight + SerDes
   unsigned router_latency_cycles = 2;  // per-hop router pipeline (DRAM clock)
-  unsigned credits_per_port = 16;      // input-buffer credits, in packets
 };
 
 // ---------------------------------------------------------------------------
@@ -111,9 +107,8 @@ struct LinkConfig {
 // ---------------------------------------------------------------------------
 struct NsuConfig {
   unsigned max_warps = 48;
-  unsigned warp_width = kWarpWidth;
   // Physical SIMD lanes (§4.5): a 32-wide warp instruction issues over
-  // warp_width / simd_lanes cycles (temporal SIMT), occupying the single
+  // kWarpWidth / simd_lanes cycles (temporal SIMT), occupying the single
   // issue port — the NSU is deliberately much weaker than an SM.
   unsigned simd_lanes = 16;
   std::uint64_t icache_bytes = 4 * KiB;
@@ -263,7 +258,7 @@ struct SystemConfig {
   ClockConfig clocks{};
   SmConfig sm{};
   CacheConfig l2{.size_bytes = 2 * MiB, .ways = 16, .line_bytes = 128,
-                 .mshr_entries = 48, .ports = 1, .latency_cycles = 8};
+                 .mshr_entries = 48, .latency_cycles = 8};
   HmcConfig hmc{};
   LinkConfig link{};
   NsuConfig nsu{};

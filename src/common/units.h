@@ -22,11 +22,6 @@ constexpr TimePs serialize_ps(std::uint64_t bytes, double gb_per_s) {
   return static_cast<TimePs>(ps + 0.999999);
 }
 
-// Period of a clock in ps for a frequency given in MHz (rounded to nearest).
-constexpr TimePs period_ps_from_mhz(double mhz) {
-  return static_cast<TimePs>(1e6 / mhz + 0.5);
-}
-
 // Exact tick->time mapping that avoids cumulative rounding drift:
 // time(n) = n * 1e6 / mhz  (in ps), computed in integer arithmetic.
 constexpr TimePs tick_time_ps(Cycle n, std::uint64_t freq_khz) {

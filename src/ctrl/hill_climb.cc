@@ -8,7 +8,6 @@ HillClimbController::HillClimbController(const GovernorConfig& cfg)
     : cfg_(cfg), ratio_(cfg.initial_ratio), step_(cfg.initial_step) {}
 
 void HillClimbController::end_epoch(double avg_ipc, bool has_signal) {
-  ++epochs_;
   // An idle/empty epoch (no offload-block instruction retired) says nothing
   // about the current ratio: don't record it as a baseline, don't compare
   // against it, don't move.  The next informative epoch climbs against the

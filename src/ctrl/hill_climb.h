@@ -32,8 +32,6 @@ class HillClimbController {
   // IPC as a collapse and spuriously reversing direction.
   void end_epoch(double avg_ipc, bool has_signal = true);
 
-  unsigned epochs_seen() const { return epochs_; }
-
  private:
   GovernorConfig cfg_;
   double ratio_;
@@ -42,7 +40,6 @@ class HillClimbController {
   double prev_ipc_ = 0.0;
   bool have_prev_ = false;
   std::deque<bool> dir_change_history_;
-  unsigned epochs_ = 0;
 };
 
 }  // namespace sndp

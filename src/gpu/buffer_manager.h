@@ -49,8 +49,6 @@ class NdpBufferManager {
 
   void export_stats(StatSet& out) const;
 
-  std::uint64_t qos_denials() const { return denials_qos_; }
-
  private:
   struct Credits {
     unsigned cmd, rd, wta;

@@ -12,6 +12,7 @@
 #include "ndp/ro_cache.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
+#include "obs/stats_audit.h"
 
 namespace sndp {
 
@@ -61,21 +62,6 @@ bool Gpu::idle() const {
   return true;
 }
 
-std::uint64_t Gpu::total_stall_dependency() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->stall_dependency();
-  return n;
-}
-std::uint64_t Gpu::total_stall_exec_busy() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->stall_exec_busy();
-  return n;
-}
-std::uint64_t Gpu::total_stall_warp_idle() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->stall_warp_idle();
-  return n;
-}
 std::uint64_t Gpu::total_issued() const {
   std::uint64_t n = 0;
   for (const auto& sm : sms_) n += sm->issued_instrs;
@@ -478,12 +464,6 @@ std::uint64_t Gpu::total_l1_misses() const {
   return n;
 }
 
-std::uint64_t Gpu::total_l1_merged() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->l1().merged_misses;
-  return n;
-}
-
 std::uint64_t Gpu::total_l2_hits() const {
   std::uint64_t n = 0;
   for (const L2Slice& s : slices_) n += s.cache->hits;
@@ -496,17 +476,48 @@ std::uint64_t Gpu::total_l2_misses() const {
   return n;
 }
 
-std::uint64_t Gpu::total_l2_merged() const {
-  std::uint64_t n = 0;
-  for (const L2Slice& s : slices_) n += s.cache->merged_misses;
-  return n;
+void Gpu::audit(AuditSnapshot& s) const {
+  for (const auto& sm : sms_) sm->audit(s);
+  for (const L2Slice& sl : slices_) {
+    s.l2_hits += sl.cache->hits;
+    s.l2_miss_new += sl.cache->misses;
+    s.l2_merged += sl.cache->merged_misses;
+  }
+  s.l2_read_reqs += l2_read_reqs_;
+  s.rdf_l2_probes += rdf_l2_probes_;
+  s.rdf_l2_hits += rdf_l2_hits_;
+  s.mem_read_resps += mem_read_resps_;
+  s.gpu_rx_packets += rx_packets_;
+  for (const OffloadGovernor* g : govs_) s.gov_block_instrs += g->total_block_instrs();
+  const SmCycleStack machine = cycle_stack();
+  s.cyc_sm_active += machine.total() - sm_group_total(machine, SmBucketGroup::kNoWarp);
+  s.cyc_sm_issue += machine.bucket_total(static_cast<std::size_t>(SmBucket::kIssue));
+  s.cyc_sm_dep_pending +=
+      machine.bucket_total(static_cast<std::size_t>(SmBucket::kDepPending));
+  const unsigned num_tenants = ctx_.num_tenants();
+  if (num_tenants > 1) {
+    s.tenant_issued.resize(num_tenants);
+    s.tenant_l2_reads.resize(num_tenants);
+    s.tenant_gov_instrs.resize(num_tenants);
+    s.cyc_tenant_issue.resize(num_tenants);
+    for (unsigned t = 0; t < num_tenants; ++t) {
+      s.tenant_issued[t] = issued_by_tenant(t);
+      s.tenant_l2_reads[t] = t_l2_hits_[t] + t_l2_misses_[t] + t_l2_merged_[t];
+      s.tenant_gov_instrs[t] = govs_[t]->total_block_instrs();
+      s.cyc_tenant_issue[t] = machine.rows[t][static_cast<std::size_t>(SmBucket::kIssue)];
+    }
+  }
 }
 
 void Gpu::export_stats(StatSet& out) const {
+  const SmCycleStack machine = cycle_stack();
   out.set("gpu.issued_instrs", static_cast<double>(total_issued()));
-  out.set("gpu.stall_dependency", static_cast<double>(total_stall_dependency()));
-  out.set("gpu.stall_exec_busy", static_cast<double>(total_stall_exec_busy()));
-  out.set("gpu.stall_warp_idle", static_cast<double>(total_stall_warp_idle()));
+  out.set("gpu.stall_dependency",
+          static_cast<double>(sm_group_total(machine, SmBucketGroup::kDep)));
+  out.set("gpu.stall_exec_busy",
+          static_cast<double>(sm_group_total(machine, SmBucketGroup::kExecBusy)));
+  out.set("gpu.stall_warp_idle",
+          static_cast<double>(sm_group_total(machine, SmBucketGroup::kWarpIdle)));
   out.set("gpu.invalidations", static_cast<double>(invals_received_));
   out.set("gpu.rdf_l2_probes", static_cast<double>(rdf_l2_probes_));
   out.set("gpu.rdf_l2_hits", static_cast<double>(rdf_l2_hits_));

@@ -23,6 +23,7 @@
 
 namespace sndp {
 
+struct AuditSnapshot;
 class EpochTimeline;
 
 class Gpu {
@@ -84,11 +85,9 @@ class Gpu {
   // drained.
   SmCycleStack cycle_stack() const;
 
+  // Waits for every tenant's CTA queue to drain, not just tenant 0's
+  // (DESIGN.md "Multi-tenant serving").
   bool idle() const;
-  // CTAs not yet dispatched, summed over ALL tenants — the completion /
-  // valve end-game must wait for every tenant's queue to drain, not just
-  // tenant 0's (DESIGN.md "Multi-tenant serving").
-  unsigned ctas_remaining() const { return ctas_left_; }
 
   // Per-tenant CTA retirement progress (finish cycles for slowdown tables).
   const std::vector<TenantCtaProgress>& tenant_progress() const { return tenant_progress_; }
@@ -98,25 +97,18 @@ class Gpu {
   std::uint64_t tenant_l2_misses(unsigned t) const { return t_l2_misses_.at(t); }
   std::uint64_t tenant_l2_merged(unsigned t) const { return t_l2_merged_.at(t); }
 
-  // Aggregate Fig. 8 stall counters over all SMs (cycle-stack groups).
-  std::uint64_t total_stall_dependency() const;
-  std::uint64_t total_stall_exec_busy() const;
-  std::uint64_t total_stall_warp_idle() const;
   std::uint64_t total_issued() const;
-  std::uint64_t invalidations_received() const { return invals_received_; }
 
-  // Aggregates + flow counters for the stats audit / epoch timeline.
+  // Aggregates for the stats export and the epoch timeline.
   std::uint64_t total_l1_hits() const;
   std::uint64_t total_l1_misses() const;
-  std::uint64_t total_l1_merged() const;
   std::uint64_t total_l2_hits() const;
   std::uint64_t total_l2_misses() const;
-  std::uint64_t total_l2_merged() const;
-  std::uint64_t l2_read_reqs() const { return l2_read_reqs_; }
-  std::uint64_t mem_read_resps() const { return mem_read_resps_; }
-  std::uint64_t rx_packets() const { return rx_packets_; }
-  std::uint64_t rdf_l2_probes() const { return rdf_l2_probes_; }
-  std::uint64_t rdf_l2_hits() const { return rdf_l2_hits_; }
+
+  // Flow audit (src/obs/stats_audit.*): every SM's counters, the L2 slices'
+  // outcomes and flow counters, the per-tenant governors and splits, and
+  // the machine SM cycle stack's issue, active and dep-pending cycles.
+  void audit(AuditSnapshot& s) const;
 
   // Per-epoch timeline hook: the L2 slices poll their cumulative counters at
   // the first consumed L2 edge at/after each epoch boundary.

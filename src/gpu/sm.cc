@@ -12,6 +12,7 @@
 #include "memfunc/global_memory.h"
 #include "ndp/ro_cache.h"
 #include "obs/latency.h"
+#include "obs/stats_audit.h"
 
 namespace sndp {
 
@@ -240,12 +241,6 @@ void Sm::record_no_warp_gap() {
   gap_bucket_ = SmBucket::kDispatchIdle;
   gap_row_ = cyc_.shared_row();
   gap_pending_warp_ = kInvalidId;
-}
-
-std::uint64_t Sm::parked_dep_cycles() const {
-  std::uint64_t n = 0;
-  for (const std::uint64_t c : pending_dep_cycles_) n += c;
-  return n;
 }
 
 // Pick the bucket (and owning tenant row) for one no-issue cycle with at
@@ -1009,6 +1004,25 @@ void Sm::export_stats(StatSet& out, const std::string& prefix) const {
   out.set(prefix + ".rdf_l1_hits", static_cast<double>(rdf_l1_hits_));
   out.set(prefix + ".wta_packets", static_cast<double>(wta_packets_));
   out.set(prefix + ".pending_full_stalls", static_cast<double>(pending_full_stalls_));
+}
+
+void Sm::audit(AuditSnapshot& s) const {
+  s.sm_issued += issued_instrs;
+  s.offloads_started += offloads_started_;
+  s.inline_blocks += inline_blocks_;
+  s.ofld_acks += ofld_acks_;
+  s.inline_block_instrs += inline_block_instrs_;
+  s.acked_block_instrs += acked_block_instrs_;
+  s.sm_rdf_probes += rdf_packets_;
+  s.sm_rdf_l1_hits += rdf_l1_hits_;
+  s.l1_hits += l1_.hits;
+  s.l1_miss_new += l1_.misses;
+  s.l1_merged += l1_.merged_misses;
+  s.cyc_sm_sum.push_back(cyc_.total());
+  s.cyc_sm_counted.push_back(next_expected_cycle_);
+  s.sm_active_cycles += active_cycles;
+  // Dep-pending cycles the warps hold parked for re-billing at next issue.
+  for (const std::uint64_t c : pending_dep_cycles_) s.sm_parked_dep_cycles += c;
 }
 
 }  // namespace sndp

@@ -27,6 +27,8 @@
 
 namespace sndp {
 
+struct AuditSnapshot;
+
 inline constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 
 // Which machine level served a line fill (cycle-stack profiler): an L2
@@ -102,32 +104,23 @@ class Sm final : public Tickable {
   const Cache& l1() const { return l1_; }
   void export_stats(StatSet& out, const std::string& prefix) const;
 
-  // Flow-audit accessors (src/obs/stats_audit.*).
-  std::uint64_t offloads_started() const { return offloads_started_; }
-  std::uint64_t inline_blocks() const { return inline_blocks_; }
-  std::uint64_t ofld_acks() const { return ofld_acks_; }
-  std::uint64_t inline_block_instrs() const { return inline_block_instrs_; }
-  std::uint64_t acked_block_instrs() const { return acked_block_instrs_; }
-  std::uint64_t rdf_probe_packets() const { return rdf_packets_; }
-  std::uint64_t rdf_probe_l1_hits() const { return rdf_l1_hits_; }
+  // Flow audit (src/obs/stats_audit.*): add this SM's issue, offload, RDF
+  // probe and L1 counters to `s`, and append its cycle-stack entry.
+  void audit(AuditSnapshot& s) const;
 
   // Per-tenant issued-instruction counts (size = ctx.num_tenants(); index 0
   // is the whole SM on the single-tenant path).
   const std::vector<std::uint64_t>& issued_by_tenant() const { return issued_by_tenant_; }
 
   // --- Cycle-stack profiler (src/obs/cycle_stack.*) ------------------------
-  // Per-tenant bucket counters.  counted_cycles() is the SM's accounting
-  // watermark: every SM cycle before it sits in exactly one bucket.
+  // Per-tenant bucket counters: every SM cycle before the accounting
+  // watermark (next_expected_cycle_) sits in exactly one bucket.
   const SmCycleStack& cycle_stack() const { return cyc_; }
-  std::uint64_t counted_cycles() const { return next_expected_cycle_; }
   // The no-warp cycles after the SM's last activity (the drained tail); the
   // ones before it stay dispatch idle.
   std::uint64_t no_warp_drained_cycles() const {
     return dispatch_idle_cycles() - no_warp_snapshot_;
   }
-  // Dep-pending cycles the warps hold parked for re-billing at next issue.
-  std::uint64_t parked_dep_cycles() const;
-
   // Fig. 8 no-issue counters: each is the bucket group that refines it.
   std::uint64_t stall_dependency() const { return sm_group_total(cyc_, SmBucketGroup::kDep); }
   std::uint64_t stall_exec_busy() const { return sm_group_total(cyc_, SmBucketGroup::kExecBusy); }

@@ -25,8 +25,6 @@ enum class WarpState : std::uint8_t {
   kFinished,     // ran EXIT
 };
 
-const char* warp_state_name(WarpState s);
-
 // GPU-side state of one offloaded block instance (§4.1.1).
 struct GpuOffloadCtx {
   const OffloadBlockInfo* info = nullptr;

@@ -1,6 +1,6 @@
 #include "mem/cache.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace sndp {
 
@@ -21,11 +21,6 @@ Cache::Line* Cache::find_line(Addr line_addr) {
     if (base[w].valid && base[w].tag == line_addr) return &base[w];
   }
   return nullptr;
-}
-
-bool Cache::mshr_pending(Addr line_addr) const {
-  return std::any_of(mshrs_.begin(), mshrs_.end(),
-                     [&](const Mshr& m) { return m.line_addr == line_addr; });
 }
 
 CacheAccessResult Cache::access_read(Addr line_addr, std::uint64_t token) {

@@ -49,7 +49,6 @@ class Cache {
   bool invalidate(Addr line_addr);
 
   unsigned mshr_free() const { return cfg_.mshr_entries - static_cast<unsigned>(mshrs_.size()); }
-  bool mshr_pending(Addr line_addr) const;
 
   void export_stats(StatSet& out) const;
 

@@ -20,7 +20,6 @@ class DramBank {
 
   bool row_open(std::uint64_t row) const { return open_row_ == row; }
   bool closed() const { return open_row_ == kNoRow; }
-  std::uint64_t open_row() const { return open_row_; }
 
   bool can_activate(Cycle now) const { return closed() && now >= act_allowed_; }
   bool can_precharge(Cycle now) const { return !closed() && now >= pre_allowed_; }

@@ -9,6 +9,7 @@
 #include "noc/network.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
+#include "obs/stats_audit.h"
 
 namespace sndp {
 
@@ -55,6 +56,24 @@ std::uint64_t Hmc::total_writes() const {
   std::uint64_t n = 0;
   for (const auto& v : vaults_) n += v->writes;
   return n;
+}
+
+void Hmc::audit(AuditSnapshot& s) const {
+  s.hmc_rx_packets += packets_routed_;
+  s.mem_read_completions += mem_reads_completed_;
+  s.rdf_completions += rdf_completed_;
+  s.mem_write_completions += mem_writes_completed_;
+  s.nsu_write_completions += nsu_writes_completed_;
+  s.page_copy_read_completions += page_copy_reads_completed_;
+  s.page_copy_write_completions += page_copy_writes_completed_;
+  nsu_->audit(s);
+  for (const auto& v : vaults_) {
+    s.vault_reads += v->reads;
+    s.vault_writes += v->writes;
+    s.vault_activates += v->activates;
+    s.cyc_vault_sum.push_back(v->cycle_stack().total());
+    s.cyc_vault_counted.push_back(v->counted_cycles());
+  }
 }
 
 void Hmc::finalize(Cycle end_cycle) {

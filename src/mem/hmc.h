@@ -19,6 +19,7 @@
 
 namespace sndp {
 
+struct AuditSnapshot;
 class EpochTimeline;
 
 class Hmc final : public Tickable {
@@ -45,15 +46,10 @@ class Hmc final : public Tickable {
   std::uint64_t total_reads() const;
   std::uint64_t total_writes() const;
 
-  // Flow-audit accessors: per-type vault completions (incremented in the
-  // same handler as the dram_*_bytes energy counters) and NoC ejections.
-  std::uint64_t mem_reads_completed() const { return mem_reads_completed_; }
-  std::uint64_t mem_writes_completed() const { return mem_writes_completed_; }
-  std::uint64_t rdf_completed() const { return rdf_completed_; }
-  std::uint64_t nsu_writes_completed() const { return nsu_writes_completed_; }
-  std::uint64_t page_copy_reads_completed() const { return page_copy_reads_completed_; }
-  std::uint64_t page_copy_writes_completed() const { return page_copy_writes_completed_; }
-  std::uint64_t packets_routed() const { return packets_routed_; }
+  // Flow audit (src/obs/stats_audit.*): add this stack's NoC ejections and
+  // per-type vault completions to `s`, then its NSU's counters and, per
+  // vault, the DRAM service counters and cycle-stack entry.
+  void audit(AuditSnapshot& s) const;
 
   // Cycle-stack profiler: derive each vault's idle tail (end_cycle minus its
   // counted busy edges), then read the per-stack aggregate.  finalize() is
@@ -61,8 +57,6 @@ class Hmc final : public Tickable {
   // edge count before stats are read.
   void finalize(Cycle end_cycle);
   VaultCycleStack vault_cycle_stack() const;
-  unsigned num_vaults() const { return static_cast<unsigned>(vaults_.size()); }
-  const VaultController& vault(unsigned v) const { return *vaults_[v]; }
 
   void export_stats(StatSet& out, const std::string& prefix) const;
 
@@ -122,6 +116,8 @@ class Hmc final : public Tickable {
 
   EpochTimeline* timeline_ = nullptr;
 
+  // NoC ejections, and per-type vault completions (incremented in the same
+  // handler as the dram_*_bytes energy counters).
   std::uint64_t packets_routed_ = 0;
   std::uint64_t mem_reads_completed_ = 0;
   std::uint64_t mem_writes_completed_ = 0;

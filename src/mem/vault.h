@@ -40,7 +40,6 @@ class VaultController final : public Tickable {
                   unsigned tenants = 1);
 
   bool can_accept() const { return queue_.size() < cfg_.vault_queue_size; }
-  std::size_t queue_depth() const { return queue_.size(); }
   bool idle() const { return queue_.empty() && completed_.empty(); }
 
   void enqueue(const DramRequest& req);

@@ -50,7 +50,6 @@ class GlobalMemory {
   void store_reg(Addr a, RegValue v, unsigned width, bool f32);
 
   std::size_t frames_allocated() const { return frames_.size(); }
-  std::uint64_t bytes_allocated() const { return frames_.size() * kFrameBytes; }
 
   // Byte-exact comparison of an address range against another image.
   // Returns true when every byte matches; otherwise writes the first

@@ -8,6 +8,7 @@
 #include "noc/network.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
+#include "obs/stats_audit.h"
 
 namespace sndp {
 
@@ -130,7 +131,7 @@ void Nsu::tick(Cycle cycle, TimePs now) {
   try_spawn(cycle, now);
 
   // Single-issue with temporal SIMT: a warp instruction occupies the issue
-  // port for warp_width / simd_lanes cycles (§4.5).  OFLD markers are
+  // port for kWarpWidth / simd_lanes cycles (§4.5).  OFLD markers are
   // bookkeeping (spawn-time init / ack-wait), not lane work — they do not
   // hold the port.
   if (issue_busy_until_ > cycle) {
@@ -165,7 +166,7 @@ void Nsu::tick(Cycle cycle, TimePs now) {
       if (next.is_global_mem()) {
         hold = 1;
       } else if (next.op != Opcode::kOfldBeg && next.op != Opcode::kOfldEnd) {
-        hold = (cfg_.warp_width + cfg_.simd_lanes - 1) / cfg_.simd_lanes;
+        hold = (kWarpWidth + cfg_.simd_lanes - 1) / cfg_.simd_lanes;
       }
       // Capture before step_warp: finishing a warp (kOfldEnd) clears the slot.
       const unsigned tenant = w.tenant;
@@ -447,6 +448,15 @@ void Nsu::finish_warp(unsigned slot, TimePs now) {
   finished_block_instrs_ += info.body_size();
   warp = NsuWarp{};  // slot free; next command can spawn on a later tick
   live_ &= ~slot_bit(slot);
+}
+
+void Nsu::audit(AuditSnapshot& s) const {
+  s.nsu_blocks_completed += blocks_completed_;
+  s.nsu_instrs += instrs_;
+  s.nsu_lane_ops += lane_ops_;
+  s.nsu_finished_block_instrs += finished_block_instrs_;
+  s.cyc_nsu_sum.push_back(cyc_.total());
+  s.cyc_nsu_counted.push_back(tick_count_);
 }
 
 void Nsu::export_stats(StatSet& out, const std::string& prefix) const {

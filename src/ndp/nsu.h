@@ -25,6 +25,7 @@
 
 namespace sndp {
 
+struct AuditSnapshot;
 class EpochTimeline;
 
 class Nsu final : public Tickable {
@@ -63,19 +64,17 @@ class Nsu final : public Tickable {
   double avg_occupancy() const;          // mean busy warp slots / max_warps
   double icache_utilization() const;     // touched instruction bytes / icache size
   std::uint64_t lane_ops() const { return lane_ops_; }
+  std::uint64_t occupancy_accum() const { return occupancy_accum_; }
   void export_stats(StatSet& out, const std::string& prefix) const;
 
-  // Flow-audit accessors (src/obs/stats_audit.*).
-  std::uint64_t instrs() const { return instrs_; }
-  std::uint64_t blocks_completed() const { return blocks_completed_; }
-  std::uint64_t finished_block_instrs() const { return finished_block_instrs_; }
-  std::uint64_t occupancy_accum() const { return occupancy_accum_; }
+  // Flow audit (src/obs/stats_audit.*): add this NSU's block, instruction
+  // and lane-op counters to `s`, and append its cycle-stack entry.
+  void audit(AuditSnapshot& s) const;
 
   // Cycle-stack profiler (src/obs/cycle_stack.*): every counted NSU cycle
-  // lands in exactly one bucket, so the stack's total equals counted_cycles()
+  // lands in exactly one bucket, so the stack's total equals tick_count_
   // at any instant — compensation for slept edges updates both together.
   const NsuCycleStack& cycle_stack() const { return cyc_; }
-  std::uint64_t counted_cycles() const { return tick_count_; }
 
   // Per-epoch timeline hook: this NSU polls its cumulative occupancy at the
   // first consumed NSU edge at/after each epoch boundary.  `src` is this

@@ -53,7 +53,6 @@ class Link {
         break;
     }
     bytes_transmitted_ += bytes;
-    busy_ps_ += ser;
     ++packets_;
     if (wait_ps != nullptr) *wait_ps = start - earliest;
     return start + ser + propagation_ps_;
@@ -62,7 +61,6 @@ class Link {
   TimePs free_at() const { return bulk_free_at_; }
   std::uint64_t bytes_transmitted() const { return bytes_transmitted_; }
   std::uint64_t packets() const { return packets_; }
-  TimePs busy_ps() const { return busy_ps_; }
   double gb_per_s() const { return gb_per_s_; }
 
  private:
@@ -71,7 +69,6 @@ class Link {
   TimePs urgent_free_at_ = 0;
   TimePs ctrl_free_at_ = 0;
   TimePs bulk_free_at_ = 0;
-  TimePs busy_ps_ = 0;
   std::uint64_t bytes_transmitted_ = 0;
   std::uint64_t packets_ = 0;
 };

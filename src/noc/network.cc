@@ -5,6 +5,7 @@
 
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
+#include "obs/stats_audit.h"
 #include "sim/trace.h"
 
 namespace sndp {
@@ -134,21 +135,16 @@ bool Network::idle() const {
   return true;
 }
 
-std::uint64_t Network::in_flight_packets() const {
-  std::uint64_t n = 0;
-  for (const auto& ch : rx_) n += ch.size();
-  return n;
-}
-
-std::uint64_t Network::total_link_bytes() const {
-  std::uint64_t n = 0;
+void Network::audit(AuditSnapshot& s) const {
+  s.net_injected += packets_injected_;
+  for (const auto& ch : rx_) s.net_in_flight += ch.size();
   for (const LinkPair& p : gpu_links_) {
-    n += p.up->bytes_transmitted() + p.down->bytes_transmitted();
+    s.link_bytes += p.up->bytes_transmitted() + p.down->bytes_transmitted();
   }
   for (const auto& [key, p] : cube_links_) {
-    n += p.up->bytes_transmitted() + p.down->bytes_transmitted();
+    s.link_bytes += p.up->bytes_transmitted() + p.down->bytes_transmitted();
   }
-  return n;
+  s.class_bytes += total_offchip_bytes();
 }
 
 void Network::export_stats(StatSet& out) const {

@@ -24,6 +24,7 @@
 
 namespace sndp {
 
+struct AuditSnapshot;
 class EpochTimeline;
 class LatencyTracer;
 class TraceWriter;
@@ -66,12 +67,11 @@ class Network {
   }
   const std::map<PacketType, std::uint64_t>& bytes_by_type() const { return bytes_by_type_; }
 
-  // Flow-audit accessors: packets ever injected, packets currently sitting
-  // in RX channels (instantaneous), and bytes summed over every physical
-  // link (must equal the per-class byte counters above).
-  std::uint64_t packets_injected() const { return packets_injected_; }
-  std::uint64_t in_flight_packets() const;
-  std::uint64_t total_link_bytes() const;
+  // Flow audit (src/obs/stats_audit.*): add to `s` the packets ever
+  // injected, the packets sitting in RX channels (instantaneous), the bytes
+  // summed over every physical link, and the per-class byte counters above
+  // (the two byte sums must agree).
+  void audit(AuditSnapshot& s) const;
 
   void export_stats(StatSet& out) const;
 

@@ -167,10 +167,6 @@ struct CycleStackSummary {
   SmCycleStack sm;
   NsuCycleStack nsu;
   VaultCycleStack vault;
-
-  std::uint64_t sm_cycles() const { return sm.total(); }
-  std::uint64_t nsu_cycles() const { return nsu.total(); }
-  std::uint64_t vault_cycles() const { return vault.total(); }
 };
 
 // Emit `cyc.sm.<bucket>` / `cyc.nsu.<bucket>` / `cyc.vault.<bucket>` machine

@@ -121,10 +121,6 @@ struct LatencySummary {
   std::uint64_t spans_sampled = 0;
   std::uint64_t spans_dropped = 0;  // sampled but span table was full
 
-  std::uint64_t class_count(PathClass c) const {
-    return per_class[static_cast<std::size_t>(c)].count();
-  }
-
   bool operator==(const LatencySummary&) const = default;
 };
 

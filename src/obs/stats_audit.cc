@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/log.h"
+#include "common/types.h"
 
 namespace sndp {
 namespace {
@@ -120,8 +121,8 @@ void StatsAudit::instant_checks(std::int64_t epoch, const AuditSnapshot& s) {
      "completed_le_started");
   le(s.acked_block_instrs, s.nsu_finished_block_instrs, epoch, "offload",
      "acked_instrs_le_finished");
-  // An NSU warp instruction executes at most warp_width lanes.
-  le(s.nsu_lane_ops, s.nsu_instrs * s.warp_width, epoch, "nsu",
+  // An NSU warp instruction executes at most kWarpWidth lanes.
+  le(s.nsu_lane_ops, s.nsu_instrs * kWarpWidth, epoch, "nsu",
      "lane_ops_le_instrs");
 
   // --- Memory request flow ------------------------------------------------

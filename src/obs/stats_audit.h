@@ -6,9 +6,9 @@
 // epoch boundary and at end-of-run, and asserts the books balance:
 // coalesced requests issued by SMs reconcile with L1/L2/vault retirements,
 // NoC packets injected == ejected + in-flight, NSU lane-ops reconcile with
-// offloaded-block instruction counts, offload launches == completions +
-// in-flight, buffer credits are conserved, and EnergyCounters mirror the
-// component stats they are folded from.
+// offloaded-block instruction counts, offload completions and ACKs never
+// outrun launches, buffer credits are conserved, and EnergyCounters mirror
+// the component stats they are folded from.
 //
 // Epoch-boundary checks are restricted to invariants that hold at EVERY
 // instant of a run (monotonicity, same-callsite identities, flow
@@ -35,8 +35,12 @@
 namespace sndp {
 
 // One consistent snapshot of every audited counter.  All fields are
-// cumulative totals unless noted instantaneous.  Filled by the Simulator's
-// collector (which owns references to all components).
+// cumulative totals unless noted instantaneous.  Each counter is filled by
+// the component that counts it: `Gpu::audit` (which walks its SMs'
+// `Sm::audit`), `Network::audit` and `Hmc::audit` (which walks its NSU's
+// `Nsu::audit` and its vaults).  The Simulator adds the fields no component
+// owns: energy mirrors, buffer credits, latency-tracer counts, placement
+// counters, geometry and the SM flush cycle.
 struct AuditSnapshot {
   // SM / L1 side.
   std::uint64_t l1_hits = 0;       // includes RDF-probe hits
@@ -139,7 +143,6 @@ struct AuditSnapshot {
   std::vector<std::uint64_t> cyc_tenant_issue;  // per-tenant issue-bucket rows
   // Geometry.
   unsigned line_bytes = 128;
-  unsigned warp_width = 32;
   std::uint64_t page_bytes = 4096;
 
   std::uint64_t lat(PathClass c) const {

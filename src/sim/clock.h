@@ -152,18 +152,6 @@ class Scheduler {
   // stepping reaches the same state by ticking dead edges one by one.
   TimePs advance_to_limit();
 
-  // Run until `deadline_ps` (inclusive) or until `idle()` returns true when
-  // checked between steps.  Returns false if the deadline was hit first.
-  template <typename IdlePred>
-  bool run_until_idle(IdlePred&& idle, TimePs deadline_ps) {
-    while (!idle()) {
-      if (now_ >= deadline_ps) return false;
-      if (fast_forward_ && quiescent_) return false;  // stuck: no pending work
-      step();
-    }
-    return true;
-  }
-
  private:
   TimePs naive_step();
 

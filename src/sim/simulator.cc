@@ -40,6 +40,12 @@ RunResult Simulator::run_image(const KernelImage& image, const LaunchParams& lau
 RunResult Simulator::run_tenants(const std::vector<TenantDesc>& tenants,
                                  const std::string& name) {
   if (tenants.empty()) throw std::invalid_argument("run_tenants: no tenants");
+  for (unsigned t = 0; t < tenants.size(); ++t) {
+    if (tenants[t].workload == nullptr) {
+      throw std::invalid_argument("run_tenants: tenant " + std::to_string(t) +
+                                  " has no workload");
+    }
+  }
   GlobalMemory gmem;
   MemoryAllocator alloc;
   std::vector<KernelImage> images;
@@ -90,8 +96,12 @@ RunResult Simulator::run_tenants(const std::vector<TenantDesc>& tenants,
 
 RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory& gmem,
                                 const std::string& name) {
-  if (jobs.empty() || jobs[0].image == nullptr) {
-    throw std::invalid_argument("run_images: no tenant jobs");
+  if (jobs.empty()) throw std::invalid_argument("run_images: no tenant jobs");
+  for (unsigned t = 0; t < jobs.size(); ++t) {
+    if (jobs[t].image == nullptr) {
+      throw std::invalid_argument("run_images: tenant " + std::to_string(t) +
+                                  " has no kernel image");
+    }
   }
   const unsigned num_tenants = static_cast<unsigned>(jobs.size());
   RunResult result;
@@ -167,61 +177,13 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   StatsAudit audit;
   // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
+  // Each component adds the counters it owns; the rest belong to no
+  // component: energy mirrors, buffer credits, placement, latency, geometry.
   auto audit_snapshot = [&](Cycle sm_flushed_to) {
     AuditSnapshot s;
-    for (const auto& sm : gpu.sms()) {
-      s.sm_issued += sm->issued_instrs;
-      s.offloads_started += sm->offloads_started();
-      s.inline_blocks += sm->inline_blocks();
-      s.ofld_acks += sm->ofld_acks();
-      s.inline_block_instrs += sm->inline_block_instrs();
-      s.acked_block_instrs += sm->acked_block_instrs();
-      s.sm_rdf_probes += sm->rdf_probe_packets();
-      s.sm_rdf_l1_hits += sm->rdf_probe_l1_hits();
-      s.l1_hits += sm->l1().hits;
-      s.l1_miss_new += sm->l1().misses;
-      s.l1_merged += sm->l1().merged_misses;
-    }
-    s.l2_hits = gpu.total_l2_hits();
-    s.l2_miss_new = gpu.total_l2_misses();
-    s.l2_merged = gpu.total_l2_merged();
-    s.l2_read_reqs = gpu.l2_read_reqs();
-    s.rdf_l2_probes = gpu.rdf_l2_probes();
-    s.rdf_l2_hits = gpu.rdf_l2_hits();
-    s.mem_read_resps = gpu.mem_read_resps();
-    s.gpu_rx_packets = gpu.rx_packets();
-    for (const auto& g : govs) s.gov_block_instrs += g->total_block_instrs();
-    if (num_tenants > 1) {
-      s.tenant_issued.resize(num_tenants);
-      s.tenant_l2_reads.resize(num_tenants);
-      s.tenant_gov_instrs.resize(num_tenants);
-      for (unsigned t = 0; t < num_tenants; ++t) {
-        s.tenant_issued[t] = gpu.issued_by_tenant(t);
-        s.tenant_l2_reads[t] =
-            gpu.tenant_l2_hits(t) + gpu.tenant_l2_misses(t) + gpu.tenant_l2_merged(t);
-        s.tenant_gov_instrs[t] = govs[t]->total_block_instrs();
-      }
-    }
-    s.net_injected = net.packets_injected();
-    s.net_in_flight = net.in_flight_packets();
-    s.link_bytes = net.total_link_bytes();
-    s.class_bytes = net.total_offchip_bytes();
-    for (const auto& hmc : hmcs) {
-      s.hmc_rx_packets += hmc->packets_routed();
-      s.vault_reads += hmc->total_reads();
-      s.vault_writes += hmc->total_writes();
-      s.vault_activates += hmc->total_activates();
-      s.mem_read_completions += hmc->mem_reads_completed();
-      s.rdf_completions += hmc->rdf_completed();
-      s.mem_write_completions += hmc->mem_writes_completed();
-      s.nsu_write_completions += hmc->nsu_writes_completed();
-      s.page_copy_read_completions += hmc->page_copy_reads_completed();
-      s.page_copy_write_completions += hmc->page_copy_writes_completed();
-      s.nsu_blocks_completed += hmc->nsu().blocks_completed();
-      s.nsu_instrs += hmc->nsu().instrs();
-      s.nsu_lane_ops += hmc->nsu().lane_ops();
-      s.nsu_finished_block_instrs += hmc->nsu().finished_block_instrs();
-    }
+    gpu.audit(s);
+    net.audit(s);
+    for (const auto& hmc : hmcs) hmc->audit(s);
     s.dram_read_bytes = counters.dram_read_bytes;
     s.dram_write_bytes = counters.dram_write_bytes;
     for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
@@ -238,7 +200,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     s.energy_offchip_bytes = counters.offchip_bytes;
     s.energy_nsu_lane_ops = counters.nsu_lane_ops;
     s.line_bytes = cfg_.l2.line_bytes;
-    s.warp_width = kWarpWidth;
     s.pages_migrated = amap.policy().pages_migrated();
     s.migration_bytes = amap.policy().migration_bytes();
     s.page_bytes = cfg_.page_bytes;
@@ -247,43 +208,11 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     s.lat_started = ls.started;
     s.lat_finished = ls.finished;
     s.lat_cancelled = ls.cancelled;
-    for (const auto& sm : gpu.sms()) {
-      s.cyc_sm_sum.push_back(sm->cycle_stack().total());
-      s.cyc_sm_counted.push_back(sm->counted_cycles());
-      s.sm_active_cycles += sm->active_cycles;
-      s.sm_parked_dep_cycles += sm->parked_dep_cycles();
-    }
     s.cyc_sm_flushed_to = sm_flushed_to;
-    const SmCycleStack machine = gpu.cycle_stack();
-    s.cyc_sm_active = machine.total() - sm_group_total(machine, SmBucketGroup::kNoWarp);
-    s.cyc_sm_issue = machine.bucket_total(static_cast<std::size_t>(SmBucket::kIssue));
-    s.cyc_sm_dep_pending =
-        machine.bucket_total(static_cast<std::size_t>(SmBucket::kDepPending));
-    for (const auto& hmc : hmcs) {
-      s.cyc_nsu_sum.push_back(hmc->nsu().cycle_stack().total());
-      s.cyc_nsu_counted.push_back(hmc->nsu().counted_cycles());
-      for (unsigned v = 0; v < hmc->num_vaults(); ++v) {
-        s.cyc_vault_sum.push_back(hmc->vault(v).cycle_stack().total());
-        s.cyc_vault_counted.push_back(hmc->vault(v).counted_cycles());
-      }
-    }
-    if (num_tenants > 1) {
-      s.cyc_tenant_issue.resize(num_tenants);
-      for (unsigned t = 0; t < num_tenants; ++t) {
-        s.cyc_tenant_issue[t] =
-            machine.rows[t][static_cast<std::size_t>(SmBucket::kIssue)];
-      }
-    }
     return s;
   };
 
   govs[0]->set_epoch_observer([&](const EpochRollInfo& info) {
-    std::uint64_t issued = 0, l1_hits = 0, l1_misses = 0;
-    for (const auto& sm : gpu.sms()) {
-      issued += sm->issued_instrs;
-      l1_hits += sm->l1().hits;
-      l1_misses += sm->l1().misses;
-    }
     // Boundary-sync the SM cycle stacks so the timeline sample (and the
     // epoch audit) sees every cycle up to the boundary classified.  The
     // EpochTick replays fast-forwarded boundaries before any SM does work at
@@ -291,15 +220,16 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     // stepping modes.
     const Cycle boundary = (info.epoch + 1) * cfg_.governor.epoch_cycles;
     gpu.sync_cycle_stacks(boundary);
+    const AuditSnapshot s = audit_snapshot(boundary);
     const SmCycleStack machine = gpu.cycle_stack();
     std::array<std::uint64_t, kNumSmBuckets> stack_totals{};
     for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
       stack_totals[b] = machine.bucket_total(b);
     }
     timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
-                      info.step, info.direction, issued, l1_hits, l1_misses,
+                      info.step, info.direction, s.sm_issued, s.l1_hits, s.l1_miss_new,
                       stack_totals);
-    audit.check_epoch(info.epoch, audit_snapshot(boundary));
+    audit.check_epoch(info.epoch, s);
   });
 
   // Clock domains (Table 2).
@@ -396,9 +326,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.aborted = aborted;
   result.sm_cycles = sm_domain.now_cycle();
   result.runtime_ps = sched.now();
-  result.stall_dependency = gpu.total_stall_dependency();
-  result.stall_exec_busy = gpu.total_stall_exec_busy();
-  result.stall_warp_idle = gpu.total_stall_warp_idle();
   result.ipc = result.sm_cycles
                    ? static_cast<double>(gpu.total_issued()) / static_cast<double>(result.sm_cycles)
                    : 0.0;
@@ -408,6 +335,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // stacks cover every SM cycle and the vault stacks carry their idle tails.
   result.cycle_stack.tenants = num_tenants;
   result.cycle_stack.sm = gpu.cycle_stack();
+  result.stall_dependency = sm_group_total(result.cycle_stack.sm, SmBucketGroup::kDep);
+  result.stall_exec_busy = sm_group_total(result.cycle_stack.sm, SmBucketGroup::kExecBusy);
+  result.stall_warp_idle = sm_group_total(result.cycle_stack.sm, SmBucketGroup::kWarpIdle);
   result.cycle_stack.nsu.init(num_tenants);
   result.cycle_stack.vault.init(num_tenants);
   for (const auto& hmc : hmcs) {

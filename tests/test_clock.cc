@@ -107,17 +107,6 @@ TEST(TimedChannel, PopNotReadyReturnsNullopt) {
   EXPECT_EQ(ch.size(), 1u);
 }
 
-TEST(SchedulerRunUntilIdle, StopsAtDeadline) {
-  ClockDomain dom("d", 1'000'000);
-  Recorder r;
-  dom.add(&r);
-  Scheduler sched;
-  sched.add(&dom);
-  const bool became_idle = sched.run_until_idle([] { return false; }, 10'000);
-  EXPECT_FALSE(became_idle);
-  EXPECT_GE(sched.now(), 10'000u);
-}
-
 // --- fast-forward ----------------------------------------------------------
 
 // A worker with an explicit work schedule (domain tick indices).  The hint

@@ -198,6 +198,15 @@ TEST(Config, ValidateBoundsActivityMaskSlots) {
   EXPECT_NE(validate_error(c).find("hmc.num_vaults"), std::string::npos) << validate_error(c);
 }
 
+TEST(Config, ValidateRejectsZeroNsuSimdLanes) {
+  // The NSU's issue hold divides the warp width by its SIMD lane count.
+  SystemConfig c = SystemConfig::paper();
+  c.nsu.simd_lanes = 0;
+  EXPECT_NE(validate_error(c).find("nsu.simd_lanes"), std::string::npos) << validate_error(c);
+  c.nsu.simd_lanes = 1;
+  EXPECT_EQ(validate_error(c), "");
+}
+
 TEST(Config, ValidateRejectsBadShapes) {
   SystemConfig c = SystemConfig::paper();
   c.num_hmcs = 0;  // need at least one stack

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sndp.h"
 
@@ -59,6 +62,40 @@ TEST(SimulatorFacade, RejectsInvalidConfig) {
   SystemConfig cfg = SystemConfig::small_test();
   cfg.num_hmcs = 0;
   EXPECT_THROW(Simulator{cfg}, std::invalid_argument);
+}
+
+// The message of the std::invalid_argument `run` throws, or "" if none.
+template <typename F>
+std::string invalid_argument_message(F&& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimulatorFacade, RunTenantsRejectsNullWorkload) {
+  auto wl = make_workload("VADD", ProblemScale::kTiny);
+  Simulator sim(SystemConfig::small_test());
+  const std::vector<TenantDesc> descs = {TenantDesc{wl.get()}, TenantDesc{nullptr}};
+  const std::string msg = invalid_argument_message([&] { sim.run_tenants(descs, "mix"); });
+  EXPECT_NE(msg.find("tenant 1"), std::string::npos) << msg;
+}
+
+TEST(SimulatorFacade, RunImagesRejectsNullImage) {
+  auto wl = make_workload("VADD", ProblemScale::kTiny);
+  const KernelImage image = analyze_and_generate(wl->program());
+  TenantJob first;
+  first.image = &image;
+  first.launch = wl->launch();
+  TenantJob second = first;
+  second.image = nullptr;
+  GlobalMemory gmem;
+  Simulator sim(SystemConfig::small_test());
+  const std::string msg =
+      invalid_argument_message([&] { sim.run_images({first, second}, gmem, "mix"); });
+  EXPECT_NE(msg.find("tenant 1"), std::string::npos) << msg;
 }
 
 TEST(SimulatorFacade, AnalyzerOptionsChangeBlockExtraction) {
