@@ -23,13 +23,8 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--scale" && i + 1 < argc) {
       const std::string s = argv[++i];
-      if (s == "tiny") {
-        scale = ProblemScale::kTiny;
-      } else if (s == "small") {
-        scale = ProblemScale::kSmall;
-      } else {
-        std::fprintf(stderr, "unknown scale '%s'\n", s.c_str());
-        return 2;
+      if (!parse_problem_scale(s, &scale) || scale == ProblemScale::kLarge) {
+        flag_value_error(argv[0], a, s, "not tiny or small");
       }
     } else if (a == "--workload" && i + 1 < argc) {
       selected.emplace_back(argv[++i]);

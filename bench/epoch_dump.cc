@@ -65,18 +65,10 @@ Options parse(int argc, char** argv) {
       }
     } else if (a == "-s" || a == "--scale") {
       const std::string s = need_value(i);
-      o.scale = s == "tiny"    ? ProblemScale::kTiny
-                : s == "large" ? ProblemScale::kLarge
-                : s == "small" ? ProblemScale::kSmall
-                               : (usage(argv[0]), ProblemScale::kSmall);
+      if (!parse_problem_scale(s, &o.scale)) flag_value_error(argv[0], a, s, "unknown scale");
     } else if (a == "-m" || a == "--mode") {
       const std::string m = need_value(i);
-      if (m == "off") o.mode = OffloadMode::kOff;
-      else if (m == "always") o.mode = OffloadMode::kAlways;
-      else if (m == "static") o.mode = OffloadMode::kStaticRatio;
-      else if (m == "dyn") o.mode = OffloadMode::kDynamic;
-      else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
-      else usage(argv[0]);
+      if (!parse_offload_mode(m, &o.mode)) flag_value_error(argv[0], a, m, "unknown mode");
     } else if (a == "-r" || a == "--ratio") {
       o.ratio = parse_flag(argv[0], a, need_value(i), 0.0, 1.0);
     } else if (a == "-e" || a == "--epoch") {

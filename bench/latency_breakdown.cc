@@ -71,12 +71,7 @@ Options parse(int argc, char** argv) {
       }
     } else if (a == "-m" || a == "--mode") {
       const std::string m = need_value(i);
-      if (m == "off") o.mode = OffloadMode::kOff;
-      else if (m == "always") o.mode = OffloadMode::kAlways;
-      else if (m == "static") o.mode = OffloadMode::kStaticRatio;
-      else if (m == "dyn") o.mode = OffloadMode::kDynamic;
-      else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
-      else usage(argv[0]);
+      if (!parse_offload_mode(m, &o.mode)) flag_value_error(argv[0], a, m, "unknown mode");
     } else if (a == "--sample") {
       o.sample = parse_flag(argv[0], a, need_value(i), 0u);
     } else if (a == "--csv") {

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
 
       Row r;
       r.workload = w;
-      r.mode = mode == OffloadMode::kOff ? "off" : "dyn-cache";
+      r.mode = offload_mode_name(mode);
       r.sim_cycles = ff.sm_cycles;
       r.runtime_ps = ff.runtime_ps;
       r.wall_ff_s = wall_ff;

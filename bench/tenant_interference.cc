@@ -92,9 +92,9 @@ Options parse(int argc, char** argv) {
       }
     } else if (a == "--scale") {
       const std::string s = need_value(i);
-      if (s == "tiny") o.scale = ProblemScale::kTiny;
-      else if (s == "small") o.scale = ProblemScale::kSmall;
-      else usage(argv[0]);
+      if (!parse_problem_scale(s, &o.scale) || o.scale == ProblemScale::kLarge) {
+        flag_value_error(argv[0], a, s, "not tiny or small");
+      }
     } else if (a == "--arbiters") {
       o.arbiters.clear();
       for (const std::string& n : split_list(need_value(i))) {

@@ -29,9 +29,10 @@ int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "VADD";
   if (!is_workload_name(name)) flag_value_error(argv[0], "WORKLOAD", name, "unknown workload");
   const std::string scale_str = argc > 2 ? argv[2] : "small";
-  const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
-                             : scale_str == "large" ? ProblemScale::kLarge
-                                                    : ProblemScale::kSmall;
+  ProblemScale scale = ProblemScale::kSmall;
+  if (!parse_problem_scale(scale_str, &scale)) {
+    flag_value_error(argv[0], "SCALE", scale_str, "unknown scale");
+  }
   const Cycle epoch = argc > 3 ? parse_flag(argv[0], "EPOCH", argv[3], Cycle{1}) : 2000;
 
   const RunResult base = run_mode(name, scale, OffloadMode::kOff, 0.0, epoch);

@@ -127,7 +127,9 @@ bool write_profile_csv(const std::string& path, const CycleStackSummary& cs) {
   if (out == nullptr) return false;
   std::fprintf(out, "component,row,bucket,cycles\n");
   auto row_name = [&](unsigned row) {
-    return row == cs.tenants ? std::string("shared") : "t" + std::to_string(row);
+    std::string name = "t";
+    name += std::to_string(row);
+    return row == cs.tenants ? std::string("shared") : name;
   };
   for (unsigned row = 0; row < cs.sm.rows.size(); ++row) {
     for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
@@ -153,17 +155,6 @@ bool write_profile_csv(const std::string& path, const CycleStackSummary& cs) {
   const bool ok = std::ferror(out) == 0;
   if (out != stdout) std::fclose(out);
   return ok;
-}
-
-const char* mode_name(OffloadMode m) {
-  switch (m) {
-    case OffloadMode::kOff: return "off";
-    case OffloadMode::kAlways: return "always";
-    case OffloadMode::kStaticRatio: return "static";
-    case OffloadMode::kDynamic: return "dyn";
-    case OffloadMode::kDynamicCache: return "dyn-cache";
-  }
-  return "?";
 }
 
 // Parses a --tenants SPEC (comma list of NAME[:WEIGHT[:PRIORITY]]); an
@@ -211,18 +202,10 @@ Options parse(int argc, char** argv) {
       }
     } else if (a == "-s" || a == "--scale") {
       const std::string s = need_value(i);
-      o.scale = s == "tiny"    ? ProblemScale::kTiny
-                : s == "large" ? ProblemScale::kLarge
-                : s == "small" ? ProblemScale::kSmall
-                               : (usage(argv[0]), ProblemScale::kSmall);
+      if (!parse_problem_scale(s, &o.scale)) flag_value_error(argv[0], a, s, "unknown scale");
     } else if (a == "-m" || a == "--mode") {
       const std::string m = need_value(i);
-      if (m == "off") o.mode = OffloadMode::kOff;
-      else if (m == "always") o.mode = OffloadMode::kAlways;
-      else if (m == "static") o.mode = OffloadMode::kStaticRatio;
-      else if (m == "dyn") o.mode = OffloadMode::kDynamic;
-      else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
-      else usage(argv[0]);
+      if (!parse_offload_mode(m, &o.mode)) flag_value_error(argv[0], a, m, "unknown mode");
     } else if (a == "-r" || a == "--ratio") {
       o.ratio = parse_flag(argv[0], a, need_value(i), 0.0, 1.0);
     } else if (a == "-e" || a == "--epoch") {
@@ -314,7 +297,7 @@ int report_one(const Options& o, const SweepPoint& p, const RunResult& r) {
   const std::string name = p.workload();
   std::printf("%-8s mode=%-9s cycles=%-10llu ipc=%-6.2f verified=%-3s "
               "gpu-link=%.2fMB network=%.2fMB energy=%.4fJ\n",
-              name.c_str(), mode_name(o.mode),
+              name.c_str(), offload_mode_name(o.mode),
               static_cast<unsigned long long>(r.sm_cycles), r.ipc,
               r.verified ? "yes" : "NO", r.gpu_link_bytes / 1e6, r.cube_link_bytes / 1e6,
               r.energy.total());
@@ -337,7 +320,7 @@ int report_one(const Options& o, const SweepPoint& p, const RunResult& r) {
   }
   if (!o.csv.empty()) {
     std::ofstream out(o.csv, std::ios::app);
-    out << name << ',' << mode_name(o.mode) << ',' << o.ratio << ',' << r.sm_cycles << ','
+    out << name << ',' << offload_mode_name(o.mode) << ',' << o.ratio << ',' << r.sm_cycles << ','
         << r.ipc << ',' << (r.verified ? 1 : 0) << ',' << r.gpu_link_bytes << ','
         << r.cube_link_bytes << ',' << r.energy.total() << '\n';
   }
@@ -365,7 +348,7 @@ int main(int argc, char** argv) {
   for (std::vector<TenantSpec>& tenants : runs) {
     SweepPoint p;
     p.tenants = std::move(tenants);
-    p.id = p.workload() + "/" + mode_name(o.mode);
+    p.id = p.workload() + "/" + offload_mode_name(o.mode);
     p.scale = o.scale;
     p.cfg = config_of(o);
     runner.add(std::move(p));

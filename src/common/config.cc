@@ -5,6 +5,28 @@
 
 namespace sndp {
 
+const char* offload_mode_name(OffloadMode mode) {
+  switch (mode) {
+    case OffloadMode::kOff: return "off";
+    case OffloadMode::kAlways: return "always";
+    case OffloadMode::kStaticRatio: return "static";
+    case OffloadMode::kDynamic: return "dyn";
+    case OffloadMode::kDynamicCache: return "dyn-cache";
+  }
+  return "?";
+}
+
+bool parse_offload_mode(const std::string& text, OffloadMode* out) {
+  for (const OffloadMode m : {OffloadMode::kOff, OffloadMode::kAlways, OffloadMode::kStaticRatio,
+                              OffloadMode::kDynamic, OffloadMode::kDynamicCache}) {
+    if (text == offload_mode_name(m)) {
+      *out = m;
+      return true;
+    }
+  }
+  return false;
+}
+
 SystemConfig SystemConfig::paper() {
   return SystemConfig{};  // defaults reproduce Table 2
 }

@@ -145,6 +145,11 @@ enum class OffloadMode {
   kDynamicCache, // dynamic ratio + cache-locality-aware suppression (§7.3)
 };
 
+// "off" / "always" / "static" / "dyn" / "dyn-cache".
+const char* offload_mode_name(OffloadMode mode);
+// Parses a name offload_mode_name returns.  Returns false on anything else.
+bool parse_offload_mode(const std::string& text, OffloadMode* out);
+
 struct GovernorConfig {
   OffloadMode mode = OffloadMode::kOff;
   double static_ratio = 1.0;

@@ -1,9 +1,10 @@
 // Energy accounting (paper §5 / Fig. 10).
 //
-// Components increment raw event counters during simulation; at the end of
-// a run EnergyModel converts them into joules using the paper's published
-// constants (11.8 nJ per 4 KB row activation, 4 pJ/bit row-buffer access,
-// 2 pJ/bit off-chip links) plus static power integrated over the runtime.
+// Each component counts its own raw energy events during simulation and adds
+// them to RunResult::counters in its report(); EnergyModel then converts them
+// into joules using the paper's published constants (11.8 nJ per 4 KB row
+// activation, 4 pJ/bit row-buffer access, 2 pJ/bit off-chip links) plus
+// static power integrated over the runtime.
 // The breakdown matches Fig. 10's five categories: GPU, NSU, intra-HMC NoC,
 // off-chip interconnect, and DRAM.
 #pragma once

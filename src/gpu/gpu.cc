@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "ctrl/governor.h"
-#include "energy/energy_model.h"
 #include "gpu/wta_tracker.h"
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
@@ -13,6 +12,7 @@
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
+#include "sim/simulator.h"
 
 namespace sndp {
 
@@ -60,12 +60,6 @@ bool Gpu::idle() const {
     if (!s.in.empty() || !s.urgent.empty()) return false;
   }
   return true;
-}
-
-std::uint64_t Gpu::total_issued() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->issued_instrs;
-  return n;
 }
 
 std::uint64_t Gpu::issued_by_tenant(unsigned t) const {
@@ -242,7 +236,7 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
           slice = p->dst_node;  // CMD / WTA / RdfResp travel to the target HMC
           break;
       }
-      ctx_.energy->gpu_wire_bytes += p->size_bytes;
+      wire_bytes_ += p->size_bytes;
       ctx_.latency->queue_hop(*p, now, "sm_egress", ctx_.cfg->num_hmcs);
       if (is_urgent_packet(p->type)) {
         slices_.at(slice).urgent.push(std::move(*p), now);
@@ -293,7 +287,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
     const Packet& head = slice.in.front();
 
     if (head.type == PacketType::kMemRead) {
-      ++ctx_.energy->l2_accesses;
+      ++l2_accesses_;
       const auto result = slice.cache->access_read(head.line_addr, head.token);
       if (result == CacheAccessResult::kMshrFull) return;  // retry next cycle
       ++l2_read_reqs_;
@@ -309,7 +303,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
       if (result == CacheAccessResult::kHit) {
         ++t_l2_hits_.at(p.tenant);
         if (in_block) gov->cache_table().record_load_line(p.oid.block, true, touched);
-        ctx_.energy->gpu_wire_bytes += kLineBytes;
+        wire_bytes_ += kLineBytes;
         ctx_.latency->add_cache(p, l2_latency_ps);
         ctx_.latency->finish(p, PathClass::kGpuReadL2, now + l2_latency_ps, ctx_.cfg->num_hmcs);
         sms_.at(static_cast<std::size_t>(p.token))
@@ -336,7 +330,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
     ctx_.latency->queue_hop(p, now, "l2_slice", ctx_.cfg->num_hmcs);
     switch (p.type) {
       case PacketType::kMemWrite: {
-        ++ctx_.energy->l2_accesses;
+        ++l2_accesses_;
         slice.cache->write_touch(p.line_addr);
         p.dst_node = static_cast<std::uint16_t>(slice_idx);  // same pin as kMissNew
         send_to_network(std::move(p), now);
@@ -345,7 +339,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
       case PacketType::kRdf: {
         // Probe the L2 on the way out (Fig. 6(a)): a hit turns the request
         // into a response carrying the cached words.
-        ++ctx_.energy->l2_accesses;
+        ++l2_accesses_;
         ++rdf_l2_probes_;
         const bool hit = slice.cache->probe(p.line_addr);
         const bool in_block = p.oid.block != kNoBlock;
@@ -369,7 +363,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
           p.size_bytes = ro_hit
                              ? small_packet_bytes() + kAddrBytes
                              : rdf_resp_packet_bytes(popcount_mask(p.mask), p.mem_width);
-          ctx_.energy->gpu_wire_bytes += p.size_bytes;
+          wire_bytes_ += p.size_bytes;
         }
         send_to_network(std::move(p), now);
         break;
@@ -399,7 +393,7 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
       // dst to its slice) — a fresh hmc_of here could land on a different
       // slice after a migration and strand the MSHR tokens.
       const unsigned slice_idx = p.src_node;
-      ++ctx_.energy->l2_accesses;
+      ++l2_accesses_;
       // Dep-stall attribution: a fill from the line's current home stack is
       // local DRAM; anything else (possible under volatile mappings, where
       // the home moved while the miss was outstanding) is remote.
@@ -407,7 +401,7 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
                                   ? LineServe::kDramLocal
                                   : LineServe::kDramRemote;
       for (std::uint64_t token : slices_.at(slice_idx).cache->fill(p.line_addr)) {
-        ctx_.energy->gpu_wire_bytes += kLineBytes;
+        wire_bytes_ += kLineBytes;
         sms_.at(static_cast<std::size_t>(token))
             ->deliver_line(p.line_addr, now + ctx_.cfg->xbar_latency_ps, serve);
       }
@@ -452,18 +446,6 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
   }
 }
 
-std::uint64_t Gpu::total_l1_hits() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->l1().hits;
-  return n;
-}
-
-std::uint64_t Gpu::total_l1_misses() const {
-  std::uint64_t n = 0;
-  for (const auto& sm : sms_) n += sm->l1().misses;
-  return n;
-}
-
 std::uint64_t Gpu::total_l2_hits() const {
   std::uint64_t n = 0;
   for (const L2Slice& s : slices_) n += s.cache->hits;
@@ -490,10 +472,7 @@ void Gpu::audit(AuditSnapshot& s) const {
   s.gpu_rx_packets += rx_packets_;
   for (const OffloadGovernor* g : govs_) s.gov_block_instrs += g->total_block_instrs();
   const SmCycleStack machine = cycle_stack();
-  s.cyc_sm_active += machine.total() - sm_group_total(machine, SmBucketGroup::kNoWarp);
-  s.cyc_sm_issue += machine.bucket_total(static_cast<std::size_t>(SmBucket::kIssue));
-  s.cyc_sm_dep_pending +=
-      machine.bucket_total(static_cast<std::size_t>(SmBucket::kDepPending));
+  for (std::size_t b = 0; b < kNumSmBuckets; ++b) s.cyc_sm_buckets[b] += machine.bucket_total(b);
   const unsigned num_tenants = ctx_.num_tenants();
   if (num_tenants > 1) {
     s.tenant_issued.resize(num_tenants);
@@ -509,41 +488,67 @@ void Gpu::audit(AuditSnapshot& s) const {
   }
 }
 
-void Gpu::export_stats(StatSet& out) const {
-  const SmCycleStack machine = cycle_stack();
-  out.set("gpu.issued_instrs", static_cast<double>(total_issued()));
-  out.set("gpu.stall_dependency",
-          static_cast<double>(sm_group_total(machine, SmBucketGroup::kDep)));
-  out.set("gpu.stall_exec_busy",
-          static_cast<double>(sm_group_total(machine, SmBucketGroup::kExecBusy)));
-  out.set("gpu.stall_warp_idle",
-          static_cast<double>(sm_group_total(machine, SmBucketGroup::kWarpIdle)));
+void Gpu::report(RunResult& r) const {
+  std::uint64_t issued = 0, active = 0, l1_hits = 0, l1_misses = 0;
+  for (const auto& sm : sms_) {
+    sm->report(r);
+    issued += sm->issued_instrs;
+    active += sm->active_cycles;
+    l1_hits += sm->l1().hits;
+    l1_misses += sm->l1().misses;
+  }
+  r.ipc = r.sm_cycles ? static_cast<double>(issued) / static_cast<double>(r.sm_cycles) : 0.0;
+  r.counters.l2_accesses += l2_accesses_;
+  r.counters.gpu_wire_bytes += wire_bytes_;
+  r.counters.sm_active_seconds +=
+      static_cast<double>(active) / (static_cast<double>(ctx_.cfg->clocks.sm_khz) * 1e3);
+  // Everything is finalized, so the SM stacks cover every SM cycle.
+  r.cycle_stack.tenants = ctx_.num_tenants();
+  r.cycle_stack.sm = cycle_stack();
+  r.stall_dependency = sm_group_total(r.cycle_stack.sm, SmBucketGroup::kDep);
+  r.stall_exec_busy = sm_group_total(r.cycle_stack.sm, SmBucketGroup::kExecBusy);
+  r.stall_warp_idle = sm_group_total(r.cycle_stack.sm, SmBucketGroup::kWarpIdle);
+
+  StatSet& out = r.stats;
+  out.set("gpu.issued_instrs", static_cast<double>(issued));
+  out.set("gpu.stall_dependency", static_cast<double>(r.stall_dependency));
+  out.set("gpu.stall_exec_busy", static_cast<double>(r.stall_exec_busy));
+  out.set("gpu.stall_warp_idle", static_cast<double>(r.stall_warp_idle));
   out.set("gpu.invalidations", static_cast<double>(invals_received_));
   out.set("gpu.rdf_l2_probes", static_cast<double>(rdf_l2_probes_));
   out.set("gpu.rdf_l2_hits", static_cast<double>(rdf_l2_hits_));
   out.set("gpu.l2_read_reqs", static_cast<double>(l2_read_reqs_));
   out.set("gpu.mem_read_resps", static_cast<double>(mem_read_resps_));
   out.set("gpu.rx_packets", static_cast<double>(rx_packets_));
-  // Aggregate caches.
-  out.set("gpu.l1_hits", static_cast<double>(total_l1_hits()));
-  out.set("gpu.l1_misses", static_cast<double>(total_l1_misses()));
+  out.set("gpu.l1_hits", static_cast<double>(l1_hits));
+  out.set("gpu.l1_misses", static_cast<double>(l1_misses));
   out.set("gpu.l2_hits", static_cast<double>(total_l2_hits()));
   out.set("gpu.l2_misses", static_cast<double>(total_l2_misses()));
-  // Tenant-keyed stats only exist on multi-tenant runs, so the classic
-  // single-kernel stat set (golden-stats pins) is byte-identical.
-  if (total_ctas_t_.size() > 1) {
-    for (unsigned t = 0; t < total_ctas_t_.size(); ++t) {
-      const std::string p = "gpu.t" + std::to_string(t);
-      out.set(p + ".issued_instrs", static_cast<double>(issued_by_tenant(t)));
-      out.set(p + ".l2_hits", static_cast<double>(t_l2_hits_[t]));
-      out.set(p + ".l2_misses", static_cast<double>(t_l2_misses_[t]));
-      out.set(p + ".l2_merged", static_cast<double>(t_l2_merged_[t]));
-      out.set(p + ".ctas", static_cast<double>(dispatched_[t]));
-      out.set(p + ".finish_cycle", static_cast<double>(tenant_progress_[t].finish_cycle));
-    }
-  }
-  for (unsigned i = 0; i < sms_.size(); ++i) {
-    if (i < 4) sms_[i]->export_stats(out, "sm" + std::to_string(i));
+  govs_[0]->export_stats(out);
+  // Tenant results and tenant-keyed stats only exist on multi-tenant runs,
+  // so the classic single-kernel stat set (golden-stats pins) is unchanged.
+  const unsigned num_tenants = ctx_.num_tenants();
+  if (num_tenants == 1) return;
+  for (unsigned t = 0; t < num_tenants; ++t) {
+    TenantResult tr;
+    tr.finish_cycle = tenant_progress_[t].finish_cycle;
+    tr.issued = issued_by_tenant(t);
+    tr.l2_hits = t_l2_hits_[t];
+    tr.l2_misses = t_l2_misses_[t];
+    tr.l2_merged = t_l2_merged_[t];
+    tr.gov_block_instrs = govs_[t]->total_block_instrs();
+    std::string p = "gpu.t";
+    p += std::to_string(t);
+    out.set(p + ".issued_instrs", static_cast<double>(tr.issued));
+    out.set(p + ".l2_hits", static_cast<double>(tr.l2_hits));
+    out.set(p + ".l2_misses", static_cast<double>(tr.l2_misses));
+    out.set(p + ".l2_merged", static_cast<double>(tr.l2_merged));
+    out.set(p + ".ctas", static_cast<double>(dispatched_[t]));
+    out.set(p + ".finish_cycle", static_cast<double>(tr.finish_cycle));
+    std::string g = "gov.t";
+    g += std::to_string(t);
+    out.set(g + ".block_instrs", static_cast<double>(tr.gov_block_instrs));
+    r.tenants.push_back(std::move(tr));
   }
 }
 

@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.h"
 #include "gpu/buffer_manager.h"
 #include "gpu/sm.h"
 #include "mem/cache.h"
@@ -24,6 +23,7 @@
 namespace sndp {
 
 struct AuditSnapshot;
+struct RunResult;
 class EpochTimeline;
 
 class Gpu {
@@ -80,43 +80,38 @@ class Gpu {
   // epoch clock.  Called at epoch boundaries before the audit / timeline
   // read the stacks, so boundary values are stepping-mode-independent.
   void sync_cycle_stacks(Cycle end_cycle);
-  // Machine-wide SM stack: per-tenant bucket sums over all SMs, with each
-  // SM's post-last-activity no-warp tail re-billed from dispatch-idle to
-  // drained.
-  SmCycleStack cycle_stack() const;
 
   // Waits for every tenant's CTA queue to drain, not just tenant 0's
   // (DESIGN.md "Multi-tenant serving").
   bool idle() const;
 
-  // Per-tenant CTA retirement progress (finish cycles for slowdown tables).
-  const std::vector<TenantCtaProgress>& tenant_progress() const { return tenant_progress_; }
-  // Per-tenant aggregates (index 0 is the whole machine single-tenant).
-  std::uint64_t issued_by_tenant(unsigned t) const;
-  std::uint64_t tenant_l2_hits(unsigned t) const { return t_l2_hits_.at(t); }
-  std::uint64_t tenant_l2_misses(unsigned t) const { return t_l2_misses_.at(t); }
-  std::uint64_t tenant_l2_merged(unsigned t) const { return t_l2_merged_.at(t); }
-
-  std::uint64_t total_issued() const;
-
-  // Aggregates for the stats export and the epoch timeline.
-  std::uint64_t total_l1_hits() const;
-  std::uint64_t total_l1_misses() const;
+  // L2 outcomes over all slices (the epoch timeline's end-of-run values).
   std::uint64_t total_l2_hits() const;
   std::uint64_t total_l2_misses() const;
 
   // Flow audit (src/obs/stats_audit.*): every SM's counters, the L2 slices'
   // outcomes and flow counters, the per-tenant governors and splits, and
-  // the machine SM cycle stack's issue, active and dep-pending cycles.
+  // the machine SM cycle stack's bucket totals.
   void audit(AuditSnapshot& s) const;
+
+  // End of run: every SM's report, then the `gpu.*` and governor 0's stats,
+  // `ipc` (from `r.sm_cycles`), the machine SM cycle stack and the Fig. 8
+  // stall counters taken from it, the GPU's energy events and the SMs'
+  // active seconds, and on multi-tenant runs the per-tenant results and
+  // stats (their names are the caller's).
+  void report(RunResult& r) const;
 
   // Per-epoch timeline hook: the L2 slices poll their cumulative counters at
   // the first consumed L2 edge at/after each epoch boundary.
   void set_timeline(EpochTimeline* timeline) { timeline_ = timeline; }
 
-  void export_stats(StatSet& out) const;
-
  private:
+  // Per-tenant issued instructions, summed over SMs.
+  std::uint64_t issued_by_tenant(unsigned t) const;
+  // Machine-wide SM stack: per-tenant bucket sums over all SMs, with each
+  // SM's post-last-activity no-warp tail re-billed from dispatch-idle to
+  // drained.  audit() builds it once per snapshot, report() once.
+  SmCycleStack cycle_stack() const;
   void epoch_tick(Cycle cycle);
   void core_tick(Cycle cycle, TimePs now);
   // Arbiter: the tenant whose next CTA the freed slot on `sm` should take,
@@ -174,6 +169,9 @@ class Gpu {
   std::uint64_t l2_read_reqs_ = 0;   // kMemRead packets retired at a slice
   std::uint64_t mem_read_resps_ = 0; // kMemReadResp fills received
   std::uint64_t rx_packets_ = 0;     // all packets ejected from the NoC here
+  // Energy events (report() adds them to RunResult::counters).
+  std::uint64_t l2_accesses_ = 0;
+  std::uint64_t wire_bytes_ = 0;     // on-die data movement (SM <-> L2 <-> links)
 
   EpochTimeline* timeline_ = nullptr;
 };

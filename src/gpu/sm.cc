@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "ctrl/governor.h"
-#include "energy/energy_model.h"
 #include "gpu/buffer_manager.h"
 #include "gpu/wta_tracker.h"
 #include "mem/address_map.h"
@@ -13,6 +12,7 @@
 #include "ndp/ro_cache.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
+#include "sim/simulator.h"
 
 namespace sndp {
 
@@ -471,7 +471,7 @@ Sm::IssueOutcome Sm::try_issue(Warp& w, Cycle cycle, TimePs now) {
   // offloaded (duplicated address-calculation instructions still run here).
   if (w.ofld && in.on_nsu && !in.addr_calc) {
     ++w.pc;
-    ctx_.energy->sm_lane_ops += 1;  // the NOP still flows down the pipe
+    lane_ops_ += 1;  // the NOP still flows down the pipe
     return IssueOutcome::kIssued;
   }
 
@@ -535,7 +535,7 @@ void Sm::execute_alu_warp(Warp& w, const Instr& in, Cycle cycle) {
   const Cycle done = cycle + (sfu ? cfg_.sfu_latency : cfg_.alu_latency);
   if (in.writes_reg()) w.scoreboard.set_reg_ready_at(in.dst, done, DepSource::kPipe);
   if (in.writes_pred()) w.scoreboard.set_pred_ready_at(in.pred_dst, done);
-  ctx_.energy->sm_lane_ops += popcount_mask(lanes);
+  lane_ops_ += popcount_mask(lanes);
 }
 
 void Sm::handle_branch(Warp& w, const Instr& in) {
@@ -543,7 +543,7 @@ void Sm::handle_branch(Warp& w, const Instr& in) {
   if (lanes != 0 && lanes != w.active) {
     throw std::logic_error("Sm: divergent branch — kernels must use predication");
   }
-  ctx_.energy->sm_lane_ops += popcount_mask(w.active);
+  lane_ops_ += popcount_mask(w.active);
   w.pc = lanes == 0 ? w.pc + 1 : static_cast<unsigned>(in.target);
 }
 
@@ -695,7 +695,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
       }
     }
     w.scoreboard.set_reg_ready_at(in.dst, cycle + cfg_.shm_latency, DepSource::kL1);
-    ctx_.energy->sm_lane_ops += popcount_mask(lanes);
+    lane_ops_ += popcount_mask(lanes);
     ++w.pc;
     return IssueOutcome::kIssued;
   }
@@ -708,7 +708,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
           (static_cast<std::uint64_t>(w.cta_slot) << 48) | effective_address(in, t);
       shm_[key] = t.regs[in.src[1]];
     }
-    ctx_.energy->sm_lane_ops += popcount_mask(lanes);
+    lane_ops_ += popcount_mask(lanes);
     ++w.pc;
     return IssueOutcome::kIssued;
   }
@@ -755,7 +755,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
     tracker = LoadTracker{true, w.id, in.dst, 0};
     ++active_trackers_;
     for (const LineAccess& la : lines) {
-      ++ctx_.energy->l1_accesses;
+      ++l1_accesses_;
       switch (l1_.access_read(la.line_addr, tracker_idx)) {
         case CacheAccessResult::kHit: {
           // Cache-locality statistics for the governor (§7.3): L1 hits are
@@ -814,7 +814,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
       }
     }
     for (const LineAccess& la : lines) {
-      ++ctx_.energy->l1_accesses;
+      ++l1_accesses_;
       l1_.write_touch(la.line_addr);
       ctx_.ro_cache->invalidate(la.line_addr);
       Packet p;
@@ -835,7 +835,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
     }
   }
 
-  ctx_.energy->sm_lane_ops += popcount_mask(lanes);
+  lane_ops_ += popcount_mask(lanes);
   lsu_busy_until_ = cycle + n_lines;
   ++w.pc;
   return IssueOutcome::kIssued;
@@ -900,7 +900,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
 
   if (in.op == Opcode::kLd) {
     for (const LineAccess& la : lines) {
-      ++ctx_.energy->l1_accesses;
+      ++l1_accesses_;
       ++rdf_packets_;
       const bool hit = l1_.probe(la.line_addr);
       if (hit && w.cur_block != kNoBlock) {
@@ -982,14 +982,20 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
     }
   }
 
-  ctx_.energy->sm_lane_ops += popcount_mask(lanes);
+  lane_ops_ += popcount_mask(lanes);
   lsu_busy_until_ = cycle + n_lines;
   ++ofld.seq;
   ++w.pc;
   return IssueOutcome::kIssued;
 }
 
-void Sm::export_stats(StatSet& out, const std::string& prefix) const {
+void Sm::report(RunResult& r) const {
+  r.counters.sm_lane_ops += lane_ops_;
+  r.counters.l1_accesses += l1_accesses_;
+  if (id_ >= 4) return;  // per-SM stats for the first four SMs only
+  std::string prefix = "sm";
+  prefix += std::to_string(id_);
+  StatSet& out = r.stats;
   out.set(prefix + ".issued_instrs", static_cast<double>(issued_instrs));
   out.set(prefix + ".active_cycles", static_cast<double>(active_cycles));
   out.set(prefix + ".stall_dependency", static_cast<double>(stall_dependency()));

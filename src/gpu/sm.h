@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "gpu/coalescer.h"
 #include "gpu/warp.h"
@@ -28,6 +27,7 @@
 namespace sndp {
 
 struct AuditSnapshot;
+struct RunResult;
 
 inline constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 
@@ -102,7 +102,10 @@ class Sm final : public Tickable {
 
   SmId id() const { return id_; }
   const Cache& l1() const { return l1_; }
-  void export_stats(StatSet& out, const std::string& prefix) const;
+
+  // Adds this SM's energy events to `r.counters` and, for the first four
+  // SMs, its `smN.*` stats to `r.stats`.
+  void report(RunResult& r) const;
 
   // Flow audit (src/obs/stats_audit.*): add this SM's issue, offload, RDF
   // probe and L1 counters to `s`, and append its cycle-stack entry.
@@ -126,7 +129,7 @@ class Sm final : public Tickable {
   std::uint64_t stall_exec_busy() const { return sm_group_total(cyc_, SmBucketGroup::kExecBusy); }
   std::uint64_t stall_warp_idle() const { return sm_group_total(cyc_, SmBucketGroup::kWarpIdle); }
 
-  // Kept apart from the stack: the audit and the energy model read them.
+  // Kept apart from the stack: the audit and Gpu::report read them.
   std::uint64_t issued_instrs = 0;
   std::uint64_t active_cycles = 0;   // cycles with at least one valid warp
 
@@ -275,6 +278,9 @@ class Sm final : public Tickable {
   std::uint64_t rdf_l1_hits_ = 0;
   std::uint64_t wta_packets_ = 0;
   std::uint64_t pending_full_stalls_ = 0;
+  // Energy events (report() adds them to RunResult::counters).
+  std::uint64_t lane_ops_ = 0;     // executed instructions x active lanes
+  std::uint64_t l1_accesses_ = 0;
 
   // --- Cycle-stack profiler state. -----------------------------------------
   SmCycleStack cyc_;  // rows: tenants + shared; no-warp accrues in the

@@ -283,7 +283,11 @@ std::string to_string(const Instr& instr) {
     os << (instr.mem_width == 4 ? (instr.mem_f32 ? ".F32" : ".32") : ".64");
   }
   if (instr.on_nsu) os << "@NSU";
-  auto reg = [](std::uint8_t r) { return "R" + std::to_string(int(r)); };
+  auto reg = [](std::uint8_t r) {
+    std::string s = "R";
+    s += std::to_string(int(r));
+    return s;
+  };
   switch (instr.op) {
     case Opcode::kLd:
     case Opcode::kShmLd:

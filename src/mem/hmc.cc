@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "energy/energy_model.h"
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
 #include "noc/network.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
+#include "sim/simulator.h"
 
 namespace sndp {
 
@@ -32,7 +32,7 @@ Hmc::Hmc(HmcId id, const SystemContext& ctx) : id_(id), ctx_(ctx) {
       /*send_network=*/[this](Packet&& p, TimePs now) { send_from_stack(std::move(p), now); },
       /*send_local_vault=*/
       [this](Packet&& p, TimePs now) {
-        ctx_.energy->hmc_noc_bytes += p.size_bytes;
+        hmc_noc_bytes_ += p.size_bytes;
         enqueue_vault(std::move(p), now + noc_latency_ps_);
       });
 }
@@ -40,22 +40,6 @@ Hmc::Hmc(HmcId id, const SystemContext& ctx) : id_(id), ctx_(ctx) {
 bool Hmc::idle() const {
   return inflight_.empty() && pending_copies_.empty() && busy_vaults_ == 0 &&
          backlogged_ == 0 && nsu_->idle();
-}
-
-std::uint64_t Hmc::total_activates() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vaults_) n += v->activates;
-  return n;
-}
-std::uint64_t Hmc::total_reads() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vaults_) n += v->reads;
-  return n;
-}
-std::uint64_t Hmc::total_writes() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vaults_) n += v->writes;
-  return n;
 }
 
 void Hmc::audit(AuditSnapshot& s) const {
@@ -66,6 +50,8 @@ void Hmc::audit(AuditSnapshot& s) const {
   s.nsu_write_completions += nsu_writes_completed_;
   s.page_copy_read_completions += page_copy_reads_completed_;
   s.page_copy_write_completions += page_copy_writes_completed_;
+  s.dram_read_bytes += dram_read_bytes_;
+  s.dram_write_bytes += dram_write_bytes_;
   nsu_->audit(s);
   for (const auto& v : vaults_) {
     s.vault_reads += v->reads;
@@ -80,16 +66,9 @@ void Hmc::finalize(Cycle end_cycle) {
   for (auto& v : vaults_) v->finalize(end_cycle);
 }
 
-VaultCycleStack Hmc::vault_cycle_stack() const {
-  VaultCycleStack agg;
-  agg.init(ctx_.num_tenants());
-  for (const auto& v : vaults_) agg.accumulate(v->cycle_stack());
-  return agg;
-}
-
 void Hmc::send_from_stack(Packet&& p, TimePs now) {
   p.src_node = static_cast<std::uint16_t>(id_);
-  ctx_.energy->hmc_noc_bytes += p.size_bytes;  // logic layer -> I/O port
+  hmc_noc_bytes_ += p.size_bytes;  // logic layer -> I/O port
   ctx_.net->send(std::move(p), now);
 }
 
@@ -171,28 +150,28 @@ void Hmc::route_packet(Packet&& p, TimePs now) {
     case PacketType::kMemWrite:
     case PacketType::kRdf:
     case PacketType::kNsuWrite:
-      ctx_.energy->hmc_noc_bytes += p.size_bytes;
+      hmc_noc_bytes_ += p.size_bytes;
       enqueue_vault(std::move(p), now + noc_latency_ps_);
       break;
     case PacketType::kOfldCmd:
     case PacketType::kRdfResp:
     case PacketType::kWta:
     case PacketType::kNsuWriteAck:
-      ctx_.energy->hmc_noc_bytes += p.size_bytes;
+      hmc_noc_bytes_ += p.size_bytes;
       ctx_.latency->add_link(p, 0, noc_latency_ps_);
       nsu_->receive(std::move(p), now + noc_latency_ps_);
       break;
     case PacketType::kPageCopyRead:
       // A re-home triggered at a stack that no longer holds the page: the
       // lines live here, so the copy reads start here.
-      ctx_.energy->hmc_noc_bytes += p.size_bytes;
+      hmc_noc_bytes_ += p.size_bytes;
       start_page_copy(p.line_addr / ctx_.amap->page_bytes(),
                       static_cast<HmcId>(p.target_nsu), now);
       break;
     case PacketType::kPageCopy: {
       // Bulk page arrival at the new home: write it back line-by-line
       // through the vaults, competing with demand traffic.
-      ctx_.energy->hmc_noc_bytes += p.size_bytes;
+      hmc_noc_bytes_ += p.size_bytes;
       const unsigned line_bytes = ctx_.amap->line_bytes();
       const std::uint64_t page_bytes = ctx_.amap->page_bytes();
       for (std::uint64_t off = 0; off < page_bytes; off += line_bytes) {
@@ -250,8 +229,8 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
     case PacketType::kMemRead: {
       // Baseline line fetch: whole line back to the GPU.
       ++mem_reads_completed_;
-      ctx_.energy->dram_read_bytes += line_bytes;
-      ctx_.energy->hmc_noc_bytes += line_bytes;
+      dram_read_bytes_ += line_bytes;
+      hmc_noc_bytes_ += line_bytes;
       Packet resp;
       resp.type = PacketType::kMemReadResp;
       resp.line_addr = p.line_addr;
@@ -267,14 +246,14 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
     case PacketType::kMemWrite: {
       // Write-through store: data already applied functionally at the SM.
       ++mem_writes_completed_;
-      ctx_.energy->dram_write_bytes += p.size_bytes - mem_write_req_bytes(0);
+      dram_write_bytes_ += p.size_bytes - mem_write_req_bytes(0);
       ctx_.latency->finish(p, PathClass::kGpuWrite, done_ps, id_);
       break;
     }
     case PacketType::kRdf: {
       // Read-and-forward: only the touched words travel to the target NSU.
       ++rdf_completed_;
-      ctx_.energy->dram_read_bytes += line_bytes;
+      dram_read_bytes_ += line_bytes;
       Packet resp;
       resp.type = PacketType::kRdfResp;
       resp.oid = p.oid;
@@ -299,7 +278,7 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
       ctx_.latency->set_path(resp, p.target_nsu == id_ ? PathClass::kRdfLocal
                                                        : PathClass::kRdfRemote);
       if (p.target_nsu == id_) {
-        ctx_.energy->hmc_noc_bytes += resp.size_bytes;
+        hmc_noc_bytes_ += resp.size_bytes;
         ctx_.latency->add_link(resp, 0, noc_latency_ps_);
         nsu_->receive(std::move(resp), done_ps + noc_latency_ps_);
       } else {
@@ -322,7 +301,7 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
         }
       }
       ++nsu_writes_completed_;
-      ctx_.energy->dram_write_bytes += popcount_mask(p.mask) * p.mem_width;
+      dram_write_bytes_ += popcount_mask(p.mask) * p.mem_width;
 
       Packet ack;
       ack.type = PacketType::kNsuWriteAck;
@@ -332,7 +311,7 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
       ctx_.latency->transfer(p, ack);
       const unsigned origin = p.src_node;  // the NSU that issued the write
       if (origin == id_) {
-        ctx_.energy->hmc_noc_bytes += ack.size_bytes;
+        hmc_noc_bytes_ += ack.size_bytes;
         ctx_.latency->add_link(ack, 0, noc_latency_ps_);
         nsu_->receive(std::move(ack), done_ps + noc_latency_ps_);
       } else {
@@ -359,8 +338,8 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
       // fully up, one bulk packet carries it to the new home (route_packet
       // splits it back into vault writes there).
       ++page_copy_reads_completed_;
-      ctx_.energy->dram_read_bytes += line_bytes;
-      ctx_.energy->hmc_noc_bytes += line_bytes;
+      dram_read_bytes_ += line_bytes;
+      hmc_noc_bytes_ += line_bytes;
       auto pc = pending_copies_.find(p.token);
       if (pc == pending_copies_.end()) {
         throw std::logic_error("Hmc: page-copy read without a pending copy");
@@ -379,7 +358,7 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
     }
     case PacketType::kPageCopyWrite: {
       ++page_copy_writes_completed_;
-      ctx_.energy->dram_write_bytes += line_bytes;
+      dram_write_bytes_ += line_bytes;
       break;
     }
     default:
@@ -416,31 +395,40 @@ void Hmc::start_page_copy(std::uint64_t page_id, HmcId to, TimePs now) {
     rd.line_addr = page_id * page_bytes + off;
     rd.token = cookie;
     rd.size_bytes = mem_read_req_bytes();
-    ctx_.energy->hmc_noc_bytes += rd.size_bytes;
+    hmc_noc_bytes_ += rd.size_bytes;
     enqueue_vault(std::move(rd), now + noc_latency_ps_);
   }
 }
 
-void Hmc::export_stats(StatSet& out, const std::string& prefix) const {
+void Hmc::report(RunResult& r) const {
   Distribution qlat;
+  double lat_sum = 0.0;
+  std::uint64_t lat_n = 0, activates = 0, reads = 0, writes = 0;
   for (const auto& v : vaults_) {
     if (v->queue_latency_ps.count() > 0) {
       // Merge by moments (min/max are approximate across vaults).
       qlat.record(v->queue_latency_ps.min());
       qlat.record(v->queue_latency_ps.max());
     }
-  }
-  double lat_sum = 0.0;
-  std::uint64_t lat_n = 0;
-  for (const auto& v : vaults_) {
     lat_sum += v->queue_latency_ps.sum();
     lat_n += v->queue_latency_ps.count();
+    activates += v->activates;
+    reads += v->reads;
+    writes += v->writes;
+    r.cycle_stack.vault.accumulate(v->cycle_stack());
   }
+  r.counters.dram_activates += activates;
+  r.counters.hmc_noc_bytes += hmc_noc_bytes_;
+  r.counters.dram_read_bytes += dram_read_bytes_;
+  r.counters.dram_write_bytes += dram_write_bytes_;
+  std::string prefix = "hmc";
+  prefix += std::to_string(id_);
+  StatSet& out = r.stats;
   out.set(prefix + ".qlat.mean", lat_n ? lat_sum / static_cast<double>(lat_n) : 0.0);
   out.set(prefix + ".qlat.max", qlat.max());
-  out.set(prefix + ".activates", static_cast<double>(total_activates()));
-  out.set(prefix + ".reads", static_cast<double>(total_reads()));
-  out.set(prefix + ".writes", static_cast<double>(total_writes()));
+  out.set(prefix + ".activates", static_cast<double>(activates));
+  out.set(prefix + ".reads", static_cast<double>(reads));
+  out.set(prefix + ".writes", static_cast<double>(writes));
   out.set(prefix + ".packets_routed", static_cast<double>(packets_routed_));
   out.set(prefix + ".mem_reads_completed", static_cast<double>(mem_reads_completed_));
   out.set(prefix + ".mem_writes_completed", static_cast<double>(mem_writes_completed_));
@@ -448,7 +436,7 @@ void Hmc::export_stats(StatSet& out, const std::string& prefix) const {
   out.set(prefix + ".nsu_writes_completed", static_cast<double>(nsu_writes_completed_));
   out.set(prefix + ".page_copy_reads", static_cast<double>(page_copy_reads_completed_));
   out.set(prefix + ".page_copy_writes", static_cast<double>(page_copy_writes_completed_));
-  nsu_->export_stats(out, prefix + ".nsu");
+  nsu_->report(r);
 }
 
 }  // namespace sndp

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "mem/vault.h"
 #include "ndp/nsu.h"
 #include "noc/packet.h"
@@ -20,6 +19,7 @@
 namespace sndp {
 
 struct AuditSnapshot;
+struct RunResult;
 class EpochTimeline;
 
 class Hmc final : public Tickable {
@@ -41,24 +41,19 @@ class Hmc final : public Tickable {
 
   bool idle() const;
 
-  // DRAM energy/traffic counters aggregated over vaults.
-  std::uint64_t total_activates() const;
-  std::uint64_t total_reads() const;
-  std::uint64_t total_writes() const;
-
-  // Flow audit (src/obs/stats_audit.*): add this stack's NoC ejections and
-  // per-type vault completions to `s`, then its NSU's counters and, per
-  // vault, the DRAM service counters and cycle-stack entry.
+  // Flow audit (src/obs/stats_audit.*): add this stack's NoC ejections,
+  // per-type vault completions and DRAM bytes to `s`, then its NSU's
+  // counters and, per vault, the DRAM service counters and cycle-stack entry.
   void audit(AuditSnapshot& s) const;
 
   // Cycle-stack profiler: derive each vault's idle tail (end_cycle minus its
-  // counted busy edges), then read the per-stack aggregate.  finalize() is
-  // called once by the Simulator with the DRAM domain's naive-equivalent
-  // edge count before stats are read.
+  // counted busy edges).  Called once by the Simulator with the DRAM
+  // domain's naive-equivalent edge count before report().
   void finalize(Cycle end_cycle);
-  VaultCycleStack vault_cycle_stack() const;
 
-  void export_stats(StatSet& out, const std::string& prefix) const;
+  // End of run: the `hmcN.*` stats, the vaults' cycle-stack rows and this
+  // stack's DRAM and logic-layer energy events, then its NSU's report.
+  void report(RunResult& r) const;
 
   // Epoch-timeline hookup for the placement-migration counter (dram-domain
   // lazy poll; see the poll in tick()).  Set on stack 0 only — one poller
@@ -115,6 +110,11 @@ class Hmc final : public Tickable {
   bool fast_forward_ = false;
 
   EpochTimeline* timeline_ = nullptr;
+
+  // Energy events (report() adds them to RunResult::counters).
+  std::uint64_t hmc_noc_bytes_ = 0;  // vault <-> logic-layer movement
+  std::uint64_t dram_read_bytes_ = 0;
+  std::uint64_t dram_write_bytes_ = 0;
 
   // NoC ejections, and per-type vault completions (incremented in the same
   // handler as the dram_*_bytes energy counters).

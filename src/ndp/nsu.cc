@@ -9,6 +9,7 @@
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
+#include "sim/simulator.h"
 
 namespace sndp {
 
@@ -459,7 +460,13 @@ void Nsu::audit(AuditSnapshot& s) const {
   s.cyc_nsu_counted.push_back(tick_count_);
 }
 
-void Nsu::export_stats(StatSet& out, const std::string& prefix) const {
+void Nsu::report(RunResult& r) const {
+  r.counters.nsu_lane_ops += lane_ops_;
+  r.cycle_stack.nsu.accumulate(cyc_);
+  std::string prefix = "hmc";
+  prefix += std::to_string(hmc_id_);
+  prefix += ".nsu";
+  StatSet& out = r.stats;
   out.set(prefix + ".lane_ops", static_cast<double>(lane_ops_));
   out.set(prefix + ".instrs", static_cast<double>(instrs_));
   out.set(prefix + ".blocks_completed", static_cast<double>(blocks_completed_));

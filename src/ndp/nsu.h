@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "isa/program.h"
 #include "ndp/ndp_buffers.h"
@@ -26,6 +25,7 @@
 namespace sndp {
 
 struct AuditSnapshot;
+struct RunResult;
 class EpochTimeline;
 
 class Nsu final : public Tickable {
@@ -63,18 +63,15 @@ class Nsu final : public Tickable {
   // Stats (Fig. 11).
   double avg_occupancy() const;          // mean busy warp slots / max_warps
   double icache_utilization() const;     // touched instruction bytes / icache size
-  std::uint64_t lane_ops() const { return lane_ops_; }
   std::uint64_t occupancy_accum() const { return occupancy_accum_; }
-  void export_stats(StatSet& out, const std::string& prefix) const;
 
   // Flow audit (src/obs/stats_audit.*): add this NSU's block, instruction
   // and lane-op counters to `s`, and append its cycle-stack entry.
   void audit(AuditSnapshot& s) const;
 
-  // Cycle-stack profiler (src/obs/cycle_stack.*): every counted NSU cycle
-  // lands in exactly one bucket, so the stack's total equals tick_count_
-  // at any instant — compensation for slept edges updates both together.
-  const NsuCycleStack& cycle_stack() const { return cyc_; }
+  // End of run: the `hmcN.nsu.*` stats, this NSU's cycle-stack rows and its
+  // lane ops (the NSU's energy events).
+  void report(RunResult& r) const;
 
   // Per-epoch timeline hook: this NSU polls its cumulative occupancy at the
   // first consumed NSU edge at/after each epoch boundary.  `src` is this
@@ -147,7 +144,10 @@ class Nsu final : public Tickable {
   // I-cache footprint: the NSU pcs ever stepped, shared by all tenants.
   std::vector<bool> icache_touched_;
 
-  NsuCycleStack cyc_;  // cycle-stack profiler buckets
+  // Cycle-stack profiler (src/obs/cycle_stack.*): every counted NSU cycle
+  // lands in exactly one bucket, so the stack's total equals tick_count_
+  // at any instant — compensation for slept edges updates both together.
+  NsuCycleStack cyc_;
 };
 
 }  // namespace sndp

@@ -6,6 +6,7 @@
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
 
 namespace sndp {
@@ -147,13 +148,18 @@ void Network::audit(AuditSnapshot& s) const {
   s.class_bytes += total_offchip_bytes();
 }
 
-void Network::export_stats(StatSet& out) const {
+void Network::report(RunResult& r) const {
+  r.gpu_link_bytes += gpu_up_bytes_ + gpu_down_bytes_;
+  r.cube_link_bytes += cube_bytes_;
+  r.counters.offchip_bytes += total_offchip_bytes();
+  StatSet& out = r.stats;
   out.set("net.gpu_up_bytes", static_cast<double>(gpu_up_bytes_));
   out.set("net.gpu_down_bytes", static_cast<double>(gpu_down_bytes_));
   out.set("net.cube_bytes", static_cast<double>(cube_bytes_));
   out.set("net.total_offchip_bytes", static_cast<double>(total_offchip_bytes()));
   out.set("net.packets_injected", static_cast<double>(packets_injected_));
   for (const auto& [type, bytes] : bytes_by_type_) {
+    if (type == PacketType::kCacheInval) r.inval_bytes += bytes;
     out.set(std::string("net.bytes.") + packet_type_name(type), static_cast<double>(bytes));
   }
 }

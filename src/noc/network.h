@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "noc/link.h"
 #include "noc/packet.h"
@@ -25,6 +24,7 @@
 namespace sndp {
 
 struct AuditSnapshot;
+struct RunResult;
 class EpochTimeline;
 class LatencyTracer;
 class TraceWriter;
@@ -62,10 +62,6 @@ class Network {
   std::uint64_t gpu_up_bytes() const { return gpu_up_bytes_; }      // GPU -> HMC
   std::uint64_t gpu_down_bytes() const { return gpu_down_bytes_; }  // HMC -> GPU
   std::uint64_t cube_bytes() const { return cube_bytes_; }          // HMC <-> HMC
-  std::uint64_t total_offchip_bytes() const {
-    return gpu_up_bytes_ + gpu_down_bytes_ + cube_bytes_;
-  }
-  const std::map<PacketType, std::uint64_t>& bytes_by_type() const { return bytes_by_type_; }
 
   // Flow audit (src/obs/stats_audit.*): add to `s` the packets ever
   // injected, the packets sitting in RX channels (instantaneous), the bytes
@@ -73,7 +69,9 @@ class Network {
   // (the two byte sums must agree).
   void audit(AuditSnapshot& s) const;
 
-  void export_stats(StatSet& out) const;
+  // End of run: the `net.*` stats, the GPU-link, cube-link and invalidation
+  // traffic, and the off-chip bytes the energy model charges.
+  void report(RunResult& r) const;
 
  private:
   struct LinkPair {
@@ -83,6 +81,9 @@ class Network {
 
   Link& gpu_link(unsigned hmc, bool toward_hmc);
   Link& cube_link(unsigned from, unsigned to);
+  std::uint64_t total_offchip_bytes() const {
+    return gpu_up_bytes_ + gpu_down_bytes_ + cube_bytes_;
+  }
 
   unsigned num_hmcs_;
   bool pow2_nodes_ = true;  // selects historic vs incomplete-cube routing

@@ -243,10 +243,15 @@ void StatsAudit::instant_checks(std::int64_t epoch, const AuditSnapshot& s) {
   // The stack against counters kept outside it: issue slots, cycles with a
   // valid warp, and the dep cycles parked until their load's serve class
   // is known.
-  eq(s.cyc_sm_issue, s.sm_issued, epoch, "cycle_stack", "issue_eq_issued");
-  eq(s.cyc_sm_active, s.sm_active_cycles, epoch, "cycle_stack",
-     "active_groups_eq_active_cycles");
-  eq(s.cyc_sm_dep_pending, s.sm_parked_dep_cycles, epoch, "cycle_stack",
+  std::uint64_t sm_active = 0;  // every bucket outside the no-warp group
+  for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+    if (sm_bucket_group(static_cast<SmBucket>(b)) != SmBucketGroup::kNoWarp) {
+      sm_active += s.cyc_sm_buckets[b];
+    }
+  }
+  eq(s.cyc_sm(SmBucket::kIssue), s.sm_issued, epoch, "cycle_stack", "issue_eq_issued");
+  eq(sm_active, s.sm_active_cycles, epoch, "cycle_stack", "active_groups_eq_active_cycles");
+  eq(s.cyc_sm(SmBucket::kDepPending), s.sm_parked_dep_cycles, epoch, "cycle_stack",
      "dep_pending_eq_parked");
   // Tenant rows partition the machine: the issue bucket is stamped at the
   // same site as the per-tenant issued counter.
@@ -347,7 +352,7 @@ void StatsAudit::check_final(const AuditSnapshot& s, bool drained) {
      "mem", "drained_copy_writes_eq_migrations");
   // Drained, every load's fill has arrived and its consumer issued, so no
   // dependency cycle can still be parked awaiting its serve class.
-  eq(s.cyc_sm_dep_pending, 0, -1, "cycle_stack", "drained_dep_pending");
+  eq(s.cyc_sm(SmBucket::kDepPending), 0, -1, "cycle_stack", "drained_dep_pending");
   eq(s.buf_free_cmd, s.buf_cap_cmd, -1, "buffers", "drained_cmd_credits");
   eq(s.buf_free_read_data, s.buf_cap_read_data, -1, "buffers",
      "drained_read_data_credits");

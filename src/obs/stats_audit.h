@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "obs/cycle_stack.h"
 #include "obs/latency.h"
 
 namespace sndp {
@@ -95,8 +96,8 @@ struct AuditSnapshot {
   std::uint64_t buf_cap_cmd = 0;
   std::uint64_t buf_cap_read_data = 0;
   std::uint64_t buf_cap_write_addr = 0;
-  // EnergyCounters mirrors (meaningful for the final snapshot, after the
-  // Simulator folds component stats into the energy counters).
+  // RunResult::counters mirrors, set on the final snapshot only: the
+  // components' report() sums, computed apart from their audit() sums.
   std::uint64_t energy_dram_activates = 0;
   std::uint64_t energy_offchip_bytes = 0;
   std::uint64_t energy_nsu_lane_ops = 0;
@@ -135,9 +136,9 @@ struct AuditSnapshot {
   std::vector<std::uint64_t> cyc_nsu_sum, cyc_nsu_counted;      // per NSU
   std::vector<std::uint64_t> cyc_vault_sum, cyc_vault_counted;  // per vault
   std::uint64_t cyc_sm_flushed_to = 0;   // SM cycle the stacks were flushed to
-  std::uint64_t cyc_sm_issue = 0;
-  std::uint64_t cyc_sm_active = 0;       // every bucket outside the no-warp group
-  std::uint64_t cyc_sm_dep_pending = 0;  // unresolved retroactive dep cycles
+  // Machine SM stack bucket totals (every tenant row and the shared row);
+  // the epoch timeline records their per-epoch deltas.
+  std::array<std::uint64_t, kNumSmBuckets> cyc_sm_buckets{};
   std::uint64_t sm_active_cycles = 0;    // sum of Sm::active_cycles
   std::uint64_t sm_parked_dep_cycles = 0;  // sum of Sm::parked_dep_cycles()
   std::vector<std::uint64_t> cyc_tenant_issue;  // per-tenant issue-bucket rows
@@ -147,6 +148,9 @@ struct AuditSnapshot {
 
   std::uint64_t lat(PathClass c) const {
     return lat_counts[static_cast<std::size_t>(c)];
+  }
+  std::uint64_t cyc_sm(SmBucket b) const {
+    return cyc_sm_buckets[static_cast<std::size_t>(b)];
   }
 
   // kMemRead packets the SMs created: every L1 new miss allocates one,

@@ -18,7 +18,6 @@ class OffloadGovernor;
 class NdpBufferManager;
 class RoCacheMirror;
 class WtaInflightTracker;
-struct EnergyCounters;
 struct KernelImage;
 
 // Kernel grid: num_ctas thread blocks of cta_threads threads each.
@@ -51,7 +50,6 @@ struct SystemContext {
   // The memory network every cross-component packet travels through.
   Network* net = nullptr;
   NdpBufferManager* bufmgr = nullptr;
-  EnergyCounters* energy = nullptr;
   RoCacheMirror* ro_cache = nullptr;
   WtaInflightTracker* wta_tracker = nullptr;
   // Request-lifecycle latency tracer (src/obs/latency.*); every run has one.

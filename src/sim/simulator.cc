@@ -2,7 +2,6 @@
 
 #include "sim/trace.h"
 
-#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -121,7 +120,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   LatencyTracer latency(cfg_.latency_sample);
   latency.set_num_tenants(num_tenants);
   net.set_latency(&latency);
-  EnergyCounters counters;
   // One governor per tenant: each climbs its own offload ratio from its own
   // completion signal, so one tenant's phase change cannot contaminate
   // another's epoch stats.  Tenant t perturbs the seed by its index, so
@@ -154,7 +152,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   ctx.gmem = &gmem;
   ctx.net = &net;
   ctx.bufmgr = &bufmgr;
-  ctx.energy = &counters;
   ctx.ro_cache = &ro_cache;
   ctx.wta_tracker = &wta_tracker;
   ctx.latency = &latency;
@@ -178,14 +175,13 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   StatsAudit audit;
   // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
   // Each component adds the counters it owns; the rest belong to no
-  // component: energy mirrors, buffer credits, placement, latency, geometry.
+  // component: buffer credits, placement, latency, geometry (and, on the
+  // final snapshot, the energy mirrors).
   auto audit_snapshot = [&](Cycle sm_flushed_to) {
     AuditSnapshot s;
     gpu.audit(s);
     net.audit(s);
     for (const auto& hmc : hmcs) hmc->audit(s);
-    s.dram_read_bytes = counters.dram_read_bytes;
-    s.dram_write_bytes = counters.dram_write_bytes;
     for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
       s.buf_free_cmd += bufmgr.free_cmd(h);
       s.buf_free_read_data += bufmgr.free_read_data(h);
@@ -196,9 +192,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
         static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_read_data_entries) * cfg_.num_hmcs;
     s.buf_cap_write_addr =
         static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_write_addr_entries) * cfg_.num_hmcs;
-    s.energy_dram_activates = counters.dram_activates;
-    s.energy_offchip_bytes = counters.offchip_bytes;
-    s.energy_nsu_lane_ops = counters.nsu_lane_ops;
     s.line_bytes = cfg_.l2.line_bytes;
     s.pages_migrated = amap.policy().pages_migrated();
     s.migration_bytes = amap.policy().migration_bytes();
@@ -221,14 +214,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     const Cycle boundary = (info.epoch + 1) * cfg_.governor.epoch_cycles;
     gpu.sync_cycle_stacks(boundary);
     const AuditSnapshot s = audit_snapshot(boundary);
-    const SmCycleStack machine = gpu.cycle_stack();
-    std::array<std::uint64_t, kNumSmBuckets> stack_totals{};
-    for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-      stack_totals[b] = machine.bucket_total(b);
-    }
     timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
                       info.step, info.direction, s.sm_issued, s.l1_hits, s.l1_miss_new,
-                      stack_totals);
+                      s.cyc_sm_buckets);
     audit.check_epoch(info.epoch, s);
   });
 
@@ -326,54 +314,26 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.aborted = aborted;
   result.sm_cycles = sm_domain.now_cycle();
   result.runtime_ps = sched.now();
-  result.ipc = result.sm_cycles
-                   ? static_cast<double>(gpu.total_issued()) / static_cast<double>(result.sm_cycles)
-                   : 0.0;
-  result.gpu_link_bytes = net.gpu_up_bytes() + net.gpu_down_bytes();
-  result.cube_link_bytes = net.cube_bytes();
-  // Machine cycle-stack summary: everything is finalized above, so the SM
-  // stacks cover every SM cycle and the vault stacks carry their idle tails.
-  result.cycle_stack.tenants = num_tenants;
-  result.cycle_stack.sm = gpu.cycle_stack();
-  result.stall_dependency = sm_group_total(result.cycle_stack.sm, SmBucketGroup::kDep);
-  result.stall_exec_busy = sm_group_total(result.cycle_stack.sm, SmBucketGroup::kExecBusy);
-  result.stall_warp_idle = sm_group_total(result.cycle_stack.sm, SmBucketGroup::kWarpIdle);
-  result.cycle_stack.nsu.init(num_tenants);
-  result.cycle_stack.vault.init(num_tenants);
-  for (const auto& hmc : hmcs) {
-    result.cycle_stack.nsu.accumulate(hmc->nsu().cycle_stack());
-    result.cycle_stack.vault.accumulate(hmc->vault_cycle_stack());
-  }
-  {
-    auto it = net.bytes_by_type().find(PacketType::kCacheInval);
-    result.inval_bytes = it == net.bytes_by_type().end() ? 0 : it->second;
-  }
-
-  // Fold DRAM and NSU counters into the energy counters.  The lane-op fold
-  // was missing until the flow audit's energy-mirror check flagged it: NSU
-  // dynamic energy always computed as zero.
-  for (const auto& hmc : hmcs) {
-    counters.dram_activates += hmc->total_activates();
-    counters.nsu_lane_ops += hmc->nsu().lane_ops();
-  }
-  counters.offchip_bytes = net.total_offchip_bytes();
-  {
-    std::uint64_t active = 0;
-    for (const auto& sm : gpu.sms()) active += sm->active_cycles;
-    counters.sm_active_seconds =
-        static_cast<double>(active) / (static_cast<double>(cfg_.clocks.sm_khz) * 1e3);
-  }
-  result.counters = counters;
+  // Each component adds its stats, its energy events and its cycle-stack
+  // rows; the names of the tenant results are the jobs'.
+  gpu.report(result);
+  net.report(result);
+  for (const auto& hmc : hmcs) hmc->report(result);
+  for (unsigned t = 0; t < result.tenants.size(); ++t) result.tenants[t].name = jobs[t].name;
 
   const bool ndp_enabled = cfg_.governor.mode != OffloadMode::kOff;
   result.energy = EnergyModel(cfg_.energy)
-                      .compute(counters, result.runtime_ps, cfg_.num_sms, cfg_.num_hmcs,
+                      .compute(result.counters, result.runtime_ps, cfg_.num_sms, cfg_.num_hmcs,
                                ndp_enabled);
 
   // Final flow-conservation audit.  Strict equalities (everything issued was
   // retired, credits home, energy mirrors consistent) only hold on a drained
   // run; valve-stopped or aborted runs get the monotonic/inequality subset.
-  audit.check_final(audit_snapshot(sm_domain.next_cycle()), completed && !aborted);
+  AuditSnapshot last = audit_snapshot(sm_domain.next_cycle());
+  last.energy_dram_activates = result.counters.dram_activates;
+  last.energy_offchip_bytes = result.counters.offchip_bytes;
+  last.energy_nsu_lane_ops = result.counters.nsu_lane_ops;
+  audit.check_final(last, completed && !aborted);
 
   // End-of-run invariants: with everything drained, all NSU buffer credits
   // must be home and no WTA can still be in flight (§4.1.1 page-migration
@@ -385,32 +345,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     throw std::logic_error("Simulator: in-flight WTA counter leaked");
   }
 
-  // Per-tenant results + stats (multi-tenant runs only: single-tenant stat
-  // sets and golden pins stay byte-identical).
-  if (num_tenants > 1) {
-    for (unsigned t = 0; t < num_tenants; ++t) {
-      TenantResult tr;
-      tr.name = jobs[t].name;
-      tr.finish_cycle = gpu.tenant_progress()[t].finish_cycle;
-      tr.issued = gpu.issued_by_tenant(t);
-      tr.l2_hits = gpu.tenant_l2_hits(t);
-      tr.l2_misses = gpu.tenant_l2_misses(t);
-      tr.l2_merged = gpu.tenant_l2_merged(t);
-      tr.gov_block_instrs = govs[t]->total_block_instrs();
-      result.stats.set("gov.t" + std::to_string(t) + ".block_instrs",
-                       static_cast<double>(tr.gov_block_instrs));
-      result.tenants.push_back(std::move(tr));
-    }
-  }
-
-  // Export stats.
-  gpu.export_stats(result.stats);
-  govs[0]->export_stats(result.stats);
+  // Stats of the objects that are not timed components.
   bufmgr.export_stats(result.stats);
-  net.export_stats(result.stats);
-  for (unsigned h = 0; h < hmcs.size(); ++h) {
-    hmcs[h]->export_stats(result.stats, "hmc" + std::to_string(h));
-  }
   result.energy.export_stats(result.stats);
   amap.export_stats(result.stats);
   result.stats.set("wta.max_inflight", static_cast<double>(wta_tracker.max_seen()));

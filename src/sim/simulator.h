@@ -92,6 +92,7 @@ struct RunResult {
   std::uint64_t cube_link_bytes = 0;
   std::uint64_t inval_bytes = 0;  // §4.2 coherence overhead
 
+  // Energy events: each component adds its own in its report().
   EnergyCounters counters{};
   EnergyBreakdown energy{};
   StatSet stats;

@@ -181,7 +181,9 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
     w.key("rows").begin_array();
     for (unsigned row = 0; row <= cs.tenants; ++row) {
       w.begin_object();
-      w.key("row").value(row == cs.tenants ? "shared" : "t" + std::to_string(row));
+      std::string row_name = "t";
+      row_name += std::to_string(row);
+      w.key("row").value(row == cs.tenants ? "shared" : row_name);
       w.key("sm");
       emit_row(cs.sm, row, sm_name, kNumSmBuckets);
       w.key("nsu");

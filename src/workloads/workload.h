@@ -30,6 +30,9 @@ struct OutputRegion {
 // seconds; kTiny additionally shrinks for unit tests.
 enum class ProblemScale { kTiny, kSmall, kLarge };
 
+// Parses "tiny" / "small" / "large".  Returns false on anything else.
+bool parse_problem_scale(const std::string& text, ProblemScale* out);
+
 class Workload {
  public:
   explicit Workload(ProblemScale scale) : scale_(scale) {}

@@ -33,7 +33,6 @@ struct ContextHarness {
     ctx.gmem = &gmem;
     ctx.net = &net;
     ctx.bufmgr = &bufmgr;
-    ctx.energy = &energy;
     ctx.ro_cache = &ro_cache;
     ctx.wta_tracker = &wta;
     ctx.latency = &latency;
@@ -51,7 +50,6 @@ struct ContextHarness {
   NdpBufferManager bufmgr;
   RoCacheMirror ro_cache;
   WtaInflightTracker wta;
-  EnergyCounters energy;
   LatencyTracer latency;
   KernelImage image;
   std::vector<TenantInfo> tenants;

@@ -243,6 +243,18 @@ TEST(Config, ValidateRejectsBadShapes) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(Config, OffloadModeNamesRoundTrip) {
+  for (const OffloadMode m : {OffloadMode::kOff, OffloadMode::kAlways, OffloadMode::kStaticRatio,
+                              OffloadMode::kDynamic, OffloadMode::kDynamicCache}) {
+    OffloadMode parsed = OffloadMode::kOff;
+    ASSERT_TRUE(parse_offload_mode(offload_mode_name(m), &parsed)) << offload_mode_name(m);
+    EXPECT_EQ(parsed, m);
+  }
+  OffloadMode parsed = OffloadMode::kOff;
+  EXPECT_FALSE(parse_offload_mode("dyn_cache", &parsed));
+  EXPECT_FALSE(parse_offload_mode("", &parsed));
+}
+
 TEST(CacheConfigTest, SetCountArithmetic) {
   CacheConfig c;
   c.size_bytes = 32 * 1024;

@@ -48,6 +48,13 @@ struct HmcHarness : ContextHarness {
     }
   }
 
+  // The stack's end-of-run report.
+  RunResult report() const {
+    RunResult r;
+    hmc->report(r);
+    return r;
+  }
+
   std::unique_ptr<Hmc> hmc;
   Cycle cycle = 0;
 };
@@ -71,7 +78,7 @@ TEST(HmcUnit, BaselineReadReturnsLine) {
   EXPECT_EQ(out[0].line_addr, line);
   EXPECT_EQ(out[0].token, 42u);
   EXPECT_EQ(out[0].size_bytes, mem_read_resp_bytes());
-  EXPECT_EQ(h.hmc->total_reads(), 1u);
+  EXPECT_EQ(h.report().stats.get("hmc0.reads"), 1.0);
   EXPECT_TRUE(h.hmc->idle());
 }
 
@@ -127,7 +134,7 @@ TEST(HmcUnit, NsuWriteAppliesAcksAndInvalidates) {
   h.tick(200);
   // Functional write applied at completion.
   EXPECT_DOUBLE_EQ(h.gmem.read_f64(line + 16), 2.5);
-  EXPECT_EQ(h.hmc->total_writes(), 1u);
+  EXPECT_EQ(h.report().stats.get("hmc0.writes"), 1.0);
   // Ack to the issuing NSU's stack, invalidation to the GPU.
   const auto to_nsu = h.drain(1);
   ASSERT_EQ(to_nsu.size(), 1u);
@@ -150,7 +157,7 @@ TEST(HmcUnit, WriteThroughStoreConsumesNoResponse) {
   h.net.send(std::move(wr), 0);
   h.tick(200);
   EXPECT_TRUE(h.drain(h.net.gpu_node()).empty());
-  EXPECT_EQ(h.hmc->total_writes(), 1u);
+  EXPECT_EQ(h.report().stats.get("hmc0.writes"), 1.0);
   EXPECT_TRUE(h.hmc->idle());
 }
 
@@ -172,7 +179,7 @@ TEST(HmcUnit, ManyReadsSaturateVaultsAndDrain) {
   h.tick(5000);
   EXPECT_EQ(h.drain(h.net.gpu_node()).size(), kReads);
   EXPECT_TRUE(h.hmc->idle());
-  EXPECT_EQ(h.hmc->total_reads(), kReads);
+  EXPECT_EQ(h.report().stats.get("hmc0.reads"), static_cast<double>(kReads));
 }
 
 TEST(HmcUnit, DramCountersFeedEnergy) {
@@ -187,9 +194,11 @@ TEST(HmcUnit, DramCountersFeedEnergy) {
     h.net.send(std::move(req), 0);
   }
   h.tick(1000);
-  EXPECT_GT(h.hmc->total_activates(), 0u);
-  EXPECT_EQ(h.energy.dram_read_bytes, 8u * 128);
-  EXPECT_GT(h.energy.hmc_noc_bytes, 0u);
+  const RunResult r = h.report();
+  EXPECT_GT(r.counters.dram_activates, 0u);
+  EXPECT_EQ(r.stats.get("hmc0.activates"), static_cast<double>(r.counters.dram_activates));
+  EXPECT_EQ(r.counters.dram_read_bytes, 8u * 128);
+  EXPECT_GT(r.counters.hmc_noc_bytes, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "noc/network.h"
 #include "noc/packet.h"
 #include "noc/router.h"
+#include "sim/simulator.h"
 
 namespace sndp {
 namespace {
@@ -189,11 +190,13 @@ TEST(Network, TrafficAccountingByType) {
   p.size_bytes = 16;
   net.send(p, 0);
   net.send(p, 100);
-  EXPECT_EQ(net.bytes_by_type().at(PacketType::kCacheInval), 32u);
   EXPECT_EQ(net.gpu_down_bytes(), 32u);
-  StatSet stats;
-  net.export_stats(stats);
-  EXPECT_DOUBLE_EQ(stats.get("net.bytes.INVAL"), 32.0);
+  RunResult r;
+  net.report(r);
+  EXPECT_EQ(r.inval_bytes, 32u);
+  EXPECT_EQ(r.gpu_link_bytes, 32u);
+  EXPECT_EQ(r.counters.offchip_bytes, 32u);
+  EXPECT_DOUBLE_EQ(r.stats.get("net.bytes.INVAL"), 32.0);
 }
 
 TEST(Network, IdleAfterDrain) {

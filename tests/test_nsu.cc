@@ -198,7 +198,10 @@ TEST(NsuUnit, OccupancyAndIcacheStatsAccumulate) {
   h.tick(64);
   EXPECT_GT(h.nsu->avg_occupancy(), 0.0);
   EXPECT_GT(h.nsu->icache_utilization(), 0.0);
-  EXPECT_GT(h.nsu->lane_ops(), 0u);
+  RunResult r;
+  h.nsu->report(r);
+  EXPECT_GT(r.counters.nsu_lane_ops, 0u);
+  EXPECT_EQ(r.stats.get("hmc0.nsu.lane_ops"), static_cast<double>(r.counters.nsu_lane_ops));
 }
 
 TEST(NsuUnit, PredicatedOffLanesSkipBuffers) {

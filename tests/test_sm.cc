@@ -71,11 +71,12 @@ struct SmHarness : ContextHarness {
 // count and every non-zero cycle-stack cell, after flushing slept cycles.
 std::string sm_fingerprint(SmHarness& h) {
   h.sm->finalize(h.cycle);
-  StatSet st;
-  h.sm->export_stats(st, "sm");
+  RunResult r;
+  h.sm->report(r);
+  const auto pending_full = static_cast<std::uint64_t>(r.stats.get("sm0.pending_full_stalls"));
   std::string s = "issued=" + std::to_string(h.sm->issued_instrs) +
-                  " active=" + std::to_string(h.sm->active_cycles) + " pending_full=" +
-                  std::to_string(static_cast<std::uint64_t>(st.get("sm.pending_full_stalls")));
+                  " active=" + std::to_string(h.sm->active_cycles) +
+                  " pending_full=" + std::to_string(pending_full);
   const SmCycleStack& cs = h.sm->cycle_stack();
   for (std::size_t r = 0; r < cs.rows.size(); ++r) {
     for (std::size_t b = 0; b < kNumSmBuckets; ++b) {

@@ -15,7 +15,9 @@ namespace {
 AuditSnapshot consistent(std::uint64_t k) {
   AuditSnapshot s;
   s.sm_issued = 100 * k;
-  s.cyc_sm_issue = 100 * k;  // the SM stacks' issue bucket
+  // The SM stacks' issue bucket: every active cycle issued.
+  s.cyc_sm_buckets[static_cast<std::size_t>(SmBucket::kIssue)] = 100 * k;
+  s.sm_active_cycles = 100 * k;
   s.l1_hits = 10 * k;
   s.l1_miss_new = 5 * k;
   s.l1_merged = k;
