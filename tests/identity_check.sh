@@ -19,6 +19,7 @@
 #   sndpsim --stats  -w BFS -s small
 #   sndpsim --stats  -w all -s small                      (the ndp-mem scale)
 #   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted
+#   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff
 #   sndpsim --stats-json  -w all -s tiny
 #   sndpsim --stats-json  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 #   fig08_stall_breakdown
@@ -96,6 +97,8 @@ compare "sndpsim -w BFS -s small" examples/sndpsim --stats -w BFS -s small
 compare "sndpsim -w all -s small" examples/sndpsim --stats -w all -s small
 compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted
+compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff" \
+  examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff
 compare_json "sndpsim --stats-json -w all -s tiny" -w all -s tiny
 compare_json "sndpsim --stats-json --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   --tenants BFS:2:0,VADD,KMN --arbiter weighted

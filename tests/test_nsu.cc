@@ -2,6 +2,12 @@
 // observe its outputs (write packets, acks, credits) without a full system.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iomanip>
+#include <map>
+#include <sstream>
+#include <string>
+
 #include "sndp.h"
 
 #include "context_harness.h"
@@ -29,16 +35,48 @@ Program block_program() {
 }
 
 struct NsuHarness : ContextHarness {
-  NsuHarness() : ContextHarness(SystemConfig::small_test(), block_program()) {
+  explicit NsuHarness(SystemConfig c = SystemConfig::small_test())
+      : ContextHarness(std::move(c), block_program()) {
     nsu = std::make_unique<Nsu>(
         0, ctx, [this](Packet&& p, TimePs) { to_network.push_back(std::move(p)); },
         [this](Packet&& p, TimePs) { to_local_vault.push_back(std::move(p)); });
   }
 
+  // Tick the NSU.  With fast-forward on, the edges at which next_work_ps
+  // reports no work are skipped, as the Scheduler skips them.
   void tick(unsigned n) {
     for (unsigned i = 0; i < n; ++i) {
-      nsu->tick(cycle, tick_time_ps(cycle, cfg.clocks.nsu_khz));
+      if (!cfg.fast_forward || nsu->next_work_ps(now()) <= now()) nsu->tick(cycle, now());
       ++cycle;
+    }
+  }
+
+  TimePs now() const { return tick_time_ps(cycle, cfg.clocks.nsu_khz); }
+  void deliver(Packet p) { nsu->receive(std::move(p), now()); }
+
+  // The read data and write addresses of instance `inst`'s block (two LDs,
+  // one ST), all full-mask.
+  void deliver_operands(std::uint64_t inst) {
+    deliver(rdf_resp(inst, 0, 1.5));
+    deliver(rdf_resp(inst, 1, 2.25));
+    deliver(wta_pkt(inst, 2, 0x30000 + 0x1000 * inst));
+  }
+
+  // Acknowledge up to `n` of instance `inst`'s writes not acked yet (an
+  // ack names its warp by offload id, not its line).
+  void ack_writes(std::uint64_t inst, unsigned n = ~0u) {
+    const Packet* wr = nullptr;
+    for (const auto* vec : {&to_network, &to_local_vault}) {
+      for (const Packet& p : *vec) {
+        if (p.type == PacketType::kNsuWrite && p.oid.instance == inst) wr = &p;
+      }
+    }
+    for (; n > 0 && acked[inst] < writes(inst); --n) {
+      Packet ack;
+      ack.type = PacketType::kNsuWriteAck;
+      ack.oid = wr->oid;
+      deliver(std::move(ack));
+      ++acked[inst];
     }
   }
 
@@ -84,11 +122,55 @@ struct NsuHarness : ContextHarness {
     return n;
   }
 
+  unsigned writes(std::uint64_t inst) const {
+    unsigned n = 0;
+    for (const auto* vec : {&to_network, &to_local_vault}) {
+      for (const Packet& p : *vec) {
+        n += p.type == PacketType::kNsuWrite && p.oid.instance == inst ? 1 : 0;
+      }
+    }
+    return n;
+  }
+
   std::unique_ptr<Nsu> nsu;
   std::vector<Packet> to_network;
   std::vector<Packet> to_local_vault;
+  std::map<std::uint64_t, unsigned> acked;  // writes acked per instance
   Cycle cycle = 0;
 };
+
+// What the stall tests pin: the NSU's instruction, read-wait and occupancy
+// stats and every non-zero cycle-stack cell, after finalize.
+std::string nsu_fingerprint(NsuHarness& h) {
+  h.nsu->finalize(h.cycle);
+  RunResult r;
+  h.nsu->report(r);
+  std::ostringstream s;
+  s << "instrs=" << static_cast<std::uint64_t>(r.stats.get("hmc0.nsu.instrs"))
+    << " stall_read_wait=" << static_cast<std::uint64_t>(r.stats.get("hmc0.nsu.stall_read_wait"))
+    << " avg_occupancy=" << std::setprecision(10) << r.stats.get("hmc0.nsu.avg_occupancy");
+  const NsuCycleStack& cs = r.cycle_stack.nsu;
+  for (std::size_t row = 0; row < cs.rows.size(); ++row) {
+    for (std::size_t b = 0; b < kNumNsuBuckets; ++b) {
+      if (cs.rows[row][b] == 0) continue;
+      s << " r" << row << "." << nsu_bucket_name(static_cast<NsuBucket>(b)) << "="
+        << cs.rows[row][b];
+    }
+  }
+  return s.str();
+}
+
+// Runs `drive` on a fresh NSU under both stepping modes (every edge ticked;
+// idle edges skipped); each must reproduce `pin`.
+void expect_nsu_pinned(const std::function<void(NsuHarness&)>& drive, const std::string& pin) {
+  for (const bool ff : {true, false}) {
+    SystemConfig c = SystemConfig::small_test();
+    c.fast_forward = ff;
+    NsuHarness h(c);
+    drive(h);
+    EXPECT_EQ(nsu_fingerprint(h), pin) << "fast_forward=" << ff;
+  }
+}
 
 TEST(NsuUnit, SpawnReturnsCommandCredit) {
   NsuHarness h;
@@ -219,6 +301,126 @@ TEST(NsuUnit, PredicatedOffLanesSkipBuffers) {
   h.tick(100);
   // The block completes immediately: loads/stores skip, ACK goes out.
   EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
+}
+
+
+// The stall cases below each hold an NSU warp on one blocker until the
+// packet that clears it arrives, under both stepping modes.  The pins are
+// the numbers of an issue scan that retries every blocked warp at every
+// edge, so they hold warp parking to that scan's results.
+
+TEST(NsuStall, LateReadDataAtLoad) {
+  expect_nsu_pinned(
+      [](NsuHarness& h) {
+        h.deliver(h.cmd(1));
+        h.tick(30);  // the warp waits at its first LD
+        EXPECT_EQ(h.writes(1), 0u);
+        h.deliver_operands(1);
+        h.tick(40);
+        ASSERT_EQ(h.writes(1), 2u);
+        h.ack_writes(1);
+        h.tick(30);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
+        EXPECT_TRUE(h.nsu->idle());
+      },
+      "instrs=6 stall_read_wait=28 avg_occupancy=0.01458333333 r0.exec=19 "
+      "r0.ingress_starved=52 r1.idle=29");
+}
+
+TEST(NsuStall, SplitReadDataFailsOnFirstHalf) {
+  // The first LD's data arrives as two half-mask RDF responses 15 cycles
+  // apart (the first half alone does not complete the entry), and the
+  // second LD's data 10 cycles after that.
+  expect_nsu_pinned(
+      [](NsuHarness& h) {
+        h.deliver(h.cmd(1));
+        h.tick(10);
+        Packet lo = h.rdf_resp(1, 0, 1.5);
+        lo.mask = 0x0000FFFFu;
+        h.deliver(std::move(lo));
+        h.tick(15);
+        Packet hi = h.rdf_resp(1, 0, 1.5);
+        hi.mask = 0xFFFF0000u;
+        h.deliver(std::move(hi));
+        h.tick(10);
+        EXPECT_EQ(h.writes(1), 0u);
+        h.deliver(h.rdf_resp(1, 1, 2.25));
+        h.deliver(h.wta_pkt(1, 2, 0x31000));
+        h.tick(40);
+        ASSERT_EQ(h.writes(1), 2u);
+        h.ack_writes(1);
+        h.tick(30);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
+        EXPECT_TRUE(h.nsu->idle());
+      },
+      "instrs=6 stall_read_wait=31 avg_occupancy=0.01488095238 r0.exec=19 "
+      "r0.ingress_starved=57 r1.idle=29");
+}
+
+TEST(NsuStall, LateWriteAddressesAtStore) {
+  expect_nsu_pinned(
+      [](NsuHarness& h) {
+        h.deliver(h.cmd(1));
+        h.deliver(h.rdf_resp(1, 0, 1.5));
+        h.deliver(h.rdf_resp(1, 1, 2.25));
+        h.tick(40);  // both loads and the add done; the ST waits
+        EXPECT_EQ(h.writes(1), 0u);
+        h.deliver(h.wta_pkt(1, 2, 0x31000));
+        h.tick(20);
+        ASSERT_EQ(h.writes(1), 2u);
+        h.ack_writes(1);
+        h.tick(30);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
+        EXPECT_TRUE(h.nsu->idle());
+      },
+      "instrs=6 stall_read_wait=0 avg_occupancy=0.01388888889 r0.exec=19 "
+      "r0.ingress_starved=42 r1.idle=29");
+}
+
+TEST(NsuStall, WriteAcksOneAtATime) {
+  expect_nsu_pinned(
+      [](NsuHarness& h) {
+        h.deliver(h.cmd(1));
+        h.deliver_operands(1);
+        h.tick(40);
+        ASSERT_EQ(h.writes(1), 2u);
+        // Acknowledge the two writes 15 cycles apart: OFLD.END waits for both.
+        h.ack_writes(1, 1);
+        h.tick(15);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 0u);
+        h.ack_writes(1, 1);
+        h.tick(30);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
+        EXPECT_TRUE(h.nsu->idle());
+      },
+      "instrs=6 stall_read_wait=0 avg_occupancy=0.01348039216 r0.exec=19 "
+      "r0.ingress_starved=37 r1.idle=29");
+}
+
+TEST(NsuStall, WaitingWarpAheadOfIssuingWarp) {
+  // Slot 0 waits for its read data while slot 1, behind it in round-robin
+  // order, runs its whole block: every scan meets the waiting warp first.
+  expect_nsu_pinned(
+      [](NsuHarness& h) {
+        h.deliver(h.cmd(1));
+        h.deliver(h.cmd(2));
+        h.deliver_operands(2);
+        h.tick(40);
+        ASSERT_EQ(h.writes(2), 2u);
+        EXPECT_EQ(h.writes(1), 0u);
+        h.ack_writes(2);
+        h.tick(20);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
+        h.deliver_operands(1);
+        h.tick(40);
+        ASSERT_EQ(h.writes(1), 2u);
+        h.ack_writes(1);
+        h.tick(30);
+        EXPECT_EQ(h.count(PacketType::kOfldAck), 2u);
+        EXPECT_TRUE(h.nsu->idle());
+      },
+      "instrs=12 stall_read_wait=56 avg_occupancy=0.02243589744 r0.exec=26 "
+      "r0.ingress_starved=75 r1.idle=29");
 }
 
 }  // namespace

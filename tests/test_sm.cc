@@ -8,6 +8,7 @@
 #include "sndp.h"
 
 #include "context_harness.h"
+#include "gpu/gpu.h"
 #include "gpu/sm.h"
 #include "ndp/nsu.h"
 
@@ -435,6 +436,30 @@ TEST(SmStall, CreditStarvedOffloadCountsEveryAttempt) {
                 "issued=40 active=214 pending_full=126 r0.issue=40 "
                 "r0.credit_wait=38 r0.dep_pipe=18 r0.ofld_parked=118 "
                 "r1.dispatch_idle=86");
+}
+
+// The GPU's L2 side sleeps until the earliest SM egress head is ready and
+// stops waking once every egress queue and slice queue has drained.
+TEST(GpuL2, WakeFollowsSmEgress) {
+  ProgramBuilder b;
+  b.movi(16, 0x40000).madi(8, 0, 8, 16).st(8, 0).exit();  // two 128 B line writes
+  ContextHarness h(SmHarness::make_cfg(OffloadMode::kOff), b.build(), LaunchParams{32, 1});
+  Gpu gpu(h.ctx);
+  Sm& sm = *gpu.sms()[0];
+  Tickable& l2 = gpu.l2_tickable();
+  sm.assign_cta(0);
+  Cycle c = 0;
+  for (; sm.out().empty() && c < 100; ++c) sm.tick(c, tick_time_ps(c, h.cfg.clocks.sm_khz));
+  ASSERT_EQ(sm.out().size(), 2u);
+  const TimePs head = sm.out().front_ready_ps();
+
+  Cycle e = 0;
+  l2.tick(e, tick_time_ps(e, h.cfg.clocks.l2_khz));  // before the head is ready
+  ++e;
+  EXPECT_EQ(l2.next_work_ps(0), head);
+  for (; !sm.out().empty() && e < 100; ++e) l2.tick(e, tick_time_ps(e, h.cfg.clocks.l2_khz));
+  EXPECT_TRUE(sm.out().empty());
+  EXPECT_EQ(l2.next_work_ps(0), kTimeNever);
 }
 
 }  // namespace
