@@ -103,19 +103,23 @@ void Nsu::tick(Cycle cycle, TimePs now) {
         // part of the fetch round trip.
         ctx_.latency->finish_stamped(*p, now, hmc_id_);
         read_data_.deposit(*p);
+        rearm(parked_rdf_, p->oid);
         break;
       case PacketType::kWta:
         write_addr_.deposit(*p);
+        rearm(parked_ & ~parked_rdf_, p->oid);
         break;
       case PacketType::kNsuWriteAck: {
         ctx_.latency->finish_stamped(*p, now, hmc_id_);
         bool matched = false;
         for (SlotMask m = live_; m != 0; m &= m - 1) {
-          NsuWarp& w = warps_[lowest_slot(m)];
+          const unsigned i = lowest_slot(m);
+          NsuWarp& w = warps_[i];
           if (w.oid.sm == p->oid.sm && w.oid.warp == p->oid.warp &&
               w.oid.instance == p->oid.instance) {
             if (w.pending_writes == 0) throw std::logic_error("Nsu: unexpected write ack");
             --w.pending_writes;
+            unpark(slot_bit(i));
             matched = true;
             break;
           }
@@ -154,6 +158,17 @@ void Nsu::tick(Cycle cycle, TimePs now) {
     for (SlotMask m = part; m != 0 && !stepped; m &= m - 1) {
       const unsigned i = lowest_slot(m);
       NsuWarp& w = warps_[i];
+      if ((parked_ & slot_bit(i)) != 0) {
+        // Its step would fail again (it failed at or after its ready
+        // cycle, and nothing that can change the outcome has arrived):
+        // count what the failed attempt would have counted.
+        if (!any_ready) {
+          any_ready = true;
+          starved_tenant = w.tenant;
+        }
+        if ((parked_rdf_ & slot_bit(i)) != 0) ++stall_read_wait_;
+        continue;
+      }
       if (w.ready_cycle > cycle) continue;
       if (!any_ready) {
         any_ready = true;
@@ -177,6 +192,8 @@ void Nsu::tick(Cycle cycle, TimePs now) {
         rr_next_ = (i + 1) % n;
         issue_busy_until_ = cycle + hold;
         issue_busy_tenant_ = tenant;
+      } else {
+        parked_ |= slot_bit(i);
       }
     }
   }
@@ -295,6 +312,7 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
       const NdpBufferKey key = NdpBufferKey::of(oid);
       if (!read_data_.complete(key)) {
         ++stall_read_wait_;
+        parked_rdf_ |= slot_bit(slot);
         return false;  // data not yet in the read-data buffer
       }
       const ReadDataBuffer::Entry entry = read_data_.take(key);
@@ -449,6 +467,19 @@ void Nsu::finish_warp(unsigned slot, TimePs now) {
   finished_block_instrs_ += info.body_size();
   warp = NsuWarp{};  // slot free; next command can spawn on a later tick
   live_ &= ~slot_bit(slot);
+  unpark(slot_bit(slot));
+}
+
+void Nsu::rearm(SlotMask candidates, const OffloadPacketId& oid) {
+  for (SlotMask m = candidates; m != 0; m &= m - 1) {
+    const unsigned i = lowest_slot(m);
+    const NsuWarp& w = warps_[i];
+    if (w.oid.sm == oid.sm && w.oid.warp == oid.warp && w.oid.instance == oid.instance &&
+        w.seq == oid.seq) {
+      unpark(slot_bit(i));
+      return;
+    }
+  }
 }
 
 void Nsu::audit(AuditSnapshot& s) const {

@@ -104,6 +104,13 @@ class Nsu final : public Tickable {
   // warp made progress (instruction executed or skipped).
   bool step_warp(unsigned slot, Cycle cycle, TimePs now);
   void finish_warp(unsigned slot, TimePs now);
+  // Re-arm the warp among `candidates` that waits for the buffer entry of
+  // `oid` (its key: sm, warp, instance and seq).
+  void rearm(SlotMask candidates, const OffloadPacketId& oid);
+  void unpark(SlotMask b) {
+    parked_ &= ~b;
+    parked_rdf_ &= ~b;
+  }
   LaneMask exec_mask(const NsuWarp& warp, const Instr& instr) const;
 
   HmcId hmc_id_;
@@ -117,6 +124,13 @@ class Nsu final : public Tickable {
   // SystemConfig::validate).  The issue scan, the free-slot search, the
   // write-ack match and the per-tenant counts walk only its set bits.
   SlotMask live_ = 0;
+  // Parked warps (DESIGN.md "Warp parking"): live warps whose last step
+  // failed, which the issue scan counts as blocked without retrying until
+  // the packet that can change the outcome re-arms them.  parked_rdf_
+  // (within parked_) waits for read data at an LD; the others wait for a
+  // WTA at an ST or for write acks at OFLD.END.
+  SlotMask parked_ = 0;
+  SlotMask parked_rdf_ = 0;
   bool fast_forward_ = false;
   Cycle next_expected_cycle_ = 0;  // skipped-tick compensation watermark
   unsigned rr_next_ = 0;        // round-robin issue pointer
