@@ -65,8 +65,11 @@ class Sm final : public Tickable {
 
   // The GPU drained a packet from out(): an egress-full warp may now be
   // issuable, so the structure-parked warps re-arm and a sleeping SM
-  // retries them at its next edge.  Whoever pops out() must call this.
+  // retries them at its next edge.  With none parked, the drain cannot
+  // change any warp's next attempt, so the SM is not woken.  Whoever pops
+  // out() must call this.
   void on_egress_pop(TimePs now) {
+    if (struct_park_ == 0) return;
     unpark_structural();
     if (now < wake_ps_) wake_ps_ = now;
   }
