@@ -36,9 +36,10 @@ Gpu::Gpu(const SystemContext& ctx)
     govs_[t] = ctx_.governor_of(t);
   }
   sms_.reserve(cfg.num_sms);
+  egress_front_.assign(cfg.num_sms, kTimeNever);
   for (unsigned i = 0; i < cfg.num_sms; ++i) {
     sms_.push_back(std::make_unique<Sm>(i, ctx_));
-    sms_.back()->set_l2_wake(&l2_wake_);
+    sms_.back()->set_l2_wake(&l2_wake_, &egress_front_[i]);
     sms_.back()->set_dispatch_wake(&dispatch_wake_);
     sms_.back()->set_tenant_progress(&tenant_progress_);
   }
@@ -217,14 +218,17 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
   if (fast_forward_ && l2_next_work_ps() > now) return;
 
   // 1. Move SM egress packets into the right slice queue (the on-die
-  //    crossbar; its latency was already added by the SM).
-  for (auto& smp : sms_) {
+  //    crossbar; its latency was already added by the SM).  An SM whose
+  //    egress head is not ready yet (or whose queue is empty) is skipped.
+  for (unsigned i = 0; i < sms_.size(); ++i) {
+    if (egress_front_[i] > now) continue;
+    Sm& sm = *sms_[i];
     for (unsigned moved = 0; moved < 2; ++moved) {
-      auto p = smp->out().pop_ready(now);
+      auto p = sm.out().pop_ready(now);
       if (!p) break;
-      // The drain may unblock an egress-full warp; wake the SM so it can
-      // retry at its next edge.
-      smp->on_egress_pop(now);
+      // The drain may unblock an egress-full warp (the SM then retries at
+      // its next edge) and moves the SM's egress front.
+      sm.on_egress_pop(now);
       unsigned slice;
       switch (p->type) {
         case PacketType::kMemRead:
@@ -258,10 +262,7 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
   // Computed the same way in both stepping modes: naive stepping never
   // reads it, and one mode-independent path needs no stepping-mode branch.
   {
-    TimePs w = kTimeNever;
-    for (auto& smp : sms_) {
-      if (!smp->out().empty()) w = std::min(w, smp->out().front_ready_ps());
-    }
+    TimePs w = *std::min_element(egress_front_.begin(), egress_front_.end());
     for (const L2Slice& s : slices_) {
       if (!s.in.empty()) w = std::min(w, s.in.front_ready_ps());
       if (!s.urgent.empty()) w = std::min(w, s.urgent.front_ready_ps());

@@ -157,10 +157,13 @@ class Gpu {
   // exact); any SM completing a CTA raises `dispatch_wake_` to force a
   // rescan.  `l2_wake_` caches the earliest pending delivery among SM egress
   // and slice queues; SM pushes lower it directly (see Sm::set_l2_wake).
+  // `egress_front_[i]` is the ready time of SM i's egress head, kTimeNever
+  // while that queue is empty; each SM keeps its own entry current.
   bool fast_forward_ = false;
   bool dispatch_blocked_ = false;
   bool dispatch_wake_ = false;
   TimePs l2_wake_ = 0;
+  std::vector<TimePs> egress_front_;
   Cycle epoch_next_expected_ = 0;
 
   std::uint64_t invals_received_ = 0;

@@ -177,8 +177,11 @@ const CoalesceCache& Sm::coalesced(Warp& w, const Instr& in, LaneMask lanes) {
 
 void Sm::push_out(Packet&& p, TimePs ready_ps) {
   out_.push(std::move(p), ready_ps);
-  if (l2_wake_ != nullptr) {
-    const TimePs t = out_.back_ready_ps();
+  // Only a push into an empty queue moves the egress front; a later push
+  // lands behind that front, which the L2 wake already covers.
+  if (l2_wake_ != nullptr && out_.size() == 1) {
+    const TimePs t = out_.front_ready_ps();
+    *egress_front_ = t;
     if (t < *l2_wake_) *l2_wake_ = t;
   }
 }

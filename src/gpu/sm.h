@@ -66,9 +66,13 @@ class Sm final : public Tickable {
   // The GPU drained a packet from out(): an egress-full warp may now be
   // issuable, so the structure-parked warps re-arm and a sleeping SM
   // retries them at its next edge.  With none parked, the drain cannot
-  // change any warp's next attempt, so the SM is not woken.  Whoever pops
-  // out() must call this.
+  // change any warp's next attempt, so the SM is not woken.  It also
+  // refreshes this SM's egress-front entry.  Whoever pops out() must call
+  // this.
   void on_egress_pop(TimePs now) {
+    if (egress_front_ != nullptr) {
+      *egress_front_ = out_.empty() ? kTimeNever : out_.front_ready_ps();
+    }
     if (struct_park_ == 0) return;
     unpark_structural();
     if (now < wake_ps_) wake_ps_ = now;
@@ -80,9 +84,13 @@ class Sm final : public Tickable {
   void finalize(Cycle end_cycle);
 
   // Wiring for cross-component wake hints (set by the Gpu at construction):
-  // egress pushes lower the L2 drain hint; CTA completions re-arm the
-  // dispatcher.
-  void set_l2_wake(TimePs* wake) { l2_wake_ = wake; }
+  // egress pushes lower the L2 drain hint, and this SM keeps its entry of
+  // the Gpu's egress-front table (its egress head's ready time, kTimeNever
+  // while empty) current; CTA completions re-arm the dispatcher.
+  void set_l2_wake(TimePs* wake, TimePs* egress_front) {
+    l2_wake_ = wake;
+    egress_front_ = egress_front;
+  }
   void set_dispatch_wake(bool* wake) { dispatch_wake_ = wake; }
   void set_tenant_progress(std::vector<TenantCtaProgress>* p) { tenant_progress_ = p; }
 
@@ -255,6 +263,7 @@ class Sm final : public Tickable {
   // pending load's fill; egress/MSHR/tracker exhaustion).
   Cycle retry_cycle_ = 0;
   TimePs* l2_wake_ = nullptr;
+  TimePs* egress_front_ = nullptr;
   bool* dispatch_wake_ = nullptr;
   std::vector<TenantCtaProgress>* tenant_progress_ = nullptr;
   std::vector<std::uint64_t> issued_by_tenant_;
