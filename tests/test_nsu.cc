@@ -303,7 +303,6 @@ TEST(NsuUnit, PredicatedOffLanesSkipBuffers) {
   EXPECT_EQ(h.count(PacketType::kOfldAck), 1u);
 }
 
-
 // The stall cases below each hold an NSU warp on one blocker until the
 // packet that clears it arrives, under both stepping modes.  The pins are
 // the numbers of an issue scan that retries every blocked warp at every
