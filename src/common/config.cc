@@ -86,8 +86,7 @@ void SystemConfig::validate() const {
   require(std::has_single_bit(static_cast<std::uint64_t>(hmc.banks_per_vault)),
           "bank count must be a power of two");
   require(hmc.memory_bytes % page_bytes == 0, "HMC capacity must be page-aligned");
-  require(clocks.sm_khz > 0 && clocks.dram_khz > 0 && clocks.nsu_khz > 0 &&
-              clocks.l2_khz > 0 && clocks.xbar_khz > 0,
+  require(clocks.sm_khz > 0 && clocks.dram_khz > 0 && clocks.nsu_khz > 0,
           "all clock frequencies must be positive");
   require(governor.epoch_cycles > 0, "epoch length must be positive");
   require(governor.step_min <= governor.step_max, "step_min must be <= step_max");

@@ -14,12 +14,11 @@ namespace sndp {
 
 // ---------------------------------------------------------------------------
 // Clocks (Table 2: "SM, Xbar, L2 clock: 700, 1250, 700 MHz"; NSU: 350 MHz;
-// DRAM: tCK = 1.50 ns -> 666.67 MHz).
+// DRAM: tCK = 1.50 ns -> 666.67 MHz).  The L2 slices tick with the SMs, and
+// the crossbar is not clocked: each SM <-> L2 hop is `xbar_latency_ps`.
 // ---------------------------------------------------------------------------
 struct ClockConfig {
-  std::uint64_t sm_khz = 700'000;
-  std::uint64_t xbar_khz = 1'250'000;
-  std::uint64_t l2_khz = 700'000;
+  std::uint64_t sm_khz = 700'000;    // SMs and L2
   std::uint64_t dram_khz = 666'667;  // tCK = 1.5 ns
   std::uint64_t nsu_khz = 350'000;
 };

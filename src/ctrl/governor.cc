@@ -4,7 +4,11 @@ namespace sndp {
 
 OffloadGovernor::OffloadGovernor(const GovernorConfig& cfg, unsigned num_blocks,
                                  unsigned line_bytes, std::uint64_t seed)
-    : cfg_(cfg), rng_(seed), hill_(cfg), cache_table_(num_blocks, cfg, line_bytes) {}
+    : cfg_(cfg),
+      rng_(seed),
+      hill_(cfg),
+      cache_table_(num_blocks, cfg, line_bytes),
+      epoch_end_(cfg.epoch_cycles) {}
 
 double OffloadGovernor::current_ratio() const {
   switch (cfg_.mode) {
@@ -69,25 +73,12 @@ void OffloadGovernor::roll_epoch() {
     observer_(info);
   }
   ++epochs_;
-  cycle_in_epoch_ = 0;
+  epoch_end_ += cfg_.epoch_cycles;
   epoch_instrs_ = 0;
 }
 
-void OffloadGovernor::on_sm_cycle() {
-  if (++cycle_in_epoch_ < cfg_.epoch_cycles) return;
-  roll_epoch();
-}
-
-void OffloadGovernor::advance_cycles(Cycle n) {
-  while (n > 0) {
-    const Cycle room = cfg_.epoch_cycles - cycle_in_epoch_;
-    if (n < room) {
-      cycle_in_epoch_ += n;
-      return;
-    }
-    n -= room;
-    roll_epoch();  // the room-th cycle hits the epoch boundary
-  }
+void OffloadGovernor::advance_to(Cycle end) {
+  while (end >= epoch_end_) roll_epoch();
 }
 
 void OffloadGovernor::export_stats(StatSet& out) const {

@@ -54,14 +54,11 @@ class OffloadGovernor {
   // against the SMs' inline + ACK-drain mirrors).
   std::uint64_t total_block_instrs() const { return total_block_instrs_; }
 
-  // Advance the epoch clock (call once per SM cycle, from one place).
-  void on_sm_cycle();
-
-  // Replay `n` consecutive on_sm_cycle() calls with no interleaved
-  // completions — exact epoch-clock catch-up for fast-forwarded SM cycles
-  // (no SM is awake during a skipped cycle, so no on_block_complete() could
-  // have landed inside the gap).
-  void advance_cycles(Cycle n);
+  // Advance the epoch clock to `end` SM cycles, rolling every epoch
+  // boundary on the way (a no-op when it already counted that many).
+  // Catching up over fast-forwarded cycles is exact: no SM is awake during
+  // a skipped cycle, so no on_block_complete() could have landed there.
+  void advance_to(Cycle end);
 
   CacheAwareTable& cache_table() { return cache_table_; }
   const CacheAwareTable& cache_table() const { return cache_table_; }
@@ -78,7 +75,7 @@ class OffloadGovernor {
   Rng rng_;
   HillClimbController hill_;
   CacheAwareTable cache_table_;
-  Cycle cycle_in_epoch_ = 0;
+  Cycle epoch_end_;  // SM cycle count at which the current epoch ends
   std::uint64_t epoch_instrs_ = 0;
   std::uint64_t total_block_instrs_ = 0;
   EpochObserver observer_;

@@ -16,8 +16,7 @@
 
 namespace sndp {
 
-Gpu::Gpu(const SystemContext& ctx)
-    : ctx_(ctx), epoch_tick_member_(*this), core_tick_(*this), l2_tick_(*this) {
+Gpu::Gpu(const SystemContext& ctx) : ctx_(ctx) {
   const SystemConfig& cfg = *ctx_.cfg;
   fast_forward_ = cfg.fast_forward;
   const unsigned num_tenants = ctx_.num_tenants();
@@ -69,17 +68,18 @@ std::uint64_t Gpu::issued_by_tenant(unsigned t) const {
   return n;
 }
 
-void Gpu::epoch_tick(Cycle cycle) {
-  // Replay the governor's epoch clock for fast-forwarded SM cycles.  Runs
-  // before the SMs tick, so gap-cycle epoch rollovers land ahead of this
-  // edge's issue decisions — exactly the naive interleaving, where each dead
-  // cycle's core_tick() preceded the wake edge.  The current edge's own
-  // on_sm_cycle() stays in core_tick() (after the SMs, matching naive
-  // registration order).
-  if (cycle > epoch_next_expected_) {
-    for (OffloadGovernor* g : govs_) g->advance_cycles(cycle - epoch_next_expected_);
-  }
-  epoch_next_expected_ = cycle + 1;
+void Gpu::tick(Cycle cycle, TimePs now) {
+  for (OffloadGovernor* g : govs_) g->advance_to(cycle);
+  for (auto& sm : sms_) sm->tick(cycle, now);
+  for (OffloadGovernor* g : govs_) g->advance_to(cycle + 1);
+  dispatch();
+  l2_tick(cycle, now);
+}
+
+TimePs Gpu::next_work_ps() {
+  TimePs w = std::min(core_next_work_ps(), l2_next_work_ps());
+  for (const auto& sm : sms_) w = std::min(w, sm->next_work_ps());
+  return w;
 }
 
 unsigned Gpu::pick_tenant(const Sm& sm) const {
@@ -128,8 +128,7 @@ unsigned Gpu::pick_tenant(const Sm& sm) const {
   return kInvalidId;
 }
 
-void Gpu::core_tick(Cycle /*cycle*/, TimePs /*now*/) {
-  for (OffloadGovernor* g : govs_) g->on_sm_cycle();
+void Gpu::dispatch() {
   // CTA dispatcher: at most one new CTA per SM per cycle, round-robin over
   // SMs; the arbiter picks the tenant each freed slot serves.
   if (ctas_left_ == 0) return;
@@ -166,10 +165,7 @@ TimePs Gpu::core_next_work_ps() const {
 }
 
 void Gpu::finalize(Cycle end_cycle) {
-  if (end_cycle > epoch_next_expected_) {
-    for (OffloadGovernor* g : govs_) g->advance_cycles(end_cycle - epoch_next_expected_);
-    epoch_next_expected_ = end_cycle;
-  }
+  for (OffloadGovernor* g : govs_) g->advance_to(end_cycle);
   for (auto& sm : sms_) sm->finalize(end_cycle);
 }
 
@@ -206,7 +202,7 @@ TimePs Gpu::l2_next_work_ps() const {
 
 void Gpu::l2_tick(Cycle cycle, TimePs now) {
   // Epoch-timeline sampling: record the slices' cumulative counters at the
-  // first consumed L2 edge at/after each epoch boundary (fast-forward only
+  // first consumed GPU edge at/after each epoch boundary (fast-forward only
   // skips edges at which these counters are frozen, so the sampled values
   // are mode-independent).
   if (timeline_ != nullptr && timeline_->l2_due(now)) {
@@ -257,8 +253,8 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
   auto& rx = ctx_.net->rx(ctx_.net->gpu_node());
   while (auto p = rx.pop_ready(now)) handle_rx(std::move(*p), now);
 
-  // Recompute the cached wake over everything this tick drains.  SM pushes
-  // between L2 edges lower it directly through the Sm::set_l2_wake pointer.
+  // Recompute the cached wake over everything this tick drains.  Later SM
+  // pushes lower it directly through the Sm::set_l2_wake pointer.
   // Computed the same way in both stepping modes: naive stepping never
   // reads it, and one mode-independent path needs no stepping-mode branch.
   {
@@ -274,7 +270,7 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
 void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
   L2Slice& slice = slices_[slice_idx];
   const TimePs l2_latency_ps =
-      ctx_.cfg->l2.latency_cycles * tick_time_ps(1, ctx_.cfg->clocks.l2_khz);
+      ctx_.cfg->l2.latency_cycles * tick_time_ps(1, ctx_.cfg->clocks.sm_khz);
 
   // Urgent pass-throughs (offload commands) go straight to the link; they
   // never touch the L2 arrays and must not queue behind request floods.

@@ -2,13 +2,8 @@
 // dispatcher, the NDP buffer manager, and the chip-level packet plumbing
 // between SMs, L2 slices, the off-chip links, and the NSUs.
 //
-// Three tick surfaces, registered in different clock domains by the
-// Simulator:
-//   * epoch_tick() (SM clock, registered first): governor epoch-clock
-//                  catch-up for fast-forwarded cycles.
-//   * core_tick()  (SM clock): CTA dispatch + governor epoch clock.
-//   * l2_tick()    (L2 clock): SM egress -> slice queues, slice processing,
-//                              network RX handling.
+// The Gpu is the one member of the SM clock domain.  The L2 slices run at
+// the SM clock (Table 2), so one tick covers the whole chip.
 #pragma once
 
 #include <memory>
@@ -26,48 +21,19 @@ struct AuditSnapshot;
 struct RunResult;
 class EpochTimeline;
 
-class Gpu {
+class Gpu final : public Tickable {
  public:
   explicit Gpu(const SystemContext& ctx);
 
-  // Tick adapters (see Simulator for domain registration).  EpochTick must
-  // be registered BEFORE the SMs: when the SM domain wakes from a
-  // fast-forward gap it replays the governor's epoch-clock advancement for
-  // the skipped cycles, which in naive stepping happened before the wake
-  // edge's SM completions.  It never has work of its own (CoreTick keeps
-  // the current edge's on_sm_cycle()).
-  class EpochTick final : public Tickable {
-   public:
-    explicit EpochTick(Gpu& gpu) : gpu_(gpu) {}
-    void tick(Cycle cycle, TimePs /*now*/) override { gpu_.epoch_tick(cycle); }
-    TimePs next_work_ps(TimePs /*now*/) override { return kTimeNever; }
-
-   private:
-    Gpu& gpu_;
-  };
-  class CoreTick final : public Tickable {
-   public:
-    explicit CoreTick(Gpu& gpu) : gpu_(gpu) {}
-    void tick(Cycle cycle, TimePs now) override { gpu_.core_tick(cycle, now); }
-    TimePs next_work_ps(TimePs /*now*/) override { return gpu_.core_next_work_ps(); }
-
-   private:
-    Gpu& gpu_;
-  };
-  class L2Tick final : public Tickable {
-   public:
-    explicit L2Tick(Gpu& gpu) : gpu_(gpu) {}
-    void tick(Cycle cycle, TimePs now) override { gpu_.l2_tick(cycle, now); }
-    TimePs next_work_ps(TimePs /*now*/) override { return gpu_.l2_next_work_ps(); }
-
-   private:
-    Gpu& gpu_;
-  };
+  // One SM clock edge, in the naive per-edge order: the governors' epoch
+  // clock over the edges fast-forward skipped (so gap-cycle epoch rollovers
+  // land ahead of this edge's issue decisions), every SM in index order,
+  // this edge's epoch cycle and the CTA dispatcher, then the L2 side.
+  void tick(Cycle cycle, TimePs now) override;
+  // The earliest wake of the SMs, the dispatcher and the L2 side.
+  TimePs next_work_ps() override;
 
   std::vector<std::unique_ptr<Sm>>& sms() { return sms_; }
-  EpochTick& epoch_tickable() { return epoch_tick_member_; }
-  CoreTick& core_tickable() { return core_tick_; }
-  L2Tick& l2_tickable() { return l2_tick_; }
 
   // Flush fast-forward-deferred per-cycle accounting (governor epoch clock,
   // per-SM cycle stacks and active counters) up to the SM domain's
@@ -102,7 +68,7 @@ class Gpu {
   void report(RunResult& r) const;
 
   // Per-epoch timeline hook: the L2 slices poll their cumulative counters at
-  // the first consumed L2 edge at/after each epoch boundary.
+  // the first consumed GPU edge at/after each epoch boundary.
   void set_timeline(EpochTimeline* timeline) { timeline_ = timeline; }
 
  private:
@@ -112,8 +78,7 @@ class Gpu {
   // SM's post-last-activity no-warp tail re-billed from dispatch-idle to
   // drained.  audit() builds it once per snapshot, report() once.
   SmCycleStack cycle_stack() const;
-  void epoch_tick(Cycle cycle);
-  void core_tick(Cycle cycle, TimePs now);
+  void dispatch();
   // Arbiter: the tenant whose next CTA the freed slot on `sm` should take,
   // or kInvalidId when no tenant is dispatchable there.  Stateless on
   // failure (arbiter state moves only when a CTA is actually assigned), so
@@ -135,10 +100,6 @@ class Gpu {
     TimedChannel<Packet> urgent;  // pass-through offload commands (no L2 work)
   };
   std::vector<L2Slice> slices_;
-
-  EpochTick epoch_tick_member_;
-  CoreTick core_tick_;
-  L2Tick l2_tick_;
 
   // Per-tenant CTA queues (size 1 on the single-tenant path, where the
   // dispatch order reduces exactly to the classic scalar dispatcher).
@@ -164,7 +125,6 @@ class Gpu {
   bool dispatch_wake_ = false;
   TimePs l2_wake_ = 0;
   std::vector<TimePs> egress_front_;
-  Cycle epoch_next_expected_ = 0;
 
   std::uint64_t invals_received_ = 0;
   std::uint64_t rdf_l2_probes_ = 0;

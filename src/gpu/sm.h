@@ -20,7 +20,6 @@
 #include "gpu/warp.h"
 #include "mem/cache.h"
 #include "obs/cycle_stack.h"
-#include "sim/clock.h"
 #include "sim/context.h"
 #include "sim/timed_channel.h"
 
@@ -49,11 +48,12 @@ struct TenantCtaProgress {
   bool finished() const { return done >= total; }
 };
 
-class Sm final : public Tickable {
+class Sm {
  public:
   Sm(SmId id, const SystemContext& ctx);
 
-  void tick(Cycle cycle, TimePs now) override;
+  // One SM clock edge; the Gpu ticks its SMs in index order.
+  void tick(Cycle cycle, TimePs now);
 
   // Fast-forward wake hint: 0/now while the SM can make progress on its
   // own; otherwise the earliest of (a) an ingress-channel delivery, (b) a
@@ -61,7 +61,7 @@ class Sm final : public Tickable {
   // entry becomes readable); never while fully drained.  Maintained at the
   // end of tick() and lowered by deliver_line / deliver_ofld_ack /
   // assign_cta / on_egress_pop.
-  TimePs next_work_ps(TimePs /*now*/) override { return wake_ps_; }
+  TimePs next_work_ps() const { return wake_ps_; }
 
   // The GPU drained a packet from out(): an egress-full warp may now be
   // issuable, so the structure-parked warps re-arm and a sleeping SM

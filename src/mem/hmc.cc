@@ -78,12 +78,12 @@ TimePs Hmc::compute_internal_wake() const {
     w = std::min(w, vault_backlog_[lowest_slot(m)].front_ready_ps());
   }
   for (SlotMask m = busy_vaults_; m != 0; m &= m - 1) {
-    w = std::min(w, vaults_[lowest_slot(m)]->next_work_ps(0));
+    w = std::min(w, vaults_[lowest_slot(m)]->next_work_ps());
   }
   return w;
 }
 
-TimePs Hmc::next_work_ps(TimePs /*now*/) {
+TimePs Hmc::next_work_ps() {
   TimePs w = wake_internal_;
   const auto& rx = ctx_.net->rx(id_);
   if (!rx.empty() && rx.front_ready_ps() < w) w = rx.front_ready_ps();
@@ -98,7 +98,7 @@ void Hmc::tick(Cycle cycle, TimePs now) {
   if (timeline_ != nullptr && timeline_->migrations_due(now)) {
     timeline_->poll_migrations(now, ctx_.amap->policy().pages_migrated());
   }
-  if (fast_forward_ && next_work_ps(now) > now) return;  // still asleep
+  if (fast_forward_ && next_work_ps() > now) return;  // still asleep
   // Drain the network RX into vaults / the NSU.
   auto& rx = ctx_.net->rx(id_);
   while (rx.ready(now)) {

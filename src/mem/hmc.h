@@ -34,7 +34,7 @@ class Hmc final : public Tickable {
   // vault backlogs and vault controllers (recomputed after each real tick,
   // lowered eagerly by cross-domain pushes from the NSU).  Dead ticks here
   // are exact no-ops, so no skipped-cycle compensation is needed.
-  TimePs next_work_ps(TimePs now) override;
+  TimePs next_work_ps() override;
 
   Nsu& nsu() { return *nsu_; }
   const Nsu& nsu() const { return *nsu_; }

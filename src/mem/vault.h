@@ -12,7 +12,6 @@
 #include "mem/address_map.h"
 #include "mem/dram.h"
 #include "obs/cycle_stack.h"
-#include "sim/clock.h"
 #include "sim/timed_channel.h"
 
 namespace sndp {
@@ -27,12 +26,12 @@ struct DramRequest {
   bool page_copy = false;   // migration copy traffic, not demand
 };
 
-// Ticks in the DRAM clock domain.  The owner (HMC logic layer) pushes
+// Ticked by its Hmc on the DRAM clock.  The owner (HMC logic layer) pushes
 // requests with `enqueue` (bounded by vault_queue_size; check `can_accept`)
 // and receives completions through the callback, timestamped with the cycle
 // the data burst finishes (reads: +tCL+tBURST after CAS).  `tenants` sizes
 // the cycle stack: one row per tenant plus the shared row.
-class VaultController final : public Tickable {
+class VaultController {
  public:
   using CompletionFn = std::function<void(const DramRequest&, TimePs done_ps)>;
 
@@ -44,12 +43,12 @@ class VaultController final : public Tickable {
 
   void enqueue(const DramRequest& req);
 
-  void tick(Cycle cycle, TimePs now) override;
+  void tick(Cycle cycle, TimePs now);
 
   // Queued requests need command scheduling every DRAM edge; an empty
   // queue only wakes for pending completion bursts.  Skipped ticks are
   // exact no-ops here (no per-cycle counters).
-  TimePs next_work_ps(TimePs /*now*/) override {
+  TimePs next_work_ps() const {
     if (!queue_.empty()) return 0;
     if (!completed_.empty()) return completed_.front_ready_ps();
     return kTimeNever;

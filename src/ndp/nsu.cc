@@ -77,7 +77,7 @@ void Nsu::tick(Cycle cycle, TimePs now) {
   if (timeline_ != nullptr && timeline_->nsu_due(timeline_src_, now)) {
     timeline_->poll_nsu(timeline_src_, now, occupancy_accum_);
   }
-  if (fast_forward_ && next_work_ps(now) > now) return;  // still asleep
+  if (fast_forward_ && next_work_ps() > now) return;  // still asleep
   // Skipped/slept edges each counted one naive tick with zero occupancy.
   // An edge is only slept when no warps are resident, the command buffer is
   // empty, and no ingress packet was ready — i.e. the NSU was idle — so the

@@ -43,7 +43,7 @@ class Nsu final : public Tickable {
   // otherwise the NSU only wakes for its ingress channel.  tick_count_ is
   // the one per-cycle stat, compensated for skipped edges (see tick() and
   // finalize()).
-  TimePs next_work_ps(TimePs /*now*/) override {
+  TimePs next_work_ps() override {
     if (live_ != 0 || !cmds_.empty()) return 0;
     if (!in_.empty()) return in_.front_ready_ps();
     return kTimeNever;

@@ -29,7 +29,7 @@ TimePs Scheduler::step() {
   // another (cross-domain channels), so cached values would go stale.
   TimePs target = kTimeNever;
   for (std::size_t i = 0; i < domains_.size(); ++i) {
-    work_edge_[i] = domains_[i]->next_work_time(now_);
+    work_edge_[i] = domains_[i]->next_work_time();
     if (work_edge_[i] < target) target = work_edge_[i];
   }
   quiescent_ = (target == kTimeNever);
@@ -55,7 +55,7 @@ TimePs Scheduler::step() {
     // Re-poll this domain's work at the edge: an earlier domain ticking at
     // this same instant may have pushed work that is consumable right now
     // (e.g. a zero-latency channel push), which the pre-step hint missed.
-    if (d->next_work_time(target) == target) {
+    if (d->next_work_time() == target) {
       d->run_tick();
     } else {
       d->skip_tick();  // edge coincides, but this domain's work is later

@@ -1,9 +1,11 @@
 // Deterministic multi-clock-domain scheduler with idle-aware fast-forward.
 //
-// Every timed component implements Tickable and registers with one
-// ClockDomain.  The Scheduler advances global time to the earliest pending
-// domain edge and ticks every member of that domain in registration order —
-// fully deterministic, no heap churn per component.  Tick indices map to
+// Every clock-domain member (the Gpu, each Hmc, each Nsu) implements
+// Tickable and registers with one ClockDomain; the parts a member owns (its
+// SMs, its vault controllers) are ticked by that member.  The Scheduler
+// advances global time to the earliest pending domain edge and ticks every
+// member of that domain in registration order — fully deterministic, no
+// heap churn per component.  Tick indices map to
 // picosecond timestamps exactly (no cumulative rounding drift) via
 // tick_time_ps(), so e.g. a 700 MHz domain and a 666.667 MHz DRAM domain
 // stay phase-correct over arbitrarily long runs.
@@ -34,22 +36,12 @@ class Tickable {
   // `cycle` is this domain's tick index; `now` is the global time in ps.
   virtual void tick(Cycle cycle, TimePs now) = 0;
   // Earliest global time (ps) at which this member has pending work, or
-  // kTimeNever for "none until externally poked".  The default — "always
-  // busy" — keeps unmodified components exactly as before.  A hint must be
-  // conservative: claiming a future/never wake while work is pending at an
-  // earlier edge breaks the bit-identity contract.
-  //
-  // Contract for the `now` argument: it is advisory context — the caller's
-  // current global time — and a hint must be a pure function of the
-  // member's own pending-work state, NEVER of `now`, so the Scheduler may
-  // poll at any instant without changing which edges get skipped.  The
-  // returned time may lie in the past relative to `now` (e.g. a vault
-  // completion that became ready between two DRAM edges); callers compare
-  // it against their own edge times, so "at or before the pending edge"
-  // simply means busy.  Every override in the tree (Hmc, VaultController,
-  // Sm, Gpu::{Epoch,Core,L2}Tick, Nsu) ignores `now` accordingly; only the
-  // "always busy" default echoes it back.
-  virtual TimePs next_work_ps(TimePs now) { return now; }
+  // kTimeNever for "none until externally poked"; the default 0 means
+  // always busy.  A hint must be conservative: claiming a future/never wake
+  // while work is pending at an earlier edge breaks the bit-identity
+  // contract.  It may lie before the pending edge (a vault completion that
+  // became ready between two DRAM edges), which simply means busy.
+  virtual TimePs next_work_ps() { return 0; }
 };
 
 class ClockDomain {
@@ -85,11 +77,11 @@ class ClockDomain {
   // Time of the first edge at which some member has work: next_time() if a
   // member is busy now, the first edge at/after the earliest member wake
   // otherwise, kTimeNever if every member is quiescent.
-  TimePs next_work_time(TimePs now) {
+  TimePs next_work_time() {
     const TimePs edge = next_time();
     TimePs wake = kTimeNever;
     for (Tickable* m : members_) {
-      const TimePs w = m->next_work_ps(now);
+      const TimePs w = m->next_work_ps();
       if (w <= edge) return edge;  // busy at (or before) the pending edge
       if (w < wake) wake = w;
     }

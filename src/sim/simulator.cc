@@ -207,8 +207,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   govs[0]->set_epoch_observer([&](const EpochRollInfo& info) {
     // Boundary-sync the SM cycle stacks so the timeline sample (and the
-    // epoch audit) sees every cycle up to the boundary classified.  The
-    // EpochTick replays fast-forwarded boundaries before any SM does work at
+    // epoch audit) sees every cycle up to the boundary classified.
+    // Gpu::tick replays fast-forwarded boundaries before any SM does work at
     // the wake edge, so syncing to the boundary cycle here is exact in both
     // stepping modes.
     const Cycle boundary = (info.epoch + 1) * cfg_.governor.epoch_cycles;
@@ -222,14 +222,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   // Clock domains (Table 2).
   ClockDomain sm_domain("sm", cfg_.clocks.sm_khz);
-  ClockDomain l2_domain("l2", cfg_.clocks.l2_khz);
-  // EpochTick must precede the SMs (it replays the governor epoch clock for
-  // fast-forwarded cycles, which in naive order ran before the wake edge);
-  // CoreTick stays after them, matching the naive per-cycle sequence.
-  sm_domain.add(&gpu.epoch_tickable());
-  for (auto& sm : gpu.sms()) sm_domain.add(sm.get());
-  sm_domain.add(&gpu.core_tickable());
-  l2_domain.add(&gpu.l2_tickable());
+  sm_domain.add(&gpu);
   ClockDomain dram_domain("dram", cfg_.clocks.dram_khz);
   ClockDomain nsu_domain("nsu", cfg_.clocks.nsu_khz);
   for (auto& hmc : hmcs) {
@@ -237,11 +230,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     nsu_domain.add(&hmc->nsu());
   }
 
-  // Coincident edges tick in registration order: sm, l2, dram, nsu.
   Scheduler sched(cfg_.fast_forward);
   sched.set_time_limit(cfg_.max_time_ps);
   sched.add(&sm_domain);
-  sched.add(&l2_domain);
   sched.add(&dram_domain);
   sched.add(&nsu_domain);
 

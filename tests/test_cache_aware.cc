@@ -130,7 +130,7 @@ TEST(Governor, EpochAdvancesWithSmCycles) {
   g.mode = OffloadMode::kDynamic;
   g.epoch_cycles = 100;
   OffloadGovernor gov(g, 1, 128, 1);
-  for (int i = 0; i < 250; ++i) gov.on_sm_cycle();
+  gov.advance_to(250);
   StatSet stats;
   gov.export_stats(stats);
   EXPECT_DOUBLE_EQ(stats.get("governor.epochs"), 2.0);
@@ -150,7 +150,7 @@ TEST(Governor, StaticModesRollEpochsWithoutClimbing) {
     ++observed;
     EXPECT_DOUBLE_EQ(info.ratio, 0.5);
   });
-  for (int i = 0; i < 100; ++i) gov.on_sm_cycle();
+  gov.advance_to(100);
   StatSet stats;
   gov.export_stats(stats);
   EXPECT_DOUBLE_EQ(stats.get("governor.epochs"), 10.0);

@@ -124,7 +124,7 @@ class ScheduledWorker final : public Tickable {
       ++idx_;
     }
   }
-  TimePs next_work_ps(TimePs) override {
+  TimePs next_work_ps() override {
     return idx_ < schedule_.size() ? tick_time_ps(schedule_[idx_], khz_) : kTimeNever;
   }
   bool drained() const { return idx_ >= schedule_.size(); }
@@ -233,7 +233,7 @@ class InstantSink final : public Tickable {
     if (wake <= now) work.emplace_back(cycle, now);
     wake = kTimeNever;
   }
-  TimePs next_work_ps(TimePs) override { return wake; }
+  TimePs next_work_ps() override { return wake; }
   TimePs wake = kTimeNever;
   std::vector<std::pair<Cycle, TimePs>> work;
 };
@@ -248,7 +248,7 @@ class InstantPusher final : public Tickable {
       done_ = true;
     }
   }
-  TimePs next_work_ps(TimePs) override {
+  TimePs next_work_ps() override {
     return done_ ? kTimeNever : tick_time_ps(push_cycle_, khz_);
   }
 

@@ -142,7 +142,6 @@ TEST(Config, PaperPresetMatchesTable2) {
   EXPECT_EQ(c.hmc.timing.tWR, 12u);
   EXPECT_EQ(c.hmc.timing.tRAS, 24u);
   EXPECT_EQ(c.clocks.sm_khz, 700'000u);
-  EXPECT_EQ(c.clocks.xbar_khz, 1'250'000u);
   EXPECT_EQ(c.clocks.nsu_khz, 350'000u);
   EXPECT_DOUBLE_EQ(c.link.gb_per_s, 20.0);
   EXPECT_EQ(c.nsu.max_warps, 48u);

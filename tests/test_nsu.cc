@@ -46,7 +46,7 @@ struct NsuHarness : ContextHarness {
   // reports no work are skipped, as the Scheduler skips them.
   void tick(unsigned n) {
     for (unsigned i = 0; i < n; ++i) {
-      if (!cfg.fast_forward || nsu->next_work_ps(now()) <= now()) nsu->tick(cycle, now());
+      if (!cfg.fast_forward || nsu->next_work_ps() <= now()) nsu->tick(cycle, now());
       ++cycle;
     }
   }

@@ -438,28 +438,28 @@ TEST(SmStall, CreditStarvedOffloadCountsEveryAttempt) {
                 "r1.dispatch_idle=86");
 }
 
-// The GPU's L2 side sleeps until the earliest SM egress head is ready and
-// stops waking once every egress queue and slice queue has drained.
+// The GPU sleeps until the earliest SM egress head is ready and stops
+// waking once every egress queue and slice queue has drained.
 TEST(GpuL2, WakeFollowsSmEgress) {
   ProgramBuilder b;
   b.movi(16, 0x40000).madi(8, 0, 8, 16).st(8, 0).exit();  // two 128 B line writes
   ContextHarness h(SmHarness::make_cfg(OffloadMode::kOff), b.build(), LaunchParams{32, 1});
   Gpu gpu(h.ctx);
   Sm& sm = *gpu.sms()[0];
-  Tickable& l2 = gpu.l2_tickable();
-  sm.assign_cta(0);
+  auto edge = [&](Cycle c) { return tick_time_ps(c, h.cfg.clocks.sm_khz); };
+  // The dispatcher places the CTA on SM 0; its warp issues both writes and
+  // exits before the crossbar latency has passed, and the SM then sleeps.
   Cycle c = 0;
-  for (; sm.out().empty() && c < 100; ++c) sm.tick(c, tick_time_ps(c, h.cfg.clocks.sm_khz));
+  for (; (sm.out().empty() || sm.next_work_ps() != kTimeNever) && c < 100; ++c) {
+    gpu.tick(c, edge(c));
+  }
   ASSERT_EQ(sm.out().size(), 2u);
   const TimePs head = sm.out().front_ready_ps();
-
-  Cycle e = 0;
-  l2.tick(e, tick_time_ps(e, h.cfg.clocks.l2_khz));  // before the head is ready
-  ++e;
-  EXPECT_EQ(l2.next_work_ps(0), head);
-  for (; !sm.out().empty() && e < 100; ++e) l2.tick(e, tick_time_ps(e, h.cfg.clocks.l2_khz));
+  ASSERT_GT(head, edge(c));
+  EXPECT_EQ(gpu.next_work_ps(), head);
+  for (; !sm.out().empty() && c < 100; ++c) gpu.tick(c, edge(c));
   EXPECT_TRUE(sm.out().empty());
-  EXPECT_EQ(l2.next_work_ps(0), kTimeNever);
+  EXPECT_EQ(gpu.next_work_ps(), kTimeNever);
 }
 
 }  // namespace
