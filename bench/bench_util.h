@@ -99,13 +99,16 @@ class BenchSweep {
   }
 
   // Runs every queued point, replays the classic WARNING lines, and writes
-  // the stats JSON when requested.
-  void run() {
+  // the stats JSON when requested.  False when some point did not run (its
+  // result() would throw).
+  bool run() {
     runner_.run();
+    bool all_ran = true;
     for (const SweepOutcome& o : runner_.outcomes()) {
       if (!o.ran) {
         std::fprintf(stderr, "WARNING: %s failed: %s\n", o.point.id.c_str(),
                      o.error.c_str());
+        all_ran = false;
         continue;
       }
       if (!o.result.verified) {
@@ -122,6 +125,7 @@ class BenchSweep {
       std::fprintf(stderr, "WARNING: failed to write stats JSON to '%s'\n",
                    opts_.stats_json.c_str());
     }
+    return all_ran;
   }
 
   const RunResult& result(std::size_t index) const { return runner_.result(index); }

@@ -168,9 +168,9 @@ int main(int argc, char** argv) {
     cfg.tenancy.credit_share = o.credit_share;
     mixes.push_back({arb, sweep.add(std::string("mix/") + arbiter_name(arb), cfg, mix, o.scale)});
   }
-  sweep.run();
-
-  // A point that did not complete and verify makes the exit status 1.
+  // A point that did not run (its error is printed above), complete or
+  // verify makes the exit status 1.
+  if (!sweep.run()) return 1;
   int rc = 0;
   auto result = [&](std::size_t point) -> const RunResult& {
     const RunResult& r = sweep.result(point);

@@ -15,12 +15,13 @@
 //   -e, --epoch N           dynamic epoch length in SM cycles (default 1000)
 //       --sms N             number of SMs                  (default 64)
 //       --hmcs N            number of HMCs, 1-255          (default 8)
-//       --nsu-mhz N         NSU clock in MHz               (default 350)
+//       --nsu-mhz N         NSU clock in MHz, 1-1000000    (default 350)
 //       --seed N            page-placement seed
 //       --ro-cache          enable the NSU read-only cache (§7.1)
 //       --optimal-target    all-access target selection ablation
 //       --stats             dump the full statistics set
-//       --csv FILE          append one CSV row per run to FILE
+//       --csv FILE          append one CSV row per run to FILE (exit 1 if
+//                           it cannot be written; so do the other outputs)
 //   -j, --jobs N            run independent simulations on N threads
 //                           (0 = all hardware threads; output is identical
 //                           to a serial run — determinism is tested)
@@ -215,7 +216,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--hmcs") {
       o.hmcs = parse_flag(argv[0], a, need_value(i), 1u, 255u);
     } else if (a == "--nsu-mhz") {
-      o.nsu_mhz = parse_flag(argv[0], a, need_value(i), 1u);
+      o.nsu_mhz = parse_flag(argv[0], a, need_value(i), 1u, 1'000'000u);  // 1 ps tick
     } else if (a == "--seed") {
       o.seed = parse_flag(argv[0], a, need_value(i), std::uint64_t{0});
     } else if (a == "--ro-cache") {
@@ -323,6 +324,15 @@ int report_one(const Options& o, const SweepPoint& p, const RunResult& r) {
     out << name << ',' << offload_mode_name(o.mode) << ',' << o.ratio << ',' << r.sm_cycles << ','
         << r.ipc << ',' << (r.verified ? 1 : 0) << ',' << r.gpu_link_bytes << ','
         << r.cube_link_bytes << ',' << r.energy.total() << '\n';
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "failed to write CSV to '%s'\n", o.csv.c_str());
+      return 1;
+    }
+  }
+  if (!o.trace_path.empty() && r.stats.get("sim.trace_write_failed") != 0.0) {
+    std::fprintf(stderr, "failed to write trace to '%s'\n", o.trace_path.c_str());
+    return 1;
   }
   return r.verified && r.completed ? 0 : 1;
 }

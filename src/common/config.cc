@@ -88,6 +88,11 @@ void SystemConfig::validate() const {
   require(hmc.memory_bytes % page_bytes == 0, "HMC capacity must be page-aligned");
   require(clocks.sm_khz > 0 && clocks.dram_khz > 0 && clocks.nsu_khz > 0,
           "all clock frequencies must be positive");
+  // Time steps in whole picoseconds: a faster clock would put several edges
+  // on one instant, and the scheduler would tick each of them.
+  constexpr std::uint64_t kMaxKhz = 1'000'000'000;
+  require(clocks.sm_khz <= kMaxKhz && clocks.dram_khz <= kMaxKhz && clocks.nsu_khz <= kMaxKhz,
+          "clock frequencies must be at most 1000000000 kHz (one edge per ps)");
   require(governor.epoch_cycles > 0, "epoch length must be positive");
   require(governor.step_min <= governor.step_max, "step_min must be <= step_max");
   require(ndp_buffers.nsu_cmd_entries >= 1, "need at least one offload command entry");

@@ -36,6 +36,15 @@ class NdpBufferManager {
   void release(unsigned hmc, unsigned cmd, unsigned rd, unsigned wta,
                unsigned tenant = 0);
 
+  // The most read-data / write-address entries one tenant may ever hold on
+  // one HMC: its quota with partitioning on, the capacity without it.
+  unsigned tenant_max_read_data() const {
+    return tenant_use_.empty() ? cfg_.nsu_read_data_entries : quota_rd_;
+  }
+  unsigned tenant_max_write_addr() const {
+    return tenant_use_.empty() ? cfg_.nsu_write_addr_entries : quota_wta_;
+  }
+
   unsigned free_cmd(unsigned hmc) const { return credits_.at(hmc).cmd; }
   unsigned free_read_data(unsigned hmc) const { return credits_.at(hmc).rd; }
   unsigned free_write_addr(unsigned hmc) const { return credits_.at(hmc).wta; }

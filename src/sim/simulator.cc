@@ -140,6 +140,23 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   }
   NdpBufferManager bufmgr(cfg_.ndp_buffers, cfg_.num_hmcs);
   if (num_tenants > 1) bufmgr.set_tenancy(num_tenants, cfg_.tenancy.credit_share);
+  // A block that needs more buffer entries than its tenant may ever hold is
+  // never granted, and its warps would poll for credits until the valve.
+  for (unsigned t = 0; t < num_tenants; ++t) {
+    for (const OffloadBlockInfo& b : jobs[t].image->blocks) {
+      if (b.num_loads <= bufmgr.tenant_max_read_data() &&
+          b.num_stores <= bufmgr.tenant_max_write_addr()) {
+        continue;
+      }
+      throw std::invalid_argument(
+          "run_images: tenant " + std::to_string(t) + " (" + jobs[t].name + ") block " +
+          std::to_string(b.block_id) + " needs " + std::to_string(b.num_loads) +
+          " read-data and " + std::to_string(b.num_stores) +
+          " write-address entries, but one tenant may hold at most " +
+          std::to_string(bufmgr.tenant_max_read_data()) + " and " +
+          std::to_string(bufmgr.tenant_max_write_addr()));
+    }
+  }
   RoCacheMirror ro_cache(cfg_.num_hmcs, cfg_.nsu, cfg_.l2.line_bytes);
   WtaInflightTracker wta_tracker(cfg_.num_hmcs);
   // Under a volatile mapping (migration) a WTA's generation-time stack and

@@ -206,6 +206,18 @@ TEST(Config, ValidateRejectsZeroNsuSimdLanes) {
   EXPECT_EQ(validate_error(c), "");
 }
 
+TEST(Config, RejectsClockFasterThanOnePicosecondTick) {
+  // Time advances in whole picoseconds: a 1 ps tick is the fastest clock.
+  for (std::uint64_t ClockConfig::*clock :
+       {&ClockConfig::sm_khz, &ClockConfig::dram_khz, &ClockConfig::nsu_khz}) {
+    SystemConfig c = SystemConfig::paper();
+    c.clocks.*clock = 1'000'000'000;
+    EXPECT_EQ(validate_error(c), "");
+    c.clocks.*clock = 1'000'000'001;
+    EXPECT_NE(validate_error(c).find("one edge per ps"), std::string::npos) << validate_error(c);
+  }
+}
+
 TEST(Config, ValidateRejectsBadShapes) {
   SystemConfig c = SystemConfig::paper();
   c.num_hmcs = 0;  // need at least one stack

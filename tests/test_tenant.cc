@@ -199,5 +199,22 @@ TEST(Tenant, QosKnobsAndArbitersCompleteDeterministically) {
   }
 }
 
+// A credit share below one block's read-data need can never grant that
+// block: the run is refused up front instead of polling until the valve.
+TEST(Tenant, RefusesCreditShareSmallerThanOneBlock) {
+  SystemConfig cfg = tenant_cfg();
+  cfg.tenancy.credit_share = 0.0039;  // ceil(0.0039 * 256) = 1 entry per tenant
+  cfg.max_time_ps = 5'000'000;
+  try {
+    run_mix(cfg, {{"BFS"}, {"VADD"}});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tenant 0 (BFS) block"), std::string::npos) << what;
+    EXPECT_NE(what.find("needs 2 read-data"), std::string::npos) << what;
+    EXPECT_NE(what.find("at most 1 and 1"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace sndp
