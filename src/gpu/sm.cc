@@ -530,7 +530,7 @@ Sm::IssueOutcome Sm::try_issue(Warp& w, Cycle cycle, TimePs now) {
 }
 
 void Sm::execute_alu_warp(Warp& w, const Instr& in, Cycle cycle) {
-  const LaneMask lanes = w.exec_mask(in);
+  const LaneMask lanes = exec_mask(in, w.active, w.lanes);
   for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
     if (lanes & (LaneMask{1} << lane)) execute_alu(in, w.lanes[lane]);
   }
@@ -542,7 +542,7 @@ void Sm::execute_alu_warp(Warp& w, const Instr& in, Cycle cycle) {
 }
 
 void Sm::handle_branch(Warp& w, const Instr& in) {
-  const LaneMask lanes = w.exec_mask(in);
+  const LaneMask lanes = exec_mask(in, w.active, w.lanes);
   if (lanes != 0 && lanes != w.active) {
     throw std::logic_error("Sm: divergent branch — kernels must use predication");
   }
@@ -659,13 +659,7 @@ void Sm::end_offload_or_inline(Warp& w, Cycle /*cycle*/, TimePs now) {
   // memory instruction executed (fully predicated-off block), fall back to
   // a fixed target so the command can still be delivered.
   if (w.ofld->target == kInvalidId) {
-    unsigned best = 0;
-    if (!w.ofld->votes.empty()) {
-      for (unsigned h = 1; h < w.ofld->votes.size(); ++h) {
-        if (w.ofld->votes[h] > w.ofld->votes[best]) best = h;
-      }
-    }
-    w.ofld->target = best;
+    w.ofld->target = w.ofld->majority_hmc();
     retry_credit_grants(now);
   }
   set_state(w, WarpState::kWaitAck);
@@ -676,7 +670,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
     retry_cycle_ = lsu_busy_until_;
     return IssueOutcome::kExecBusy;
   }
-  const LaneMask lanes = w.exec_mask(in);
+  const LaneMask lanes = exec_mask(in, w.active, w.lanes);
   if (lanes == 0) {
     ++w.pc;
     return IssueOutcome::kIssued;
@@ -850,7 +844,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
     return IssueOutcome::kExecBusy;
   }
   GpuOffloadCtx& ofld = *w.ofld;
-  const LaneMask lanes = w.exec_mask(in);
+  const LaneMask lanes = exec_mask(in, w.active, w.lanes);
   if (lanes == 0) {
     ++ofld.seq;
     ++w.pc;
@@ -881,22 +875,16 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
   // (optimal_target_selection): accumulate votes over every access and
   // decide at OFLD.END — faithful to the "huge buffer" cost, since all
   // packets sit in the pending buffer until then.
-  if (ctx_.cfg->optimal_target_selection) {
+  const bool optimal = ctx_.cfg->optimal_target_selection;
+  if (optimal || ofld.target == kInvalidId) {
     if (ofld.votes.empty()) ofld.votes.assign(ctx_.cfg->num_hmcs, 0);
     for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
       if (lanes & (LaneMask{1} << lane)) ++ofld.votes[ctx_.amap->hmc_of(addrs[lane])];
     }
-  } else if (ofld.target == kInvalidId) {
-    std::vector<unsigned> votes(ctx_.cfg->num_hmcs, 0);
-    for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-      if (lanes & (LaneMask{1} << lane)) ++votes[ctx_.amap->hmc_of(addrs[lane])];
+    if (!optimal) {
+      ofld.target = ofld.majority_hmc();
+      retry_credit_grants(now);
     }
-    unsigned best = 0;
-    for (unsigned h = 1; h < votes.size(); ++h) {
-      if (votes[h] > votes[best]) best = h;
-    }
-    ofld.target = best;
-    retry_credit_grants(now);
   }
 
   const OffloadPacketId oid{id_, w.id, ofld.seq, w.cur_block, ofld.instance};

@@ -35,9 +35,20 @@ struct GpuOffloadCtx {
   // "Pending packet buffer" content: packets generated before the target is
   // known / credits granted (the command packet is always held[0]).
   std::vector<Packet> held;
-  // Optimal-target ablation: per-HMC access votes accumulated over the
-  // whole block (the buffering cost the paper rejects, §4.1.1/Fig. 5).
+  // Per-HMC access votes: the first memory instruction's under the paper
+  // policy, the whole block's under the optimal-target ablation (the
+  // buffering cost the paper rejects, §4.1.1/Fig. 5).
   std::vector<unsigned> votes;
+
+  // The HMC with the most votes; the lowest id wins a tie (HMC 0 when no
+  // vote was cast).
+  unsigned majority_hmc() const {
+    unsigned best = 0;
+    for (unsigned h = 1; h < votes.size(); ++h) {
+      if (votes[h] > votes[best]) best = h;
+    }
+    return best;
+  }
 };
 
 // Memoized coalescing result: a warp stalled on egress, MSHRs or trackers
@@ -74,19 +85,6 @@ struct Warp {
   std::unique_ptr<GpuOffloadCtx> ofld;  // non-null while inside an offloaded block
 
   unsigned active_count() const { return popcount_mask(active); }
-
-  // Lanes of `instr` that will actually execute: alive AND guard-passing.
-  LaneMask exec_mask(const Instr& instr) const {
-    if (instr.guard_pred == kNoPred) return active;
-    LaneMask m = 0;
-    for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-      if (!(active & (LaneMask{1} << lane))) continue;
-      if (lanes[lane].preds[static_cast<unsigned>(instr.guard_pred)] == instr.guard_sense) {
-        m |= LaneMask{1} << lane;
-      }
-    }
-    return m;
-  }
 };
 
 }  // namespace sndp

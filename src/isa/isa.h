@@ -131,6 +131,21 @@ struct ThreadCtx {
 // Evaluates whether `instr`'s guard passes for this thread.
 bool guard_passes(const Instr& instr, const ThreadCtx& ctx);
 
+// Lanes of `instr` that execute on a warp (SM or NSU): alive in `active`
+// AND guard-passing.
+inline LaneMask exec_mask(const Instr& instr, LaneMask active,
+                          const std::array<ThreadCtx, kWarpWidth>& lanes) {
+  if (instr.guard_pred == kNoPred) return active;
+  LaneMask m = 0;
+  for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
+    if (!(active & (LaneMask{1} << lane))) continue;
+    if (lanes[lane].preds[static_cast<unsigned>(instr.guard_pred)] == instr.guard_sense) {
+      m |= LaneMask{1} << lane;
+    }
+  }
+  return m;
+}
+
 // Executes a non-memory, non-control instruction on one thread's registers.
 // Memory and control ops are handled by the cores (they need the machine).
 void execute_alu(const Instr& instr, ThreadCtx& ctx);

@@ -4,68 +4,45 @@
 
 namespace sndp {
 
-void ReadDataBuffer::deposit(const Packet& p) {
+template <std::vector<std::uint64_t> Packet::*Lanes>
+void LaneMergeBuffer<Lanes>::deposit(const Packet& p) {
   const NdpBufferKey key = NdpBufferKey::of(p.oid);
   Entry& e = entries_[key];
   if (entries_.size() > capacity_) {
-    throw std::logic_error("ReadDataBuffer: over capacity — credit protocol violated");
+    throw std::logic_error("NDP lane-merge buffer: over capacity — credit protocol violated");
   }
   if ((e.accumulated & p.mask) != 0) {
-    throw std::logic_error("ReadDataBuffer: duplicate lanes in RDF response");
-  }
-  e.accumulated |= p.mask;
-  e.expected |= p.expected_mask;
-  for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-    if (p.mask & (LaneMask{1} << lane)) e.data[lane] = p.lane_data[lane];
-  }
-}
-
-bool ReadDataBuffer::complete(const NdpBufferKey& key) const {
-  auto it = entries_.find(key);
-  return it != entries_.end() && it->second.expected != 0 &&
-         it->second.accumulated == it->second.expected;
-}
-
-ReadDataBuffer::Entry ReadDataBuffer::take(const NdpBufferKey& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) throw std::logic_error("ReadDataBuffer: take() of absent entry");
-  Entry e = it->second;
-  entries_.erase(it);
-  return e;
-}
-
-void WriteAddrBuffer::deposit(const Packet& p) {
-  const NdpBufferKey key = NdpBufferKey::of(p.oid);
-  Entry& e = entries_[key];
-  if (entries_.size() > capacity_) {
-    throw std::logic_error("WriteAddrBuffer: over capacity — credit protocol violated");
-  }
-  if ((e.accumulated & p.mask) != 0) {
-    throw std::logic_error("WriteAddrBuffer: duplicate lanes in WTA packet");
+    throw std::logic_error("NDP lane-merge buffer: duplicate lanes in one packet id");
   }
   e.accumulated |= p.mask;
   e.expected |= p.expected_mask;
   e.width = p.mem_width;
   e.f32 = p.mem_f32;
   e.misaligned = e.misaligned || p.misaligned;
+  const std::vector<std::uint64_t>& words = p.*Lanes;
   for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-    if (p.mask & (LaneMask{1} << lane)) e.addrs[lane] = p.lane_addrs[lane];
+    if (p.mask & (LaneMask{1} << lane)) e.lanes[lane] = words[lane];
   }
 }
 
-bool WriteAddrBuffer::complete(const NdpBufferKey& key) const {
+template <std::vector<std::uint64_t> Packet::*Lanes>
+bool LaneMergeBuffer<Lanes>::complete(const NdpBufferKey& key) const {
   auto it = entries_.find(key);
   return it != entries_.end() && it->second.expected != 0 &&
          it->second.accumulated == it->second.expected;
 }
 
-WriteAddrBuffer::Entry WriteAddrBuffer::take(const NdpBufferKey& key) {
+template <std::vector<std::uint64_t> Packet::*Lanes>
+typename LaneMergeBuffer<Lanes>::Entry LaneMergeBuffer<Lanes>::take(const NdpBufferKey& key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) throw std::logic_error("WriteAddrBuffer: take() of absent entry");
+  if (it == entries_.end()) throw std::logic_error("NDP lane-merge buffer: take() of absent entry");
   Entry e = it->second;
   entries_.erase(it);
   return e;
 }
+
+template class LaneMergeBuffer<&Packet::lane_data>;
+template class LaneMergeBuffer<&Packet::lane_addrs>;
 
 void CmdBuffer::push(Packet cmd) {
   if (queue_.size() >= capacity_) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.h"
 #include "noc/packet.h"
@@ -39,19 +40,28 @@ struct NdpBufferKeyHash {
   }
 };
 
-// Read-data buffer: accumulates RDF response words per lane.
-class ReadDataBuffer {
+// A keyed lane-merge buffer: packets with the same offload packet id merge
+// their `Lanes` words until every expected lane has arrived.  The read-data
+// buffer merges RDF responses' data words, the write-address buffer WTA
+// packets' addresses.
+template <std::vector<std::uint64_t> Packet::*Lanes>
+class LaneMergeBuffer {
  public:
-  explicit ReadDataBuffer(unsigned capacity) : capacity_(capacity) {}
+  explicit LaneMergeBuffer(unsigned capacity) : capacity_(capacity) {}
 
   struct Entry {
     LaneMask accumulated = 0;
     LaneMask expected = 0;
-    std::array<RegValue, kWarpWidth> data{};
+    std::array<std::uint64_t, kWarpWidth> lanes{};
+    // Write attributes (WTA): the latest packet's width and f32 flag, and
+    // whether any packet was misaligned.
+    std::uint8_t width = 8;
+    bool f32 = false;
+    bool misaligned = false;
   };
 
-  // Merge an RDF response (creates the entry on first arrival).
-  void deposit(const Packet& rdf_resp);
+  // Merge a packet (creates the entry on first arrival).
+  void deposit(const Packet& p);
 
   bool complete(const NdpBufferKey& key) const;
   // Remove and return a complete entry.
@@ -65,32 +75,8 @@ class ReadDataBuffer {
   std::unordered_map<NdpBufferKey, Entry, NdpBufferKeyHash> entries_;
 };
 
-// Write-address buffer: accumulates WTA lane addresses.
-class WriteAddrBuffer {
- public:
-  explicit WriteAddrBuffer(unsigned capacity) : capacity_(capacity) {}
-
-  struct Entry {
-    LaneMask accumulated = 0;
-    LaneMask expected = 0;
-    std::array<Addr, kWarpWidth> addrs{};
-    std::uint8_t width = 8;
-    bool f32 = false;
-    bool misaligned = false;
-  };
-
-  void deposit(const Packet& wta);
-
-  bool complete(const NdpBufferKey& key) const;
-  Entry take(const NdpBufferKey& key);
-
-  std::size_t size() const { return entries_.size(); }
-  unsigned capacity() const { return capacity_; }
-
- private:
-  unsigned capacity_;
-  std::unordered_map<NdpBufferKey, Entry, NdpBufferKeyHash> entries_;
-};
+using ReadDataBuffer = LaneMergeBuffer<&Packet::lane_data>;
+using WriteAddrBuffer = LaneMergeBuffer<&Packet::lane_addrs>;
 
 // Offload-command queue (10 entries in the paper's configuration).
 class CmdBuffer {

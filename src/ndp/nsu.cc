@@ -58,18 +58,6 @@ double Nsu::icache_utilization() const {
   return bytes / static_cast<double>(cfg_.icache_bytes);
 }
 
-LaneMask Nsu::exec_mask(const NsuWarp& warp, const Instr& instr) const {
-  if (instr.guard_pred == kNoPred) return warp.active;
-  LaneMask m = 0;
-  for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-    if (!(warp.active & (LaneMask{1} << lane))) continue;
-    if (warp.lanes[lane].preds[static_cast<unsigned>(instr.guard_pred)] == instr.guard_sense) {
-      m |= LaneMask{1} << lane;
-    }
-  }
-  return m;
-}
-
 void Nsu::tick(Cycle cycle, TimePs now) {
   // Epoch-timeline sampling at the first consumed NSU edge at/after each
   // boundary, before this edge's occupancy is accumulated.  Asleep edges
@@ -299,7 +287,7 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
       return true;
 
     case Opcode::kLd: {
-      const LaneMask lanes = exec_mask(warp, in);
+      const LaneMask lanes = exec_mask(in, warp.active, warp.lanes);
       OffloadPacketId oid = warp.oid;
       oid.seq = warp.seq;
       if (lanes == 0) {
@@ -320,9 +308,8 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
         throw std::logic_error("Nsu: read-data lane mask mismatch with GPU");
       }
       for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-        if (lanes & (LaneMask{1} << lane)) warp.lanes[lane].regs[in.dst] = entry.data[lane];
+        if (lanes & (LaneMask{1} << lane)) warp.lanes[lane].regs[in.dst] = entry.lanes[lane];
       }
-      ++warp.freed_read_entries;
       lane_ops_ += popcount_mask(lanes);
       ++instrs_;
       ++warp.seq;
@@ -332,7 +319,7 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
     }
 
     case Opcode::kSt: {
-      const LaneMask lanes = exec_mask(warp, in);
+      const LaneMask lanes = exec_mask(in, warp.active, warp.lanes);
       OffloadPacketId oid = warp.oid;
       oid.seq = warp.seq;
       if (lanes == 0) {
@@ -354,11 +341,11 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
       LaneMask remaining = lanes;
       while (remaining != 0) {
         const unsigned first = static_cast<unsigned>(std::countr_zero(remaining));
-        const Addr line = entry.addrs[first] & ~static_cast<Addr>(line_bytes - 1);
+        const Addr line = entry.lanes[first] & ~static_cast<Addr>(line_bytes - 1);
         LaneMask line_lanes = 0;
         for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
           if (!(remaining & (LaneMask{1} << lane))) continue;
-          if ((entry.addrs[lane] & ~static_cast<Addr>(line_bytes - 1)) == line) {
+          if ((entry.lanes[lane] & ~static_cast<Addr>(line_bytes - 1)) == line) {
             line_lanes |= LaneMask{1} << lane;
           }
         }
@@ -380,7 +367,7 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
         wr.lane_data.assign(kWarpWidth, 0);
         for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
           if (line_lanes & (LaneMask{1} << lane)) {
-            wr.lane_addrs[lane] = entry.addrs[lane];
+            wr.lane_addrs[lane] = entry.lanes[lane];
             wr.lane_data[lane] = warp.lanes[lane].regs[in.src[1]];
           }
         }
@@ -398,7 +385,6 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
         }
       }
       warp.pending_writes += num_lines;
-      ++warp.freed_write_entries;
       lane_ops_ += popcount_mask(lanes);
       ++instrs_;
       ++warp.seq;
@@ -419,7 +405,7 @@ bool Nsu::step_warp(unsigned slot, Cycle cycle, TimePs now) {
         throw std::logic_error(std::string("Nsu: unexpected opcode in NSU code: ") +
                                opcode_name(in.op));
       }
-      const LaneMask lanes = exec_mask(warp, in);
+      const LaneMask lanes = exec_mask(in, warp.active, warp.lanes);
       for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
         if (lanes & (LaneMask{1} << lane)) execute_alu(in, warp.lanes[lane]);
       }

@@ -91,9 +91,6 @@ class Nsu final : public Tickable {
     unsigned pending_writes = 0;
     LaneMask active = 0;
     std::array<ThreadCtx, kWarpWidth> lanes{};
-    // Credits to piggyback on the offload ACK (§4.3).
-    unsigned freed_read_entries = 0;
-    unsigned freed_write_entries = 0;
     // Latency stamp parked from the kOfldCmd across execution; copied onto
     // the kOfldAck so the cmd->ACK span covers the whole round trip.
     PacketTiming lt{};
@@ -111,7 +108,6 @@ class Nsu final : public Tickable {
     parked_ &= ~b;
     parked_rdf_ &= ~b;
   }
-  LaneMask exec_mask(const NsuWarp& warp, const Instr& instr) const;
 
   HmcId hmc_id_;
   const SystemContext& ctx_;

@@ -39,8 +39,8 @@ TEST(ReadDataBuffer, SinglePacketCompletes) {
   buf.deposit(rdf_resp(oid, kFullMask, kFullMask, 100));
   EXPECT_TRUE(buf.complete(NdpBufferKey::of(oid)));
   const auto entry = buf.take(NdpBufferKey::of(oid));
-  EXPECT_EQ(entry.data[0], 100u);
-  EXPECT_EQ(entry.data[31], 131u);
+  EXPECT_EQ(entry.lanes[0], 100u);
+  EXPECT_EQ(entry.lanes[31], 131u);
   EXPECT_EQ(buf.size(), 0u);
 }
 
@@ -53,8 +53,8 @@ TEST(ReadDataBuffer, DivergentResponsesMergeByMask) {
   buf.deposit(rdf_resp(oid, hi, kFullMask, 1000));
   EXPECT_TRUE(buf.complete(NdpBufferKey::of(oid)));
   const auto entry = buf.take(NdpBufferKey::of(oid));
-  EXPECT_EQ(entry.data[0], 0u);
-  EXPECT_EQ(entry.data[31], 1031u);
+  EXPECT_EQ(entry.lanes[0], 0u);
+  EXPECT_EQ(entry.lanes[31], 1031u);
 }
 
 TEST(ReadDataBuffer, SeqNumbersKeepLoadsSeparate) {
@@ -65,8 +65,8 @@ TEST(ReadDataBuffer, SeqNumbersKeepLoadsSeparate) {
   buf.deposit(rdf_resp(a, kFullMask, kFullMask, 10));
   buf.deposit(rdf_resp(b, kFullMask, kFullMask, 20));
   EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.take(NdpBufferKey::of(b)).data[0], 20u);
-  EXPECT_EQ(buf.take(NdpBufferKey::of(a)).data[0], 10u);
+  EXPECT_EQ(buf.take(NdpBufferKey::of(b)).lanes[0], 20u);
+  EXPECT_EQ(buf.take(NdpBufferKey::of(a)).lanes[0], 10u);
 }
 
 TEST(ReadDataBuffer, DuplicateLanesRejected) {
@@ -99,7 +99,7 @@ TEST(WriteAddrBuffer, MergesAndCarriesAttributes) {
   buf.deposit(wta(oid, 0xFFFF0000, kFullMask, 0x1000));
   ASSERT_TRUE(buf.complete(NdpBufferKey::of(oid)));
   const auto entry = buf.take(NdpBufferKey::of(oid));
-  EXPECT_EQ(entry.addrs[5], 0x1000u + 40);
+  EXPECT_EQ(entry.lanes[5], 0x1000u + 40);
   EXPECT_EQ(entry.width, 8u);
   EXPECT_TRUE(entry.misaligned);  // sticky across merges
 }
