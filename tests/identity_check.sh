@@ -6,7 +6,8 @@
 # Both arguments are CMake build directories (one per commit, each from its
 # own checkout).  The script runs the same commands with each build's
 # `examples/sndpsim`, `bench/fig08_stall_breakdown`,
-# `bench/tenant_interference` and `bench/diff_check`, compares the two
+# `bench/tenant_interference`, `bench/diff_check` and
+# `bench/tab02_configuration`, compares the two
 # outputs byte for byte, and exits 1 on the first difference (0 when every
 # pair is identical, 2 on bad usage).  The --stats-json rows compare the
 # JSON files without their wall-clock fields (meta.jobs,
@@ -25,6 +26,7 @@
 #   fig08_stall_breakdown
 #   tenant_interference --scale tiny
 #   diff_check --scale tiny                               (182 oracle points)
+#   tab02_configuration                                   (Table 2 as printed)
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -35,7 +37,7 @@ parent=$1
 change=$2
 for build in "$parent" "$change"; do
   for prog in examples/sndpsim bench/fig08_stall_breakdown bench/tenant_interference \
-      bench/diff_check; do
+      bench/diff_check bench/tab02_configuration; do
     if [[ ! -x "$build/$prog" ]]; then
       echo "$0: missing $build/$prog" >&2
       exit 2
@@ -105,4 +107,5 @@ compare_json "sndpsim --stats-json --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "fig08_stall_breakdown" bench/fig08_stall_breakdown
 compare "tenant_interference --scale tiny" bench/tenant_interference --scale tiny
 compare "diff_check --scale tiny" bench/diff_check --scale tiny
+compare "tab02_configuration" bench/tab02_configuration
 echo "all $n outputs identical"
