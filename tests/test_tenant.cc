@@ -204,7 +204,7 @@ TEST(Tenant, QosKnobsAndArbitersCompleteDeterministically) {
 TEST(Tenant, RefusesCreditShareSmallerThanOneBlock) {
   SystemConfig cfg = tenant_cfg();
   cfg.tenancy.credit_share = 0.0039;  // ceil(0.0039 * 256) = 1 entry per tenant
-  cfg.max_time_ps = 5'000'000;
+  cfg.max_time_ps = 5'000'000;  // a run that is not refused stops early
   try {
     run_mix(cfg, {{"BFS"}, {"VADD"}});
     FAIL() << "expected std::invalid_argument";
