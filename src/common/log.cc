@@ -1,30 +1,12 @@
 #include "common/log.h"
 
-#include <atomic>
 #include <cstdarg>
+#include <cstdio>
 
 namespace sndp {
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 
-const char* level_name(LogLevel lvl) {
-  switch (lvl) {
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kTrace: return "TRACE";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel Log::level() { return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed)); }
-
-void Log::set_level(LogLevel lvl) { g_level.store(static_cast<int>(lvl), std::memory_order_relaxed); }
-
-void Log::write(LogLevel lvl, const char* tag, const char* fmt, ...) {
-  std::fprintf(stderr, "[%s][%s] ", level_name(lvl), tag);
+void log_warn(const char* tag, const char* fmt, ...) {
+  std::fprintf(stderr, "[WARN][%s] ", tag);
   va_list args;
   va_start(args, fmt);
   std::vfprintf(stderr, fmt, args);

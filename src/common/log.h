@@ -1,36 +1,8 @@
-// Minimal leveled logging.  Off by default; enabled per-run for debugging.
-// Kept deliberately simple (printf-style) so it never perturbs timing paths.
+// Warnings on stderr, printf-style, one line each: "[WARN][tag] message".
 #pragma once
-
-#include <cstdio>
-#include <string>
 
 namespace sndp {
 
-enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3, kTrace = 4 };
-
-class Log {
- public:
-  static LogLevel level();
-  static void set_level(LogLevel lvl);
-  static bool enabled(LogLevel lvl) { return static_cast<int>(lvl) <= static_cast<int>(level()); }
-
-  // printf-style logging with a subsystem tag.
-  static void write(LogLevel lvl, const char* tag, const char* fmt, ...)
-      __attribute__((format(printf, 3, 4)));
-};
-
-#define SNDP_LOG(lvl, tag, ...)                              \
-  do {                                                       \
-    if (::sndp::Log::enabled(lvl)) {                         \
-      ::sndp::Log::write(lvl, tag, __VA_ARGS__);             \
-    }                                                        \
-  } while (0)
-
-#define SNDP_ERROR(tag, ...) SNDP_LOG(::sndp::LogLevel::kError, tag, __VA_ARGS__)
-#define SNDP_WARN(tag, ...) SNDP_LOG(::sndp::LogLevel::kWarn, tag, __VA_ARGS__)
-#define SNDP_INFO(tag, ...) SNDP_LOG(::sndp::LogLevel::kInfo, tag, __VA_ARGS__)
-#define SNDP_DEBUG(tag, ...) SNDP_LOG(::sndp::LogLevel::kDebug, tag, __VA_ARGS__)
-#define SNDP_TRACE(tag, ...) SNDP_LOG(::sndp::LogLevel::kTrace, tag, __VA_ARGS__)
+void log_warn(const char* tag, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 }  // namespace sndp

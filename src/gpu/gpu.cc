@@ -9,7 +9,6 @@
 #include "memfunc/global_memory.h"
 #include "noc/network.h"
 #include "ndp/ro_cache.h"
-#include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
 #include "sim/simulator.h"
@@ -201,14 +200,6 @@ TimePs Gpu::l2_next_work_ps() const {
 }
 
 void Gpu::l2_tick(Cycle cycle, TimePs now) {
-  // Epoch-timeline sampling: record the slices' cumulative counters at the
-  // first consumed GPU edge at/after each epoch boundary (fast-forward only
-  // skips edges at which these counters are frozen, so the sampled values
-  // are mode-independent).
-  if (timeline_ != nullptr && timeline_->l2_due(now)) {
-    timeline_->poll_l2(now, total_l2_hits(), total_l2_misses());
-  }
-
   // With nothing deliverable at this edge the whole tick is a no-op (every
   // stage below only pops ready channel heads), so it can be skipped.
   if (fast_forward_ && l2_next_work_ps() > now) return;

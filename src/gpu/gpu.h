@@ -19,7 +19,6 @@ namespace sndp {
 
 struct AuditSnapshot;
 struct RunResult;
-class EpochTimeline;
 
 class Gpu final : public Tickable {
  public:
@@ -51,7 +50,7 @@ class Gpu final : public Tickable {
   // (DESIGN.md "Multi-tenant serving").
   bool idle() const;
 
-  // L2 outcomes over all slices (the epoch timeline's end-of-run values).
+  // L2 outcomes over all slices (sampled by the epoch timeline).
   std::uint64_t total_l2_hits() const;
   std::uint64_t total_l2_misses() const;
 
@@ -66,10 +65,6 @@ class Gpu final : public Tickable {
   // active seconds, and on multi-tenant runs the per-tenant results and
   // stats (their names are the caller's).
   void report(RunResult& r) const;
-
-  // Per-epoch timeline hook: the L2 slices poll their cumulative counters at
-  // the first consumed GPU edge at/after each epoch boundary.
-  void set_timeline(EpochTimeline* timeline) { timeline_ = timeline; }
 
  private:
   // Per-tenant issued instructions, summed over SMs.
@@ -135,8 +130,6 @@ class Gpu final : public Tickable {
   // Energy events (report() adds them to RunResult::counters).
   std::uint64_t l2_accesses_ = 0;
   std::uint64_t wire_bytes_ = 0;     // on-die data movement (SM <-> L2 <-> links)
-
-  EpochTimeline* timeline_ = nullptr;
 };
 
 }  // namespace sndp

@@ -6,7 +6,6 @@
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
 #include "noc/network.h"
-#include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
 #include "sim/simulator.h"
@@ -91,13 +90,6 @@ TimePs Hmc::next_work_ps() {
 }
 
 void Hmc::tick(Cycle cycle, TimePs now) {
-  // Migration-counter sampling, BEFORE the fast-forward early-return: this
-  // runs at every dram edge in either stepping mode, and migrations only
-  // mutate later in a tick (vault completions), so the sampled value is the
-  // boundary value regardless of which edges get skipped.
-  if (timeline_ != nullptr && timeline_->migrations_due(now)) {
-    timeline_->poll_migrations(now, ctx_.amap->policy().pages_migrated());
-  }
   if (fast_forward_ && next_work_ps() > now) return;  // still asleep
   // Drain the network RX into vaults / the NSU.
   auto& rx = ctx_.net->rx(id_);

@@ -20,7 +20,6 @@ namespace sndp {
 
 struct AuditSnapshot;
 struct RunResult;
-class EpochTimeline;
 
 class Hmc final : public Tickable {
  public:
@@ -54,11 +53,6 @@ class Hmc final : public Tickable {
   // End of run: the `hmcN.*` stats, the vaults' cycle-stack rows and this
   // stack's DRAM and logic-layer energy events, then its NSU's report.
   void report(RunResult& r) const;
-
-  // Epoch-timeline hookup for the placement-migration counter (dram-domain
-  // lazy poll; see the poll in tick()).  Set on stack 0 only — one poller
-  // suffices for the shared policy counter.
-  void set_timeline(EpochTimeline* timeline) { timeline_ = timeline; }
 
  private:
   void route_packet(Packet&& p, TimePs now);
@@ -108,8 +102,6 @@ class Hmc final : public Tickable {
   // Fast-forward wake hint over backlogs + vaults (see next_work_ps).
   TimePs wake_internal_ = 0;
   bool fast_forward_ = false;
-
-  EpochTimeline* timeline_ = nullptr;
 
   // Energy events (report() adds them to RunResult::counters).
   std::uint64_t hmc_noc_bytes_ = 0;  // vault <-> logic-layer movement

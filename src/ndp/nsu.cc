@@ -6,7 +6,6 @@
 
 #include "mem/address_map.h"
 #include "noc/network.h"
-#include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
 #include "sim/simulator.h"
@@ -59,12 +58,6 @@ double Nsu::icache_utilization() const {
 }
 
 void Nsu::tick(Cycle cycle, TimePs now) {
-  // Epoch-timeline sampling at the first consumed NSU edge at/after each
-  // boundary, before this edge's occupancy is accumulated.  Asleep edges
-  // leave occupancy_accum_ frozen, so the value is fast-forward-invariant.
-  if (timeline_ != nullptr && timeline_->nsu_due(timeline_src_, now)) {
-    timeline_->poll_nsu(timeline_src_, now, occupancy_accum_);
-  }
   if (fast_forward_ && next_work_ps() > now) return;  // still asleep
   // Skipped/slept edges each counted one naive tick with zero occupancy.
   // An edge is only slept when no warps are resident, the command buffer is

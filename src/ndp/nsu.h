@@ -26,7 +26,6 @@ namespace sndp {
 
 struct AuditSnapshot;
 struct RunResult;
-class EpochTimeline;
 
 class Nsu final : public Tickable {
  public:
@@ -72,14 +71,6 @@ class Nsu final : public Tickable {
   // End of run: the `hmcN.nsu.*` stats, this NSU's cycle-stack rows and its
   // lane ops (the NSU's energy events).
   void report(RunResult& r) const;
-
-  // Per-epoch timeline hook: this NSU polls its cumulative occupancy at the
-  // first consumed NSU edge at/after each epoch boundary.  `src` is this
-  // NSU's index in the timeline's per-source series.
-  void set_timeline(EpochTimeline* timeline, unsigned src) {
-    timeline_ = timeline;
-    timeline_src_ = src;
-  }
 
  private:
   struct NsuWarp {
@@ -138,9 +129,6 @@ class Nsu final : public Tickable {
   WriteAddrBuffer write_addr_;
   CmdBuffer cmds_;
   TimedChannel<Packet> in_;
-
-  EpochTimeline* timeline_ = nullptr;
-  unsigned timeline_src_ = 0;
 
   // Stats.
   std::uint64_t lane_ops_ = 0;

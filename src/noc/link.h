@@ -53,15 +53,12 @@ class Link {
         break;
     }
     bytes_transmitted_ += bytes;
-    ++packets_;
     if (wait_ps != nullptr) *wait_ps = start - earliest;
     return start + ser + propagation_ps_;
   }
 
   TimePs free_at() const { return bulk_free_at_; }
   std::uint64_t bytes_transmitted() const { return bytes_transmitted_; }
-  std::uint64_t packets() const { return packets_; }
-  double gb_per_s() const { return gb_per_s_; }
 
  private:
   double gb_per_s_;
@@ -70,7 +67,6 @@ class Link {
   TimePs ctrl_free_at_ = 0;
   TimePs bulk_free_at_ = 0;
   std::uint64_t bytes_transmitted_ = 0;
-  std::uint64_t packets_ = 0;
 };
 
 }  // namespace sndp

@@ -3,7 +3,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "obs/epoch_timeline.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
 #include "sim/simulator.h"
@@ -60,13 +59,6 @@ TimePs Network::send(Packet pkt, TimePs now) {
   const unsigned gpu = gpu_node();
   if (pkt.src_node == pkt.dst_node) throw std::logic_error("Network: src == dst");
   if (pkt.src_node > gpu || pkt.dst_node > gpu) throw std::logic_error("Network: bad node id");
-
-  // Epoch-timeline sampling: the byte counters only change inside send(),
-  // so the first injection at/after a boundary sees exactly the counters as
-  // of that boundary (in either stepping mode).
-  if (timeline_ != nullptr && timeline_->links_due(now)) {
-    timeline_->poll_links(now, gpu_up_bytes_, gpu_down_bytes_, cube_bytes_);
-  }
 
   ++packets_injected_;
   bytes_by_type_[pkt.type] += pkt.size_bytes;

@@ -25,7 +25,6 @@ namespace sndp {
 
 struct AuditSnapshot;
 struct RunResult;
-class EpochTimeline;
 class LatencyTracer;
 class TraceWriter;
 
@@ -39,11 +38,6 @@ class Network {
   // Optional: per-hop latency accounting (queue wait vs wire time on every
   // link of the route) for tracked packets.
   void set_latency(LatencyTracer* latency) { latency_ = latency; }
-
-  // Per-epoch timeline hook: the byte counters are polled at the first
-  // injection at/after each epoch boundary (they only change on send, so
-  // the sampled values are stepping-mode-invariant).
-  void set_timeline(EpochTimeline* timeline) { timeline_ = timeline; }
 
   unsigned gpu_node() const { return num_hmcs_; }
   unsigned num_hmcs() const { return num_hmcs_; }
@@ -100,7 +94,6 @@ class Network {
   std::uint64_t packets_injected_ = 0;
   TraceWriter* trace_ = nullptr;
   LatencyTracer* latency_ = nullptr;
-  EpochTimeline* timeline_ = nullptr;
 };
 
 }  // namespace sndp

@@ -7,12 +7,13 @@
 
 namespace sndp {
 
-EpochTimeline::EpochTimeline(const SystemConfig& cfg, unsigned num_nsus)
+EpochTimeline::EpochTimeline(const SystemConfig& cfg)
     : epoch_cycles_(cfg.governor.epoch_cycles),
       sm_khz_(cfg.clocks.sm_khz),
       nsu_khz_(cfg.clocks.nsu_khz),
       num_sms_(cfg.num_sms),
       nsu_max_warps_(cfg.nsu.max_warps),
+      num_nsus_(cfg.num_hmcs),
       num_gpu_links_(cfg.num_hmcs),
       link_bytes_per_ps_(cfg.link.gb_per_s / 1000.0),
       max_time_ps_(cfg.max_time_ps) {
@@ -27,7 +28,6 @@ EpochTimeline::EpochTimeline(const SystemConfig& cfg, unsigned num_nsus)
       if ((i ^ (1u << d)) < cfg.num_hmcs) ++num_cube_links_;
     }
   }
-  nsu_.resize(num_nsus);
 }
 
 TimePs EpochTimeline::boundary_ps(std::size_t k) const {
@@ -82,121 +82,50 @@ void EpochTimeline::on_epoch(std::uint64_t epoch, double epoch_ipc,
   prev_l1_misses_ = l1_misses;
 }
 
-void EpochTimeline::poll_l2(TimePs now, std::uint64_t hits,
-                            std::uint64_t misses) {
-  while (due(l2_filled_, now)) {
-    l2_hits_at_.push_back(hits);
-    l2_misses_at_.push_back(misses);
-    ++l2_filled_;
-  }
+TimePs EpochTimeline::sample(TimePs now, const CrossDomainCounters& c) {
+  while (at_.size() < kMaxSamples && boundary_ps(at_.size()) <= now) at_.push_back(c);
+  return at_.size() < kMaxSamples ? boundary_ps(at_.size()) : kTimeNever;
 }
 
-void EpochTimeline::poll_links(TimePs now, std::uint64_t gpu_up_bytes,
-                               std::uint64_t gpu_down_bytes,
-                               std::uint64_t cube_bytes) {
-  while (due(links_filled_, now)) {
-    up_at_.push_back(gpu_up_bytes);
-    down_at_.push_back(gpu_down_bytes);
-    cube_at_.push_back(cube_bytes);
-    ++links_filled_;
-  }
-}
-
-void EpochTimeline::poll_nsu(unsigned nsu, TimePs now,
-                             std::uint64_t occupancy_accum) {
-  NsuSeries& s = nsu_[nsu];
-  while (due(s.filled, now)) {
-    s.occ.push_back(occupancy_accum);
-    ++s.filled;
-  }
-}
-
-void EpochTimeline::poll_migrations(TimePs now, std::uint64_t pages_migrated) {
-  while (due(migrations_filled_, now)) {
-    migrated_at_.push_back(pages_migrated);
-    ++migrations_filled_;
-  }
-}
-
-void EpochTimeline::finalize(std::uint64_t l2_hits, std::uint64_t l2_misses,
-                             std::uint64_t gpu_up_bytes,
-                             std::uint64_t gpu_down_bytes,
-                             std::uint64_t cube_bytes,
-                             const std::vector<std::uint64_t>& nsu_occ,
-                             std::uint64_t pages_migrated) {
+void EpochTimeline::finalize(const CrossDomainCounters& c) {
   const std::size_t n = samples_.size();
-  // Flush lazy series out to the number of rolled epochs.  Any boundary a
-  // source never reached with a consumed edge had frozen counters from
-  // before the boundary to end-of-run, so the final value IS the boundary
-  // value (see header contract).
-  while (l2_filled_ < n) {
-    l2_hits_at_.push_back(l2_hits);
-    l2_misses_at_.push_back(l2_misses);
-    ++l2_filled_;
-  }
-  while (links_filled_ < n) {
-    up_at_.push_back(gpu_up_bytes);
-    down_at_.push_back(gpu_down_bytes);
-    cube_at_.push_back(cube_bytes);
-    ++links_filled_;
-  }
-  while (migrations_filled_ < n) {
-    migrated_at_.push_back(pages_migrated);
-    ++migrations_filled_;
-  }
-  for (std::size_t i = 0; i < nsu_.size(); ++i) {
-    NsuSeries& s = nsu_[i];
-    const std::uint64_t final_occ = i < nsu_occ.size() ? nsu_occ[i] : 0;
-    while (s.filled < n) {
-      s.occ.push_back(final_occ);
-      ++s.filled;
-    }
-  }
+  // Any boundary the cut never reached had frozen counters from before the
+  // boundary to end-of-run, so the final value IS the boundary value (see
+  // header contract).
+  while (at_.size() < n) at_.push_back(c);
 
-  std::uint64_t prev_l2h = 0, prev_l2m = 0;
-  std::uint64_t prev_up = 0, prev_down = 0, prev_cube = 0;
-  std::uint64_t prev_migrated = 0;
-  std::vector<std::uint64_t> prev_occ(nsu_.size(), 0);
+  CrossDomainCounters prev;
   TimePs prev_ps = 0;
   std::uint64_t prev_nsu_edges = 0;
   for (std::size_t k = 0; k < n; ++k) {
     EpochSample& s = samples_[k];
-    const std::uint64_t dh = l2_hits_at_[k] - prev_l2h;
-    const std::uint64_t dm = l2_misses_at_[k] - prev_l2m;
+    const CrossDomainCounters& at = at_[k];
+    const std::uint64_t dh = at.l2_hits - prev.l2_hits;
+    const std::uint64_t dm = at.l2_misses - prev.l2_misses;
     s.l2_hit_rate = (dh + dm) == 0
                         ? 0.0
                         : static_cast<double>(dh) / static_cast<double>(dh + dm);
     const double dur_ps = static_cast<double>(s.end_ps - prev_ps);
     if (dur_ps > 0.0) {
       const double per_link = dur_ps * link_bytes_per_ps_;
-      s.gpu_up_util = static_cast<double>(up_at_[k] - prev_up) /
+      s.gpu_up_util = static_cast<double>(at.gpu_up_bytes - prev.gpu_up_bytes) /
                       (per_link * num_gpu_links_);
-      s.gpu_down_util = static_cast<double>(down_at_[k] - prev_down) /
+      s.gpu_down_util = static_cast<double>(at.gpu_down_bytes - prev.gpu_down_bytes) /
                         (per_link * num_gpu_links_);
       s.cube_util = num_cube_links_ == 0
                         ? 0.0
-                        : static_cast<double>(cube_at_[k] - prev_cube) /
+                        : static_cast<double>(at.cube_bytes - prev.cube_bytes) /
                               (per_link * num_cube_links_);
     }
     const std::uint64_t nsu_edges = nsu_edges_before(s.end_ps);
     const std::uint64_t d_edges = nsu_edges - prev_nsu_edges;
-    if (d_edges > 0 && !nsu_.empty() && nsu_max_warps_ > 0) {
-      std::uint64_t occ_sum = 0;
-      for (std::size_t i = 0; i < nsu_.size(); ++i) {
-        occ_sum += nsu_[i].occ[k] - prev_occ[i];
-        prev_occ[i] = nsu_[i].occ[k];
-      }
+    if (d_edges > 0 && num_nsus_ > 0 && nsu_max_warps_ > 0) {
       s.nsu_occupancy =
-          static_cast<double>(occ_sum) /
-          (static_cast<double>(d_edges) * nsu_max_warps_ * nsu_.size());
+          static_cast<double>(at.nsu_occupancy - prev.nsu_occupancy) /
+          (static_cast<double>(d_edges) * nsu_max_warps_ * num_nsus_);
     }
-    s.pages_migrated = migrated_at_[k] - prev_migrated;
-    prev_migrated = migrated_at_[k];
-    prev_l2h = l2_hits_at_[k];
-    prev_l2m = l2_misses_at_[k];
-    prev_up = up_at_[k];
-    prev_down = down_at_[k];
-    prev_cube = cube_at_[k];
+    s.pages_migrated = at.pages_migrated - prev.pages_migrated;
+    prev = at;
     prev_ps = s.end_ps;
     prev_nsu_edges = nsu_edges;
   }

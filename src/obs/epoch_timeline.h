@@ -13,14 +13,16 @@
 //    edge, and skipped edges are SM-workless, so the counters carry the same
 //    values the naive stepper would have seen at the real boundary.
 //
-//  * Cross-domain sources (L2, links, NSUs) are sampled lazily: the owning
-//    component polls at the first *consumed* edge of its own clock domain
-//    at/after each boundary T_k = tick_time_ps((k+1)*epoch_cycles, sm_khz).
-//    Fast-forward only skips workless edges, i.e. edges at which the
-//    counters are frozen — so whichever edge does the poll, the recorded
-//    value is identical in both modes.  Boundaries never reached by a
-//    consumed edge are flushed in finalize() with the end-of-run values,
-//    which equal the frozen boundary values for the same reason.
+//  * Cross-domain sources (L2, links, NSU occupancy, placement migrations)
+//    are sampled at the scheduler's cut (Scheduler::set_cut), which runs
+//    before any domain ticks the first stepped instant at/after each
+//    boundary T_k = tick_time_ps((k+1)*epoch_cycles, sm_khz).  These
+//    counters change only inside ticks, and ticks run in global time order,
+//    so the recorded value holds exactly the changes made before T_k.
+//    Fast-forward may land the cut on a later instant, but it skips only
+//    workless edges, at which the counters are frozen.  Boundaries the run
+//    never reached get the end-of-run values in finalize(), which equal the
+//    frozen boundary values for the same reason.
 //
 // Rates are formed from per-epoch deltas over deterministic denominators
 // (boundary timestamps from the exact tick->ps map, NSU edge counts from the
@@ -42,6 +44,17 @@
 namespace sndp {
 
 class TraceWriter;
+
+// Cumulative counters owned outside the SM domain, read at one instant.
+struct CrossDomainCounters {
+  std::uint64_t l2_hits = 0;
+  std::uint64_t l2_misses = 0;
+  std::uint64_t gpu_up_bytes = 0;    // GPU -> HMC link bytes
+  std::uint64_t gpu_down_bytes = 0;  // HMC -> GPU link bytes
+  std::uint64_t cube_bytes = 0;      // cube-to-cube link bytes
+  std::uint64_t nsu_occupancy = 0;   // Nsu::occupancy_accum summed over NSUs
+  std::uint64_t pages_migrated = 0;
+};
 
 // One completed governor epoch.  Cumulative counters are converted to
 // per-epoch deltas/rates when the sample is assembled.
@@ -76,7 +89,7 @@ struct EpochSample {
 
 class EpochTimeline {
  public:
-  EpochTimeline(const SystemConfig& cfg, unsigned num_nsus);
+  explicit EpochTimeline(const SystemConfig& cfg);
 
   // SM-domain entry, called from the governor's epoch observer.  `issued`,
   // `l1_hits`, `l1_misses` are cumulative totals over all SMs.  `sm_stack`
@@ -88,33 +101,14 @@ class EpochTimeline {
                 std::uint64_t l1_misses,
                 const std::array<std::uint64_t, kNumSmBuckets>& sm_stack);
 
-  // Lazily-polled cross-domain sources.  `*_due(now)` is the cheap inline
-  // guard; the caller gathers its counters only when it returns true.
-  bool l2_due(TimePs now) const { return due(l2_filled_, now); }
-  void poll_l2(TimePs now, std::uint64_t hits, std::uint64_t misses);
+  // The scheduler's cut: record `c` for every boundary at or before `now`
+  // and return the next boundary (kTimeNever once the sample cap is hit).
+  TimePs sample(TimePs now, const CrossDomainCounters& c);
 
-  bool links_due(TimePs now) const { return due(links_filled_, now); }
-  void poll_links(TimePs now, std::uint64_t gpu_up_bytes,
-                  std::uint64_t gpu_down_bytes, std::uint64_t cube_bytes);
-
-  bool nsu_due(unsigned nsu, TimePs now) const {
-    return due(nsu_[nsu].filled, now);
-  }
-  void poll_nsu(unsigned nsu, TimePs now, std::uint64_t occupancy_accum);
-
-  // Placement migrations (dram domain: polled from Hmc::tick, before its
-  // fast-forward early-return — migrations only mutate at consumed dram
-  // edges, so the first poll at/after a boundary is mode-invariant).
-  bool migrations_due(TimePs now) const { return due(migrations_filled_, now); }
-  void poll_migrations(TimePs now, std::uint64_t pages_migrated);
-
-  // Flush every boundary the lazy sources have not reached with the final
-  // counter values, then assemble the samples.  Called once after the run.
-  void finalize(std::uint64_t l2_hits, std::uint64_t l2_misses,
-                std::uint64_t gpu_up_bytes, std::uint64_t gpu_down_bytes,
-                std::uint64_t cube_bytes,
-                const std::vector<std::uint64_t>& nsu_occupancy_accum,
-                std::uint64_t pages_migrated = 0);
+  // Record the end-of-run values `c` for every rolled epoch whose boundary
+  // the cut never reached, then assemble the samples.  Called once after
+  // the run.
+  void finalize(const CrossDomainCounters& c);
 
   const std::vector<EpochSample>& samples() const { return samples_; }
   std::uint64_t dropped() const { return dropped_; }
@@ -128,14 +122,6 @@ class EpochTimeline {
   TimePs boundary_ps(std::size_t k) const;
 
  private:
-  struct NsuSeries {
-    std::vector<std::uint64_t> occ;  // cumulative occupancy at each boundary
-    std::size_t filled = 0;
-  };
-
-  bool due(std::size_t filled, TimePs now) const {
-    return filled < kMaxSamples && boundary_ps(filled) <= now;
-  }
   // Number of NSU-domain edges with tick time strictly before `t` (the same
   // integer mapping ClockDomain::first_cycle_at_or_after uses).
   std::uint64_t nsu_edges_before(TimePs t) const;
@@ -147,6 +133,7 @@ class EpochTimeline {
   std::uint64_t nsu_khz_ = 0;
   unsigned num_sms_ = 0;
   unsigned nsu_max_warps_ = 0;
+  unsigned num_nsus_ = 0;
   unsigned num_gpu_links_ = 0;   // per direction
   unsigned num_cube_links_ = 0;  // unidirectional cube-to-cube links
   double link_bytes_per_ps_ = 0.0;
@@ -161,14 +148,8 @@ class EpochTimeline {
   std::uint64_t prev_l1_misses_ = 0;
   std::array<std::uint64_t, kNumSmBuckets> prev_sm_stack_{};
 
-  // Lazily-filled cross-domain series: cumulative values at each boundary.
-  std::vector<std::uint64_t> l2_hits_at_, l2_misses_at_;
-  std::size_t l2_filled_ = 0;
-  std::vector<std::uint64_t> up_at_, down_at_, cube_at_;
-  std::size_t links_filled_ = 0;
-  std::vector<std::uint64_t> migrated_at_;
-  std::size_t migrations_filled_ = 0;
-  std::vector<NsuSeries> nsu_;
+  // Cross-domain counters at each boundary the cut (or finalize) reached.
+  std::vector<CrossDomainCounters> at_;
 };
 
 // Shared CSV emitter for the timeline — the single definition of the column

@@ -92,7 +92,7 @@ void StatsAudit::expect(bool cond, std::int64_t epoch, const char* component,
       break;
     }
   }
-  if (first_of_kind) SNDP_WARN("audit", "%s", v.to_string().c_str());
+  if (first_of_kind) log_warn("audit", "%s", v.to_string().c_str());
   violations_.push_back(std::move(v));
 }
 

@@ -140,7 +140,7 @@ struct AuditSnapshot {
   // the epoch timeline records their per-epoch deltas.
   std::array<std::uint64_t, kNumSmBuckets> cyc_sm_buckets{};
   std::uint64_t sm_active_cycles = 0;    // sum of Sm::active_cycles
-  std::uint64_t sm_parked_dep_cycles = 0;  // sum of Sm::parked_dep_cycles()
+  std::uint64_t sm_parked_dep_cycles = 0;
   std::vector<std::uint64_t> cyc_tenant_issue;  // per-tenant issue-bucket rows
   // Geometry.
   unsigned line_bytes = 128;

@@ -12,6 +12,7 @@ TimePs Scheduler::naive_step() {
     if (t < earliest) earliest = t;
   }
   now_ = earliest;
+  cut(earliest);
   // Tick every domain whose edge lands exactly at this instant, in
   // registration order (deterministic tie-break).
   for (ClockDomain* d : domains_) {
@@ -49,6 +50,7 @@ TimePs Scheduler::step() {
   }
 
   now_ = target;
+  cut(target);
   for (ClockDomain* d : domains_) {
     d->skip_until(target);  // consume workless edges below the target
     if (d->next_time() != target) continue;

@@ -19,9 +19,14 @@
 // is that a member whose hint lies in the future would have treated those
 // ticks as no-ops anyway (components that count per-cycle stats compensate
 // for the skipped cycles themselves; see Sm/Nsu/OffloadGovernor).
+//
+// The cut (Scheduler::set_cut) runs before any domain ticks the first
+// stepped instant at/after a requested one, in both stepping modes; the
+// epoch timeline samples its cross-domain counters there.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -124,6 +129,15 @@ class Scheduler {
   // naive step loop with a `now() >= limit` guard would stop.
   void set_time_limit(TimePs limit_ps) { limit_ps_ = limit_ps; }
 
+  // The cut: `fn(now)` runs once, before any domain ticks, at the first
+  // stepped instant `now` at or after `at`, and returns the next cut instant
+  // (kTimeNever: none).  A fast-forward jump over several cut instants calls
+  // it once, at the instant it lands on.
+  void set_cut(TimePs at, std::function<TimePs(TimePs now)> fn) {
+    cut_at_ = at;
+    cut_ = std::move(fn);
+  }
+
   // True after a step() found no pending work in any domain.  Cleared by
   // any step that ticks real work.  With fast-forward off the flag is still
   // maintained-on-quiescence only when step() is the fast-forward variant;
@@ -146,6 +160,10 @@ class Scheduler {
 
  private:
   TimePs naive_step();
+  // Run the cut if the instant about to be ticked has reached it.
+  void cut(TimePs t) {
+    if (t >= cut_at_) cut_at_ = cut_(t);
+  }
 
   std::vector<ClockDomain*> domains_;
   std::vector<TimePs> work_edge_;  // per-domain scratch, valid within step()
@@ -153,6 +171,8 @@ class Scheduler {
   TimePs limit_ps_ = kTimeNever;
   bool fast_forward_ = false;
   bool quiescent_ = false;
+  TimePs cut_at_ = kTimeNever;
+  std::function<TimePs(TimePs)> cut_;
 };
 
 }  // namespace sndp

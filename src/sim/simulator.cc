@@ -181,13 +181,20 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   }
 
   // Observability: the per-epoch timeline and the flow-conservation audit.
-  EpochTimeline timeline(cfg_, cfg_.num_hmcs);
-  gpu.set_timeline(&timeline);
-  net.set_timeline(&timeline);
-  for (unsigned h = 0; h < cfg_.num_hmcs; ++h) hmcs[h]->nsu().set_timeline(&timeline, h);
-  // Migration counter: one dram-domain poller suffices (stack 0 ticks first
-  // at every dram edge, and the poll sits before its fast-forward return).
-  hmcs[0]->set_timeline(&timeline);
+  // The timeline reads its cross-domain counters at the scheduler's cut,
+  // and at finalize for the boundaries the run never reached.
+  EpochTimeline timeline(cfg_);
+  auto cross_domain = [&] {
+    CrossDomainCounters c;
+    c.l2_hits = gpu.total_l2_hits();
+    c.l2_misses = gpu.total_l2_misses();
+    c.gpu_up_bytes = net.gpu_up_bytes();
+    c.gpu_down_bytes = net.gpu_down_bytes();
+    c.cube_bytes = net.cube_bytes();
+    for (const auto& hmc : hmcs) c.nsu_occupancy += hmc->nsu().occupancy_accum();
+    c.pages_migrated = amap.policy().pages_migrated();
+    return c;
+  };
 
   StatsAudit audit;
   // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
@@ -249,6 +256,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   Scheduler sched(cfg_.fast_forward);
   sched.set_time_limit(cfg_.max_time_ps);
+  sched.set_cut(timeline.boundary_ps(0),
+                [&](TimePs now) { return timeline.sample(now, cross_domain()); });
   sched.add(&sm_domain);
   sched.add(&dram_domain);
   sched.add(&nsu_domain);
@@ -305,17 +314,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     hmc->finalize(dram_domain.next_cycle());
   }
 
-  // Flush the timeline's lazily-polled series (L2, links, NSU occupancy) to
-  // end-of-run values for epochs no consumed edge of their domain reached,
-  // and assemble the per-epoch samples.
-  {
-    std::vector<std::uint64_t> occ;
-    occ.reserve(hmcs.size());
-    for (const auto& hmc : hmcs) occ.push_back(hmc->nsu().occupancy_accum());
-    timeline.finalize(gpu.total_l2_hits(), gpu.total_l2_misses(), net.gpu_up_bytes(),
-                      net.gpu_down_bytes(), net.cube_bytes(), occ,
-                      amap.policy().pages_migrated());
-  }
+  timeline.finalize(cross_domain());
   result.timeline = timeline.samples();
 
   result.completed = completed;
@@ -382,14 +381,14 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   audit.export_stats(result.stats);
 
   if (!completed && !aborted) {
-    SNDP_WARN("sim", "run '%s' hit the simulated-time safety valve", name.c_str());
+    log_warn("sim", "run '%s' hit the simulated-time safety valve", name.c_str());
   }
   if (!cfg_.trace_path.empty()) {
     timeline.emit_trace(trace, static_cast<int>(cfg_.num_hmcs) + 1);
     latency.emit_trace(trace);
     const bool wrote = trace.write(cfg_.trace_path);
     if (!wrote) {
-      SNDP_WARN("sim", "failed to write trace to '%s'", cfg_.trace_path.c_str());
+      log_warn("sim", "failed to write trace to '%s'", cfg_.trace_path.c_str());
     }
     result.stats.set("sim.trace_write_failed", wrote ? 0.0 : 1.0);
     result.stats.set("trace.events", static_cast<double>(trace.size()));

@@ -146,7 +146,6 @@ class Simulator {
   // locality run profiles itself (auto_placement_profile).
   RunResult run_tenants(const std::vector<TenantDesc>& tenants, const std::string& name);
 
-  const AnalyzerOptions& analyzer_options() const { return analyzer_opts_; }
   void set_analyzer_options(const AnalyzerOptions& opts) { analyzer_opts_ = opts; }
 
   // Optional external abort hook, polled between tick bursts.  Returning

@@ -21,22 +21,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
   const RunResult& r = o.result;
   w.begin_object();
@@ -238,10 +222,6 @@ std::size_t SweepRunner::add(SweepPoint point) {
   if (ran_) throw std::logic_error("SweepRunner: add() after run()");
   points_.push_back(std::move(point));
   return points_.size() - 1;
-}
-
-std::uint64_t SweepRunner::derived_seed(std::uint64_t base_seed, const std::string& point_id) {
-  return splitmix64(base_seed ^ fnv1a(point_id));
 }
 
 void SweepRunner::run_point(std::size_t index) {

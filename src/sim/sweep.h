@@ -8,8 +8,8 @@
 // every StatSet counter — are byte-identical to a serial run:
 //
 //   * each point's seed is a pure function of the point itself (the
-//     caller-set `cfg.placement_seed`, optionally derived per point with
-//     `derived_seed()`), never of execution order or thread identity;
+//     caller-set `cfg.placement_seed`), never of execution order or thread
+//     identity;
 //   * outcomes are stored by submission index, so iteration order is the
 //     submission order regardless of which worker finished first;
 //   * the only nondeterministic fields (wall-clock timing, timeout flags)
@@ -97,12 +97,6 @@ class SweepRunner {
   // The RunResult for a point; throws std::runtime_error (with the point id
   // and the recorded error) if the point failed to run.
   const RunResult& result(std::size_t index) const;
-
-  // Deterministic per-point seed derivation: a pure function of a base seed
-  // and the point id, stable across platforms, threads, and runs.  Callers
-  // that want distinct placements per point without hand-picking seeds use
-  //   point.cfg.placement_seed = SweepRunner::derived_seed(base, point.id);
-  static std::uint64_t derived_seed(std::uint64_t base_seed, const std::string& point_id);
 
  private:
   void run_point(std::size_t index);

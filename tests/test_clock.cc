@@ -223,6 +223,48 @@ TEST(SchedulerFastForward, AdvanceToLimitLandsOnNaiveValveEdge) {
   EXPECT_EQ(run(true), run(false));
 }
 
+TEST(Scheduler, CutRunsBeforeFirstEdgeAtOrAfterInstant) {
+  // Domain a (1000 ps) and b (2500 ps) meet at 5000 and 10000.  The cut
+  // instants: 2500 lands on a b edge, 5000 on both, 7000 and 8000 fall in a
+  // gap fast-forward jumps over, and 12000 is the last.
+  const std::vector<TimePs> instants = {2500, 5000, 7000, 8000, 12000};
+  for (const bool ff : {false, true}) {
+    SCOPED_TRACE(ff ? "fast-forward" : "naive");
+    ClockDomain da("a", 1'000'000);
+    ClockDomain db("b", 400'000);
+    ScheduledWorker wa({0, 1, 5, 9, 14}, 1'000'000);
+    ScheduledWorker wb({1, 2, 6}, 400'000);
+    da.add(&wa);
+    db.add(&wb);
+    Scheduler sched(ff);
+    sched.add(&da);
+    sched.add(&db);
+    std::size_t next = 0;
+    std::vector<TimePs> calls;
+    std::vector<std::size_t> ticks_seen;  // ticks of both workers at each call
+    sched.set_cut(instants[0], [&](TimePs now) {
+      calls.push_back(now);
+      ticks_seen.push_back(wa.ticks.size() + wb.ticks.size());
+      while (next < instants.size() && instants[next] <= now) ++next;
+      return next < instants.size() ? instants[next] : kTimeNever;
+    });
+    while (!wa.drained() || !wb.drained()) sched.step();
+
+    // Fast-forward lands on the work edge at 9000 once for 7000 and 8000,
+    // and the cut stops after its last instant.
+    const std::vector<TimePs> want = ff ? std::vector<TimePs>{2500, 5000, 9000, 14000}
+                                        : std::vector<TimePs>{2500, 5000, 7000, 8000, 12000};
+    EXPECT_EQ(calls, want);
+    // Each call saw every tick before its instant and none at or after it.
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      std::size_t before = 0;
+      for (const auto& t : wa.ticks) before += t.second < calls[i];
+      for (const auto& t : wb.ticks) before += t.second < calls[i];
+      EXPECT_EQ(ticks_seen[i], before) << "call at " << calls[i];
+    }
+  }
+}
+
 // Domain A's member pushes same-instant-consumable work into domain B's
 // member when it ticks.  The pre-step hints cannot see that work, so the
 // scheduler must re-poll at the target edge or B would be skip-ticked where

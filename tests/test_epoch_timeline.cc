@@ -23,7 +23,7 @@ SystemConfig timeline_cfg() {
 
 TEST(EpochTimeline, BoundaryMatchesClockMath) {
   SystemConfig cfg = timeline_cfg();
-  EpochTimeline tl(cfg, cfg.num_hmcs);
+  EpochTimeline tl(cfg);
   for (std::size_t k = 0; k < 5; ++k) {
     EXPECT_EQ(tl.boundary_ps(k),
               tick_time_ps((k + 1) * cfg.governor.epoch_cycles, cfg.clocks.sm_khz));
@@ -32,13 +32,16 @@ TEST(EpochTimeline, BoundaryMatchesClockMath) {
 
 TEST(EpochTimeline, AssemblesPerEpochDeltas) {
   SystemConfig cfg = timeline_cfg();
-  EpochTimeline tl(cfg, cfg.num_hmcs);
+  EpochTimeline tl(cfg);
   // Epoch 0: 300 of 400 L1 accesses hit; epoch 1: 200 of 400.
   tl.on_epoch(0, 2.0, 1000, 0.5, 0.15, +1, /*issued=*/4000, 300, 100, {});
   tl.on_epoch(1, 1.5, 750, 0.65, 0.15, +1, /*issued=*/6000, 500, 300, {});
-  // L2 saw 80 of 100 accesses hit in epoch 0, then nothing.
-  tl.finalize(/*l2_hits=*/80, /*l2_misses=*/20, /*up=*/0, /*down=*/0,
-              /*cube=*/0, std::vector<std::uint64_t>(cfg.num_hmcs, 0));
+  // L2 saw 80 of 100 accesses hit in epoch 0, then nothing.  One cut past
+  // both boundaries records that for each of them and asks for the third.
+  EXPECT_EQ(tl.sample(tl.boundary_ps(1), {.l2_hits = 80, .l2_misses = 20}),
+            tl.boundary_ps(2));
+  // The end-of-run values belong to no recorded boundary.
+  tl.finalize({.l2_hits = 200, .l2_misses = 100});
 
   ASSERT_EQ(tl.samples().size(), 2u);
   const EpochSample& a = tl.samples()[0];
@@ -55,8 +58,7 @@ TEST(EpochTimeline, AssemblesPerEpochDeltas) {
   EXPECT_DOUBLE_EQ(b.sm_ipc, 2000.0 / (500.0 * cfg.num_sms));
   EXPECT_DOUBLE_EQ(b.l1_hit_rate, 0.5);  // (500-300)/((500-300)+(300-100))
 
-  // The un-polled L2 series was flushed with the final totals: all activity
-  // lands in epoch 0's delta, epoch 1 is empty (rate 0).
+  // All activity lands in epoch 0's delta, epoch 1 is empty (rate 0).
   EXPECT_DOUBLE_EQ(tl.samples()[0].l2_hit_rate, 0.8);
   EXPECT_DOUBLE_EQ(tl.samples()[1].l2_hit_rate, 0.0);
   EXPECT_EQ(tl.dropped(), 0u);
@@ -64,9 +66,9 @@ TEST(EpochTimeline, AssemblesPerEpochDeltas) {
 
 TEST(EpochTimeline, EmptyEpochHasZeroRates) {
   SystemConfig cfg = timeline_cfg();
-  EpochTimeline tl(cfg, cfg.num_hmcs);
+  EpochTimeline tl(cfg);
   tl.on_epoch(0, 0.0, 0, 0.1, 0.15, +1, 0, 0, 0, {});
-  tl.finalize(0, 0, 0, 0, 0, std::vector<std::uint64_t>(cfg.num_hmcs, 0));
+  tl.finalize({});
   ASSERT_EQ(tl.samples().size(), 1u);
   const EpochSample& s = tl.samples()[0];
   EXPECT_DOUBLE_EQ(s.sm_ipc, 0.0);
@@ -134,6 +136,32 @@ TEST(EpochTimeline, FastForwardProducesIdenticalSamples) {
   }
 }
 
+TEST(EpochTimeline, MigrationSamplesMatchAcrossSteppingModes) {
+  // Page migrations happen in dram-domain ticks; the cut must record the
+  // same per-epoch counts whether or not fast-forward skips edges.
+  SystemConfig cfg = timeline_cfg();
+  cfg.governor.mode = OffloadMode::kAlways;
+  cfg.placement.policy = PlacementPolicyKind::kMigration;
+  cfg.placement.migration_threshold = 1;
+  auto run = [&](bool ff) {
+    cfg.fast_forward = ff;
+    auto wl = make_workload("BFS", ProblemScale::kTiny);
+    return Simulator(cfg).run(*wl);
+  };
+  const RunResult ff = run(true);
+  const RunResult naive = run(false);
+  ASSERT_TRUE(ff.completed);
+  ASSERT_EQ(ff.timeline.size(), naive.timeline.size());
+  std::uint64_t migrated = 0;
+  for (std::size_t i = 0; i < ff.timeline.size(); ++i) {
+    EXPECT_EQ(ff.timeline[i], naive.timeline[i]) << "epoch " << i;
+    migrated += ff.timeline[i].pages_migrated;
+  }
+  // Migrations after the last boundary belong to no epoch.
+  EXPECT_GT(migrated, 0u);
+  EXPECT_LE(static_cast<double>(migrated), ff.stats.get("mem.pages_migrated"));
+}
+
 TEST(EpochTimeline, StaticModeStillRecordsTimeline) {
   SystemConfig cfg = timeline_cfg();
   cfg.governor.mode = OffloadMode::kStaticRatio;
@@ -194,12 +222,12 @@ TEST(EpochTimeline, TraceCarriesCounterEvents) {
 
 TEST(EpochTimeline, CapsSamplesAndCountsDrops) {
   SystemConfig cfg = timeline_cfg();
-  EpochTimeline tl(cfg, cfg.num_hmcs);
+  EpochTimeline tl(cfg);
   constexpr std::uint64_t kOver = 100'500;  // past the 100k cap
   for (std::uint64_t e = 0; e < kOver; ++e) {
     tl.on_epoch(e, 0.0, 0, 0.1, 0.15, +1, e, 0, 0, {});
   }
-  tl.finalize(0, 0, 0, 0, 0, std::vector<std::uint64_t>(cfg.num_hmcs, 0));
+  tl.finalize({});
   EXPECT_EQ(tl.samples().size(), 100'000u);
   EXPECT_EQ(tl.dropped(), kOver - 100'000);
   StatSet out;

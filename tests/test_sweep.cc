@@ -316,13 +316,6 @@ TEST(Sweep, AbortPollIsPolledUntilItFires) {
   EXPECT_DOUBLE_EQ(r2.stats.get("sim.aborted"), 0.0);
 }
 
-TEST(Sweep, DerivedSeedsAreStableAndPointSpecific) {
-  const auto a = SweepRunner::derived_seed(0x5EED, "fig09/VADD/0.4");
-  EXPECT_EQ(a, SweepRunner::derived_seed(0x5EED, "fig09/VADD/0.4"));
-  EXPECT_NE(a, SweepRunner::derived_seed(0x5EED, "fig09/VADD/0.6"));
-  EXPECT_NE(a, SweepRunner::derived_seed(0x5EEE, "fig09/VADD/0.4"));
-}
-
 TEST(Sweep, JsonExportIsStructurallySound) {
   SweepRunner runner({.jobs = 2});
   runner.add(test_point("VADD", OffloadMode::kOff));
