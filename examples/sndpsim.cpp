@@ -41,7 +41,9 @@
 //                           appended to FILE before its extension)
 //       --trace FILE        write a Chrome-trace (Perfetto) JSON, including
 //                           per-epoch governor counter series and sampled
-//                           request-latency spans as flow events
+//                           request-latency spans as flow events (with -w
+//                           all, the workload name is appended like
+//                           --epoch-csv)
 //       --tenants SPEC      multi-tenant serving: run SPEC's workloads as
 //                           concurrent kernel streams in disjoint address
 //                           slices of one memory.  SPEC is a comma list of
@@ -111,8 +113,9 @@ struct Options {
   std::exit(2);
 }
 
-// With -w all, one CSV per workload: insert the name before the extension.
-std::string epoch_csv_path(const std::string& base, const std::string& name, bool multi) {
+// With -w all, one output file per workload: insert the name before the
+// extension.
+std::string per_run_path(const std::string& base, const std::string& name, bool multi) {
   if (!multi || base.empty() || base == "-") return base;
   const std::size_t dot = base.find_last_of('.');
   const std::size_t slash = base.find_last_of('/');
@@ -285,7 +288,6 @@ SystemConfig config_of(const Options& o) {
   cfg.optimal_target_selection = o.optimal_target;
   cfg.fast_forward = o.fast_forward;
   cfg.latency_sample = o.latency_sample;
-  cfg.trace_path = o.trace_path;
   cfg.tenancy.arbiter = o.arbiter;
   cfg.tenancy.nsu_warp_quota = o.nsu_quota;
   cfg.tenancy.credit_share = o.credit_share;
@@ -330,8 +332,8 @@ int report_one(const Options& o, const SweepPoint& p, const RunResult& r) {
       return 1;
     }
   }
-  if (!o.trace_path.empty() && r.stats.get("sim.trace_write_failed") != 0.0) {
-    std::fprintf(stderr, "failed to write trace to '%s'\n", o.trace_path.c_str());
+  if (!p.cfg.trace_path.empty() && r.stats.get("sim.trace_write_failed") != 0.0) {
+    std::fprintf(stderr, "failed to write trace to '%s'\n", p.cfg.trace_path.c_str());
     return 1;
   }
   return r.verified && r.completed ? 0 : 1;
@@ -354,6 +356,7 @@ int main(int argc, char** argv) {
     runs.push_back({{o.workload}});
   }
 
+  const bool multi = runs.size() > 1;
   SweepRunner runner({.jobs = o.jobs, .point_timeout_s = o.timeout_s, .progress = false});
   for (std::vector<TenantSpec>& tenants : runs) {
     SweepPoint p;
@@ -361,11 +364,11 @@ int main(int argc, char** argv) {
     p.id = p.workload() + "/" + offload_mode_name(o.mode);
     p.scale = o.scale;
     p.cfg = config_of(o);
+    p.cfg.trace_path = per_run_path(o.trace_path, p.workload(), multi);
     runner.add(std::move(p));
   }
   runner.run();
 
-  const bool multi = runner.size() > 1;
   int rc = 0;
   for (const SweepOutcome& out : runner.outcomes()) {
     const std::string name = out.point.workload();
@@ -381,14 +384,14 @@ int main(int argc, char** argv) {
     }
     rc |= report_one(o, out.point, out.result);
     if (!o.epoch_csv.empty()) {
-      const std::string path = epoch_csv_path(o.epoch_csv, name, multi);
+      const std::string path = per_run_path(o.epoch_csv, name, multi);
       if (!write_epoch_csv(path, out.result.timeline)) {
         std::fprintf(stderr, "failed to write epoch CSV to '%s'\n", path.c_str());
         rc = 1;
       }
     }
     if (!o.profile_csv.empty()) {
-      const std::string path = epoch_csv_path(o.profile_csv, name, multi);
+      const std::string path = per_run_path(o.profile_csv, name, multi);
       if (!write_profile_csv(path, out.result.cycle_stack)) {
         std::fprintf(stderr, "failed to write profile CSV to '%s'\n", path.c_str());
         rc = 1;
