@@ -6,11 +6,11 @@
 # Both arguments are CMake build directories (one per commit, each from its
 # own checkout).  The script runs the same commands with each build's
 # `examples/sndpsim`, `bench/fig08_stall_breakdown`,
-# `bench/tenant_interference`, `bench/diff_check` and
-# `bench/tab02_configuration`, compares the two
+# `bench/tenant_interference`, `bench/diff_check`,
+# `bench/tab02_configuration` and `bench/placement_sweep`, compares the two
 # outputs byte for byte, and exits 1 on the first difference (0 when every
 # pair is identical, 2 on bad usage).  The --stats-json rows compare the
-# JSON files without their wall-clock fields (meta.jobs,
+# stdout and the JSON file without its wall-clock fields (meta.jobs,
 # meta.total_point_wall_seconds, points[].timing), as CI's sweep-determinism
 # step does.
 #
@@ -27,6 +27,8 @@
 #   tenant_interference --scale tiny
 #   diff_check --scale tiny                               (182 oracle points)
 #   tab02_configuration                                   (Table 2 as printed)
+#   placement_sweep --stats-json  -w BFS,VADD -p migration,locality -s 6,8
+#                                 (page migration, a non-power-of-two cube)
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -37,7 +39,7 @@ parent=$1
 change=$2
 for build in "$parent" "$change"; do
   for prog in examples/sndpsim bench/fig08_stall_breakdown bench/tenant_interference \
-      bench/diff_check bench/tab02_configuration; do
+      bench/diff_check bench/tab02_configuration bench/placement_sweep; do
     if [[ ! -x "$build/$prog" ]]; then
       echo "$0: missing $build/$prog" >&2
       exit 2
@@ -69,14 +71,14 @@ compare() {
   check "$name"
 }
 
-# compare_json NAME ARGS...: run sndpsim ARGS --stats-json from both builds,
-# drop the wall-clock fields, cmp the rest.
+# compare_json NAME PROG ARGS...: run PROG ARGS --stats-json from both
+# builds, drop the JSON's wall-clock fields, cmp the stdout and the rest.
 compare_json() {
-  local name=$1
-  shift
+  local name=$1 prog=$2
+  shift 2
   n=$((n + 1))
-  "$parent/examples/sndpsim" "$@" --stats-json "$out/$n.parent.json" > /dev/null
-  "$change/examples/sndpsim" "$@" --stats-json "$out/$n.change.json" > /dev/null
+  "$parent/$prog" "$@" --stats-json "$out/$n.parent.json" > "$out/$n.parent"
+  "$change/$prog" "$@" --stats-json "$out/$n.change.json" > "$out/$n.change"
   local side
   for side in parent change; do
     python3 -c 'import json, sys
@@ -85,7 +87,7 @@ d["meta"].pop("jobs", None)
 d["meta"].pop("total_point_wall_seconds", None)
 for p in d["points"]:
     p.pop("timing", None)
-json.dump(d, sys.stdout, indent=1, sort_keys=True)' "$out/$n.$side.json" > "$out/$n.$side"
+json.dump(d, sys.stdout, indent=1, sort_keys=True)' "$out/$n.$side.json" >> "$out/$n.$side"
   done
   check "$name"
 }
@@ -101,11 +103,13 @@ compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff
-compare_json "sndpsim --stats-json -w all -s tiny" -w all -s tiny
+compare_json "sndpsim --stats-json -w all -s tiny" examples/sndpsim -w all -s tiny
 compare_json "sndpsim --stats-json --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
-  --tenants BFS:2:0,VADD,KMN --arbiter weighted
+  examples/sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "fig08_stall_breakdown" bench/fig08_stall_breakdown
 compare "tenant_interference --scale tiny" bench/tenant_interference --scale tiny
 compare "diff_check --scale tiny" bench/diff_check --scale tiny
 compare "tab02_configuration" bench/tab02_configuration
+compare_json "placement_sweep --stats-json -w BFS,VADD -p migration,locality -s 6,8" \
+  bench/placement_sweep -w BFS,VADD -p migration,locality -s 6,8 -j 4
 echo "all $n outputs identical"
