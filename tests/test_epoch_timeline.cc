@@ -162,6 +162,31 @@ TEST(EpochTimeline, MigrationSamplesMatchAcrossSteppingModes) {
   EXPECT_LE(static_cast<double>(migrated), ff.stats.get("mem.pages_migrated"));
 }
 
+TEST(EpochTimeline, RecordsEveryConsumedBoundary) {
+  // A run that consumed N SM edges (sm_cycles = N - 1) ends N / epoch_cycles
+  // epochs, including the boundaries after the last stepped instant, and the
+  // timeline and the audit each see every one of them once.
+  for (const char* name : {"VADD", "BFS"}) {
+    for (const Cycle epoch : {Cycle{1}, Cycle{97}, Cycle{1000}}) {
+      for (const bool ff : {true, false}) {
+        SystemConfig cfg = SystemConfig::paper();
+        cfg.governor.mode = OffloadMode::kDynamicCache;
+        cfg.governor.epoch_cycles = epoch;
+        cfg.fast_forward = ff;
+        auto wl = make_workload(name, ProblemScale::kTiny);
+        const RunResult r = Simulator(cfg).run(*wl);
+        const std::string id = std::string(name) + " -e " + std::to_string(epoch) +
+                               (ff ? "" : " --no-ff");
+        ASSERT_TRUE(r.completed) << id;
+        const double epochs = r.stats.get("governor.epochs");
+        EXPECT_EQ(epochs, static_cast<double>((r.sm_cycles + 1) / epoch)) << id;
+        EXPECT_EQ(r.stats.get("timeline.epochs"), epochs) << id;
+        EXPECT_EQ(r.stats.get("audit.epochs"), epochs) << id;
+      }
+    }
+  }
+}
+
 TEST(EpochTimeline, StaticModeStillRecordsTimeline) {
   SystemConfig cfg = timeline_cfg();
   cfg.governor.mode = OffloadMode::kStaticRatio;

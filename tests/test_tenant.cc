@@ -11,7 +11,8 @@
 //  * the run only completes once EVERY tenant's CTA queue has drained —
 //    not just tenant 0's;
 //  * per-tenant offload governors do not cross-contaminate: each tenant's
-//    completed-block-instruction total in a mix equals its solo total;
+//    completed-block-instruction total in a mix equals its solo total,
+//    and every tenant's governor ends each epoch;
 //  * the StatsAudit per-tenant splits sum to the fabric totals, and the
 //    per-tenant latency histograms partition the per-class histograms.
 #include <gtest/gtest.h>
@@ -196,6 +197,30 @@ TEST(Tenant, QosKnobsAndArbitersCompleteDeterministically) {
     EXPECT_EQ(a.sm_cycles, b.sm_cycles) << static_cast<int>(arb);
     EXPECT_EQ(a.stats.values(), b.stats.values()) << static_cast<int>(arb);
     EXPECT_GE(a.stats.get("bufmgr.denials_qos"), 0.0);
+  }
+}
+
+// Every tenant's governor climbs from its own epochs: a mix whose governors
+// all end each epoch lands on these pins in both stepping modes.  If only
+// tenant 0's governor rolled, VADD and KMN would offload at their initial
+// ratio throughout and every pin below would move.
+TEST(Tenant, EveryGovernorEndsEachEpoch) {
+  for (const bool ff : {true, false}) {
+    SystemConfig cfg = SystemConfig::paper();
+    cfg.governor.mode = OffloadMode::kDynamic;
+    cfg.governor.epoch_cycles = 250;
+    cfg.tenancy.arbiter = TenantArbiter::kWeightedShare;
+    cfg.fast_forward = ff;
+    const RunResult r = run_mix(cfg, {{"BFS", ProblemScale::kTiny, 2.0, 0}, {"VADD"}, {"KMN"}});
+    ASSERT_TRUE(r.completed && r.verified) << "ff " << ff;
+    ASSERT_EQ(r.tenants.size(), 3u);
+    EXPECT_EQ(r.sm_cycles, 5046u) << "ff " << ff;
+    const std::uint64_t finish[] = {5046, 1205, 1023};
+    const std::uint64_t misses[] = {512, 196, 110};
+    for (unsigned t = 0; t < 3; ++t) {
+      EXPECT_EQ(r.tenants[t].finish_cycle, finish[t]) << "tenant " << t << " ff " << ff;
+      EXPECT_EQ(r.tenants[t].l2_misses, misses[t]) << "tenant " << t << " ff " << ff;
+    }
   }
 }
 
