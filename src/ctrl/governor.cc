@@ -7,8 +7,7 @@ OffloadGovernor::OffloadGovernor(const GovernorConfig& cfg, unsigned num_blocks,
     : cfg_(cfg),
       rng_(seed),
       hill_(cfg),
-      cache_table_(num_blocks, cfg, line_bytes),
-      epoch_end_(cfg.epoch_cycles) {}
+      cache_table_(num_blocks, cfg, line_bytes) {}
 
 double OffloadGovernor::current_ratio() const {
   switch (cfg_.mode) {
@@ -51,7 +50,7 @@ bool OffloadGovernor::decide(const OffloadBlockInfo& info, unsigned active_threa
   return offload;
 }
 
-void OffloadGovernor::roll_epoch() {
+EpochRollInfo OffloadGovernor::roll_epoch() {
   const double ipc =
       static_cast<double>(epoch_instrs_) / static_cast<double>(cfg_.epoch_cycles);
   const bool dynamic = cfg_.mode == OffloadMode::kDynamic ||
@@ -62,23 +61,16 @@ void OffloadGovernor::roll_epoch() {
     hill_.end_epoch(ipc, /*has_signal=*/epoch_instrs_ != 0);
     ratio_history_.record(hill_.ratio());
   }
-  if (observer_) {
-    EpochRollInfo info;
-    info.epoch = epochs_;
-    info.ipc = ipc;
-    info.block_instrs = epoch_instrs_;
-    info.ratio = current_ratio();
-    info.step = hill_.step();
-    info.direction = hill_.direction();
-    observer_(info);
-  }
+  EpochRollInfo info;
+  info.epoch = epochs_;
+  info.ipc = ipc;
+  info.block_instrs = epoch_instrs_;
+  info.ratio = current_ratio();
+  info.step = hill_.step();
+  info.direction = hill_.direction();
   ++epochs_;
-  epoch_end_ += cfg_.epoch_cycles;
   epoch_instrs_ = 0;
-}
-
-void OffloadGovernor::advance_to(Cycle end) {
-  while (end >= epoch_end_) roll_epoch();
+  return info;
 }
 
 void OffloadGovernor::export_stats(StatSet& out) const {

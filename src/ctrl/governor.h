@@ -4,7 +4,6 @@
 // decision made at every OFLD.BEG.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "common/config.h"
@@ -16,11 +15,9 @@
 
 namespace sndp {
 
-// State published to the epoch observer when an epoch boundary rolls.  The
-// observer fires on the SM clock domain at a deterministic cycle, in every
-// offload mode (the epoch clock always runs; only the hill-climb update is
-// gated on the dynamic modes), which makes it the natural sampling hook for
-// the per-epoch timeline and the stats audit.
+// roll_epoch()'s result: the state of the epoch that just ended.  Epochs
+// end in every offload mode; only the hill-climb update is gated on the
+// dynamic modes.
 struct EpochRollInfo {
   std::uint64_t epoch = 0;     // 0-based index of the epoch that just ended
   double ipc = 0.0;            // offload-block instrs / epoch_cycles
@@ -45,20 +42,14 @@ class OffloadGovernor {
     total_block_instrs_ += instr_count;
   }
 
-  // Called at most once, before the run starts: fires at every epoch
-  // boundary, after the hill-climb update for that boundary.
-  using EpochObserver = std::function<void(const EpochRollInfo&)>;
-  void set_epoch_observer(EpochObserver obs) { observer_ = std::move(obs); }
+  // End the current epoch: the hill-climb update for its boundary, then
+  // reset the epoch's instruction count.  The simulator calls it at every
+  // epoch boundary (see run_images).
+  EpochRollInfo roll_epoch();
 
   // Total offload-block instructions ever reported (audit cross-check
   // against the SMs' inline + ACK-drain mirrors).
   std::uint64_t total_block_instrs() const { return total_block_instrs_; }
-
-  // Advance the epoch clock to `end` SM cycles, rolling every epoch
-  // boundary on the way (a no-op when it already counted that many).
-  // Catching up over fast-forwarded cycles is exact: no SM is awake during
-  // a skipped cycle, so no on_block_complete() could have landed there.
-  void advance_to(Cycle end);
 
   CacheAwareTable& cache_table() { return cache_table_; }
   const CacheAwareTable& cache_table() const { return cache_table_; }
@@ -69,16 +60,12 @@ class OffloadGovernor {
   void export_stats(StatSet& out) const;
 
  private:
-  void roll_epoch();
-
   GovernorConfig cfg_;
   Rng rng_;
   HillClimbController hill_;
   CacheAwareTable cache_table_;
-  Cycle epoch_end_;  // SM cycle count at which the current epoch ends
   std::uint64_t epoch_instrs_ = 0;
   std::uint64_t total_block_instrs_ = 0;
-  EpochObserver observer_;
 
   // Stats.
   std::uint64_t decisions_ = 0;

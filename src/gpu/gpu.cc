@@ -68,9 +68,7 @@ std::uint64_t Gpu::issued_by_tenant(unsigned t) const {
 }
 
 void Gpu::tick(Cycle cycle, TimePs now) {
-  for (OffloadGovernor* g : govs_) g->advance_to(cycle);
   for (auto& sm : sms_) sm->tick(cycle, now);
-  for (OffloadGovernor* g : govs_) g->advance_to(cycle + 1);
   dispatch();
   l2_tick(cycle, now);
 }
@@ -164,13 +162,6 @@ TimePs Gpu::core_next_work_ps() const {
 }
 
 void Gpu::finalize(Cycle end_cycle) {
-  for (OffloadGovernor* g : govs_) g->advance_to(end_cycle);
-  for (auto& sm : sms_) sm->finalize(end_cycle);
-}
-
-void Gpu::sync_cycle_stacks(Cycle end_cycle) {
-  // Sm::finalize is idempotent and clamps to end_cycle, so a mid-run flush
-  // just splits the gap the next awake tick would have replayed in one go.
   for (auto& sm : sms_) sm->finalize(end_cycle);
 }
 

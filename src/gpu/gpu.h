@@ -24,35 +24,24 @@ class Gpu final : public Tickable {
  public:
   explicit Gpu(const SystemContext& ctx);
 
-  // One SM clock edge, in the naive per-edge order: the governors' epoch
-  // clock over the edges fast-forward skipped (so gap-cycle epoch rollovers
-  // land ahead of this edge's issue decisions), every SM in index order,
-  // this edge's epoch cycle and the CTA dispatcher, then the L2 side.
+  // One SM clock edge: every SM in index order, the CTA dispatcher, then
+  // the L2 side.
   void tick(Cycle cycle, TimePs now) override;
   // The earliest wake of the SMs, the dispatcher and the L2 side.
   TimePs next_work_ps() override;
 
   std::vector<std::unique_ptr<Sm>>& sms() { return sms_; }
 
-  // Flush fast-forward-deferred per-cycle accounting (governor epoch clock,
-  // per-SM cycle stacks and active counters) up to the SM domain's
-  // consumed-edge count; called by the Simulator before stats are read.
+  // Flush fast-forward-deferred per-cycle accounting (per-SM cycle stacks
+  // and active counters) up to SM cycle `end_cycle`.  Idempotent and exact
+  // mid-run (a sleeping SM's gap bucket is constant), so the Simulator
+  // calls it at each epoch boundary before the snapshot, and once with the
+  // SM domain's consumed-edge count before stats are read.
   void finalize(Cycle end_cycle);
-
-  // Cycle-stack profiler: flush every SM's pending fast-forward gap up to
-  // `end_cycle` (exact — a sleeping SM's gap bucket is constant, so the
-  // split replay lands in the same buckets) WITHOUT advancing the governor
-  // epoch clock.  Called at epoch boundaries before the audit / timeline
-  // read the stacks, so boundary values are stepping-mode-independent.
-  void sync_cycle_stacks(Cycle end_cycle);
 
   // Waits for every tenant's CTA queue to drain, not just tenant 0's
   // (DESIGN.md "Multi-tenant serving").
   bool idle() const;
-
-  // L2 outcomes over all slices (sampled by the epoch timeline).
-  std::uint64_t total_l2_hits() const;
-  std::uint64_t total_l2_misses() const;
 
   // Flow audit (src/obs/stats_audit.*): every SM's counters, the L2 slices'
   // outcomes and flow counters, the per-tenant governors and splits, and
@@ -67,6 +56,9 @@ class Gpu final : public Tickable {
   void report(RunResult& r) const;
 
  private:
+  // L2 outcomes over all slices.
+  std::uint64_t total_l2_hits() const;
+  std::uint64_t total_l2_misses() const;
   // Per-tenant issued instructions, summed over SMs.
   std::uint64_t issued_by_tenant(unsigned t) const;
   // Machine-wide SM stack: per-tenant bucket sums over all SMs, with each

@@ -466,6 +466,7 @@ void Nsu::audit(AuditSnapshot& s) const {
   s.nsu_instrs += instrs_;
   s.nsu_lane_ops += lane_ops_;
   s.nsu_finished_block_instrs += finished_block_instrs_;
+  s.nsu_occupancy += occupancy_accum_;
   s.cyc_nsu_sum.push_back(cyc_.total());
   s.cyc_nsu_counted.push_back(tick_count_);
 }

@@ -62,10 +62,9 @@ class Nsu final : public Tickable {
   // Stats (Fig. 11).
   double avg_occupancy() const;          // mean busy warp slots / max_warps
   double icache_utilization() const;     // touched instruction bytes / icache size
-  std::uint64_t occupancy_accum() const { return occupancy_accum_; }
 
-  // Flow audit (src/obs/stats_audit.*): add this NSU's block, instruction
-  // and lane-op counters to `s`, and append its cycle-stack entry.
+  // Flow audit (src/obs/stats_audit.*): add this NSU's block, instruction,
+  // lane-op and occupancy counters to `s`, and append its cycle-stack entry.
   void audit(AuditSnapshot& s) const;
 
   // End of run: the `hmcN.nsu.*` stats, this NSU's cycle-stack rows and its

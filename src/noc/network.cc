@@ -138,6 +138,9 @@ void Network::audit(AuditSnapshot& s) const {
     s.link_bytes += p.up->bytes_transmitted() + p.down->bytes_transmitted();
   }
   s.class_bytes += total_offchip_bytes();
+  s.gpu_up_bytes += gpu_up_bytes_;
+  s.gpu_down_bytes += gpu_down_bytes_;
+  s.cube_bytes += cube_bytes_;
 }
 
 void Network::report(RunResult& r) const {

@@ -59,8 +59,8 @@ class Network {
 
   // Flow audit (src/obs/stats_audit.*): add to `s` the packets ever
   // injected, the packets sitting in RX channels (instantaneous), the bytes
-  // summed over every physical link, and the per-class byte counters above
-  // (the two byte sums must agree).
+  // summed over every physical link, and the per-class byte counters above,
+  // each and as one sum (the two byte sums must agree).
   void audit(AuditSnapshot& s) const;
 
   // End of run: the `net.*` stats, the GPU-link, cube-link and invalidation

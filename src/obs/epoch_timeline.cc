@@ -3,9 +3,21 @@
 #include <algorithm>
 
 #include "common/units.h"
+#include "ctrl/governor.h"
 #include "sim/trace.h"
 
 namespace sndp {
+
+namespace {
+
+// Hit fraction of `hits + misses` accesses; 0 (not NaN) with no accesses.
+double hit_rate(std::uint64_t hits, std::uint64_t misses) {
+  return (hits + misses) == 0
+             ? 0.0
+             : static_cast<double>(hits) / static_cast<double>(hits + misses);
+}
+
+}  // namespace
 
 EpochTimeline::EpochTimeline(const SystemConfig& cfg)
     : epoch_cycles_(cfg.governor.epoch_cycles),
@@ -42,93 +54,54 @@ std::uint64_t EpochTimeline::nsu_edges_before(TimePs t) const {
   return static_cast<std::uint64_t>(num / 1'000'000'000ull);
 }
 
-void EpochTimeline::on_epoch(std::uint64_t epoch, double epoch_ipc,
-                             std::uint64_t block_instrs, double ratio,
-                             double step, int direction, std::uint64_t issued,
-                             std::uint64_t l1_hits, std::uint64_t l1_misses,
-                             const std::array<std::uint64_t, kNumSmBuckets>& sm_stack) {
+void EpochTimeline::record(const EpochRollInfo& info, const AuditSnapshot& at) {
   if (samples_.size() >= kMaxSamples) {
     ++dropped_;
     return;
   }
   EpochSample s;
-  s.epoch = epoch;
-  s.end_cycle = static_cast<Cycle>(epoch + 1) * epoch_cycles_;
-  s.end_ps = boundary_ps(epoch);
-  s.ratio = ratio;
-  s.step = step;
-  s.direction = direction;
-  s.epoch_ipc = epoch_ipc;
-  s.block_instrs = block_instrs;
+  s.epoch = info.epoch;
+  s.end_cycle = static_cast<Cycle>(info.epoch + 1) * epoch_cycles_;
+  s.end_ps = boundary_ps(info.epoch);
+  s.ratio = info.ratio;
+  s.step = info.step;
+  s.direction = info.direction;
+  s.epoch_ipc = info.ipc;
+  s.block_instrs = info.block_instrs;
   const double denom =
       static_cast<double>(epoch_cycles_) * static_cast<double>(num_sms_);
-  s.sm_ipc = static_cast<double>(issued - prev_issued_) / denom;
-  const std::uint64_t dh = l1_hits - prev_l1_hits_;
-  const std::uint64_t dm = l1_misses - prev_l1_misses_;
-  s.l1_hit_rate =
-      (dh + dm) == 0 ? 0.0 : static_cast<double>(dh) / static_cast<double>(dh + dm);
+  s.sm_ipc = static_cast<double>(at.sm_issued - prev_.sm_issued) / denom;
+  s.l1_hit_rate = hit_rate(at.l1_hits - prev_.l1_hits, at.l1_miss_new - prev_.l1_miss_new);
+  s.l2_hit_rate = hit_rate(at.l2_hits - prev_.l2_hits, at.l2_miss_new - prev_.l2_miss_new);
+  const TimePs prev_ps = info.epoch == 0 ? 0 : boundary_ps(info.epoch - 1);
+  const double dur_ps = static_cast<double>(s.end_ps - prev_ps);
+  if (dur_ps > 0.0) {
+    const double per_link = dur_ps * link_bytes_per_ps_;
+    s.gpu_up_util = static_cast<double>(at.gpu_up_bytes - prev_.gpu_up_bytes) /
+                    (per_link * num_gpu_links_);
+    s.gpu_down_util = static_cast<double>(at.gpu_down_bytes - prev_.gpu_down_bytes) /
+                      (per_link * num_gpu_links_);
+    s.cube_util = num_cube_links_ == 0
+                      ? 0.0
+                      : static_cast<double>(at.cube_bytes - prev_.cube_bytes) /
+                            (per_link * num_cube_links_);
+  }
+  const std::uint64_t d_edges = nsu_edges_before(s.end_ps) - nsu_edges_before(prev_ps);
+  if (d_edges > 0 && num_nsus_ > 0 && nsu_max_warps_ > 0) {
+    s.nsu_occupancy = static_cast<double>(at.nsu_occupancy - prev_.nsu_occupancy) /
+                      (static_cast<double>(d_edges) * nsu_max_warps_ * num_nsus_);
+  }
   s.valve_pressure = max_time_ps_ == 0
                          ? 0.0
                          : static_cast<double>(s.end_ps) /
                                static_cast<double>(max_time_ps_);
+  s.pages_migrated = at.pages_migrated - prev_.pages_migrated;
   for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-    s.sm_stack[b] = static_cast<std::int64_t>(sm_stack[b]) -
-                    static_cast<std::int64_t>(prev_sm_stack_[b]);
+    s.sm_stack[b] = static_cast<std::int64_t>(at.cyc_sm_buckets[b]) -
+                    static_cast<std::int64_t>(prev_.cyc_sm_buckets[b]);
   }
-  prev_sm_stack_ = sm_stack;
   samples_.push_back(s);
-  prev_issued_ = issued;
-  prev_l1_hits_ = l1_hits;
-  prev_l1_misses_ = l1_misses;
-}
-
-TimePs EpochTimeline::sample(TimePs now, const CrossDomainCounters& c) {
-  while (at_.size() < kMaxSamples && boundary_ps(at_.size()) <= now) at_.push_back(c);
-  return at_.size() < kMaxSamples ? boundary_ps(at_.size()) : kTimeNever;
-}
-
-void EpochTimeline::finalize(const CrossDomainCounters& c) {
-  const std::size_t n = samples_.size();
-  // Any boundary the cut never reached had frozen counters from before the
-  // boundary to end-of-run, so the final value IS the boundary value (see
-  // header contract).
-  while (at_.size() < n) at_.push_back(c);
-
-  CrossDomainCounters prev;
-  TimePs prev_ps = 0;
-  std::uint64_t prev_nsu_edges = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    EpochSample& s = samples_[k];
-    const CrossDomainCounters& at = at_[k];
-    const std::uint64_t dh = at.l2_hits - prev.l2_hits;
-    const std::uint64_t dm = at.l2_misses - prev.l2_misses;
-    s.l2_hit_rate = (dh + dm) == 0
-                        ? 0.0
-                        : static_cast<double>(dh) / static_cast<double>(dh + dm);
-    const double dur_ps = static_cast<double>(s.end_ps - prev_ps);
-    if (dur_ps > 0.0) {
-      const double per_link = dur_ps * link_bytes_per_ps_;
-      s.gpu_up_util = static_cast<double>(at.gpu_up_bytes - prev.gpu_up_bytes) /
-                      (per_link * num_gpu_links_);
-      s.gpu_down_util = static_cast<double>(at.gpu_down_bytes - prev.gpu_down_bytes) /
-                        (per_link * num_gpu_links_);
-      s.cube_util = num_cube_links_ == 0
-                        ? 0.0
-                        : static_cast<double>(at.cube_bytes - prev.cube_bytes) /
-                              (per_link * num_cube_links_);
-    }
-    const std::uint64_t nsu_edges = nsu_edges_before(s.end_ps);
-    const std::uint64_t d_edges = nsu_edges - prev_nsu_edges;
-    if (d_edges > 0 && num_nsus_ > 0 && nsu_max_warps_ > 0) {
-      s.nsu_occupancy =
-          static_cast<double>(at.nsu_occupancy - prev.nsu_occupancy) /
-          (static_cast<double>(d_edges) * nsu_max_warps_ * num_nsus_);
-    }
-    s.pages_migrated = at.pages_migrated - prev.pages_migrated;
-    prev = at;
-    prev_ps = s.end_ps;
-    prev_nsu_edges = nsu_edges;
-  }
+  prev_ = at;
 }
 
 void EpochTimeline::emit_trace(TraceWriter& trace, int tid) const {

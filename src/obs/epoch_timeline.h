@@ -5,24 +5,18 @@
 // Fast-forward invariance contract
 // --------------------------------
 // The recorder must produce bit-identical samples with idle fast-forward on
-// or off (PR 2's invariant).  Two mechanisms guarantee that:
-//
-//  * The SM-domain fields (governor state, issued instructions, L1 counters)
-//    are sampled inside the governor's epoch-roll observer.  Fast-forward
-//    replays skipped epoch boundaries before any SM does work at the wake
-//    edge, and skipped edges are SM-workless, so the counters carry the same
-//    values the naive stepper would have seen at the real boundary.
-//
-//  * Cross-domain sources (L2, links, NSU occupancy, placement migrations)
-//    are sampled at the scheduler's cut (Scheduler::set_cut), which runs
-//    before any domain ticks the first stepped instant at/after each
-//    boundary T_k = tick_time_ps((k+1)*epoch_cycles, sm_khz).  These
-//    counters change only inside ticks, and ticks run in global time order,
-//    so the recorded value holds exactly the changes made before T_k.
-//    Fast-forward may land the cut on a later instant, but it skips only
-//    workless edges, at which the counters are frozen.  Boundaries the run
-//    never reached get the end-of-run values in finalize(), which equal the
-//    frozen boundary values for the same reason.
+// or off.  One mechanism guarantees that: the scheduler's cut
+// (Scheduler::set_cut) ends every epoch.  It runs before any domain ticks
+// the first stepped instant at/after each boundary
+// T_k = tick_time_ps((k+1)*epoch_cycles, sm_khz), and there run_images rolls
+// the governors, flushes the SM cycle stacks to the boundary cycle and takes
+// the one AuditSnapshot that record() reads.  Every counter in it changes
+// only inside some component's tick, and ticks run in global time order, so
+// the snapshot holds exactly the changes made before T_k.  Fast-forward may
+// land the cut on a later instant, but it skips only workless edges, at
+// which the counters are frozen.  Boundaries within the SM domain's consumed
+// edges that the cut never reached end after the run, on the end-of-run
+// values, which equal the frozen boundary values for the same reason.
 //
 // Rates are formed from per-epoch deltas over deterministic denominators
 // (boundary timestamps from the exact tick->ps map, NSU edge counts from the
@@ -40,21 +34,12 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "obs/cycle_stack.h"
+#include "obs/stats_audit.h"
 
 namespace sndp {
 
 class TraceWriter;
-
-// Cumulative counters owned outside the SM domain, read at one instant.
-struct CrossDomainCounters {
-  std::uint64_t l2_hits = 0;
-  std::uint64_t l2_misses = 0;
-  std::uint64_t gpu_up_bytes = 0;    // GPU -> HMC link bytes
-  std::uint64_t gpu_down_bytes = 0;  // HMC -> GPU link bytes
-  std::uint64_t cube_bytes = 0;      // cube-to-cube link bytes
-  std::uint64_t nsu_occupancy = 0;   // Nsu::occupancy_accum summed over NSUs
-  std::uint64_t pages_migrated = 0;
-};
+struct EpochRollInfo;
 
 // One completed governor epoch.  Cumulative counters are converted to
 // per-epoch deltas/rates when the sample is assembled.
@@ -79,7 +64,7 @@ struct EpochSample {
   std::uint64_t pages_migrated = 0;  // placement migrations this epoch
 
   // Machine-wide SM cycle-stack deltas this epoch (src/obs/cycle_stack.*,
-  // sampled at the boundary after Gpu::sync_cycle_stacks).  Signed: the
+  // flushed to the boundary cycle by Gpu::finalize).  Signed: the
   // sum-preserving pending-dep reclassification can drain a bucket between
   // boundaries.
   std::array<std::int64_t, kNumSmBuckets> sm_stack{};
@@ -91,24 +76,11 @@ class EpochTimeline {
  public:
   explicit EpochTimeline(const SystemConfig& cfg);
 
-  // SM-domain entry, called from the governor's epoch observer.  `issued`,
-  // `l1_hits`, `l1_misses` are cumulative totals over all SMs.  `sm_stack`
-  // holds the cumulative machine-wide cycle-stack bucket totals
-  // (boundary-synced); the sample records the per-epoch delta.
-  void on_epoch(std::uint64_t epoch, double epoch_ipc,
-                std::uint64_t block_instrs, double ratio, double step,
-                int direction, std::uint64_t issued, std::uint64_t l1_hits,
-                std::uint64_t l1_misses,
-                const std::array<std::uint64_t, kNumSmBuckets>& sm_stack);
-
-  // The scheduler's cut: record `c` for every boundary at or before `now`
-  // and return the next boundary (kTimeNever once the sample cap is hit).
-  TimePs sample(TimePs now, const CrossDomainCounters& c);
-
-  // Record the end-of-run values `c` for every rolled epoch whose boundary
-  // the cut never reached, then assemble the samples.  Called once after
-  // the run.
-  void finalize(const CrossDomainCounters& c);
+  // Record epoch `info.epoch`, which tenant 0's governor just ended, from
+  // the snapshot `at` taken at its boundary: each delta is taken against
+  // the previous boundary's snapshot.  Called once per epoch, in order;
+  // past the sample cap it only counts a drop.
+  void record(const EpochRollInfo& info, const AuditSnapshot& at);
 
   const std::vector<EpochSample>& samples() const { return samples_; }
   std::uint64_t dropped() const { return dropped_; }
@@ -139,22 +111,13 @@ class EpochTimeline {
   double link_bytes_per_ps_ = 0.0;
   TimePs max_time_ps_ = 0;
 
-  // SM-domain series, pushed at each governor roll.  Cross-domain fields of
-  // each sample stay zero until finalize().
   std::vector<EpochSample> samples_;
   std::uint64_t dropped_ = 0;
-  std::uint64_t prev_issued_ = 0;
-  std::uint64_t prev_l1_hits_ = 0;
-  std::uint64_t prev_l1_misses_ = 0;
-  std::array<std::uint64_t, kNumSmBuckets> prev_sm_stack_{};
-
-  // Cross-domain counters at each boundary the cut (or finalize) reached.
-  std::vector<CrossDomainCounters> at_;
+  AuditSnapshot prev_;  // the previous boundary's snapshot (zeros before 0)
 };
 
-// Shared CSV emitter for the timeline — the single definition of the column
-// set, used by both bench/epoch_dump and `sndpsim --epoch-csv` so the two
-// outputs never drift apart.
+// CSV emitter for the timeline (`sndpsim --epoch-csv`): the single
+// definition of the column set.
 void write_epoch_csv(std::FILE* out, const std::vector<EpochSample>& samples);
 // Convenience: open `path` ("-" or "" = stdout), write, close.  Returns
 // false if the file could not be opened or written.

@@ -72,6 +72,10 @@ struct AuditSnapshot {
   std::uint64_t hmc_rx_packets = 0;  // packets ejected at any HMC
   std::uint64_t link_bytes = 0;      // sum over Link::bytes_transmitted
   std::uint64_t class_bytes = 0;     // gpu_up + gpu_down + cube byte counters
+  // The epoch timeline's link columns (no check reads them).
+  std::uint64_t gpu_up_bytes = 0;    // GPU -> HMC
+  std::uint64_t gpu_down_bytes = 0;  // HMC -> GPU
+  std::uint64_t cube_bytes = 0;      // cube-to-cube
   // Vaults / DRAM.
   std::uint64_t vault_reads = 0;
   std::uint64_t vault_writes = 0;
@@ -89,6 +93,8 @@ struct AuditSnapshot {
   std::uint64_t nsu_instrs = 0;
   std::uint64_t nsu_lane_ops = 0;
   std::uint64_t nsu_finished_block_instrs = 0;
+  std::uint64_t nsu_occupancy = 0;  // busy warp slots summed over edges
+                                    // (the timeline's; no check reads it)
   // Buffer manager (instantaneous / capacities).
   std::uint64_t buf_free_cmd = 0;
   std::uint64_t buf_free_read_data = 0;

@@ -181,21 +181,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   }
 
   // Observability: the per-epoch timeline and the flow-conservation audit.
-  // The timeline reads its cross-domain counters at the scheduler's cut,
-  // and at finalize for the boundaries the run never reached.
   EpochTimeline timeline(cfg_);
-  auto cross_domain = [&] {
-    CrossDomainCounters c;
-    c.l2_hits = gpu.total_l2_hits();
-    c.l2_misses = gpu.total_l2_misses();
-    c.gpu_up_bytes = net.gpu_up_bytes();
-    c.gpu_down_bytes = net.gpu_down_bytes();
-    c.cube_bytes = net.cube_bytes();
-    for (const auto& hmc : hmcs) c.nsu_occupancy += hmc->nsu().occupancy_accum();
-    c.pages_migrated = amap.policy().pages_migrated();
-    return c;
-  };
-
   StatsAudit audit;
   // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
   // Each component adds the counters it owns; the rest belong to no
@@ -229,20 +215,22 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     return s;
   };
 
-  govs[0]->set_epoch_observer([&](const EpochRollInfo& info) {
-    // Boundary-sync the SM cycle stacks so the timeline sample (and the
-    // epoch audit) sees every cycle up to the boundary classified.
-    // Gpu::tick replays fast-forwarded boundaries before any SM does work at
-    // the wake edge, so syncing to the boundary cycle here is exact in both
-    // stepping modes.
-    const Cycle boundary = (info.epoch + 1) * cfg_.governor.epoch_cycles;
-    gpu.sync_cycle_stacks(boundary);
+  // End epoch `epochs`: roll every tenant's governor, flush the SM cycle
+  // stacks to the boundary cycle, and hand one snapshot to the audit and to
+  // the timeline (which records tenant 0's epoch).  The governors change
+  // state only inside SM ticks and the cut runs before any domain ticks the
+  // first instant at/after the boundary, so each roll sees exactly its
+  // epoch's instructions in both stepping modes (epoch_timeline.h).
+  std::uint64_t epochs = 0;
+  auto end_epoch = [&] {
+    const EpochRollInfo info = govs[0]->roll_epoch();
+    for (unsigned t = 1; t < num_tenants; ++t) govs[t]->roll_epoch();
+    const Cycle boundary = ++epochs * cfg_.governor.epoch_cycles;
+    gpu.finalize(boundary);
     const AuditSnapshot s = audit_snapshot(boundary);
-    timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
-                      info.step, info.direction, s.sm_issued, s.l1_hits, s.l1_miss_new,
-                      s.cyc_sm_buckets);
     audit.check_epoch(info.epoch, s);
-  });
+    timeline.record(info, s);
+  };
 
   // Clock domains (Table 2).
   ClockDomain sm_domain("sm", cfg_.clocks.sm_khz);
@@ -256,8 +244,10 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   Scheduler sched(cfg_.fast_forward);
   sched.set_time_limit(cfg_.max_time_ps);
-  sched.set_cut(timeline.boundary_ps(0),
-                [&](TimePs now) { return timeline.sample(now, cross_domain()); });
+  sched.set_cut(timeline.boundary_ps(0), [&](TimePs now) {
+    while (timeline.boundary_ps(epochs) <= now) end_epoch();
+    return timeline.boundary_ps(epochs);
+  });
   sched.add(&sm_domain);
   sched.add(&dram_domain);
   sched.add(&nsu_domain);
@@ -301,11 +291,12 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     }
   }
 
-  // Flush fast-forward-deferred per-cycle accounting (SM cycle stacks and
-  // active counters, governor epoch clock, NSU tick counts) up to each
-  // domain's consumed-edge count.  No-ops in naive mode.  The gpu.finalize flush can
-  // roll one last epoch when the trailing fast-forward region crosses an
-  // epoch boundary; the epoch observer audits it like any other.
+  // End the epochs whose boundaries the SM domain consumed but the cut
+  // never reached (the run stopped before the next instant, or fast-forward
+  // dead-marched to the valve).  Then flush fast-forward-deferred per-cycle
+  // accounting (SM cycle stacks and active counters, NSU tick counts) up to
+  // each domain's consumed-edge count; no-ops in naive mode.
+  while ((epochs + 1) * cfg_.governor.epoch_cycles <= sm_domain.next_cycle()) end_epoch();
   gpu.finalize(sm_domain.next_cycle());
   for (auto& hmc : hmcs) {
     hmc->nsu().finalize(nsu_domain.next_cycle());
@@ -314,7 +305,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     hmc->finalize(dram_domain.next_cycle());
   }
 
-  timeline.finalize(cross_domain());
   result.timeline = timeline.samples();
 
   result.completed = completed;

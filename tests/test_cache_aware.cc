@@ -130,10 +130,18 @@ TEST(Governor, EpochAdvancesWithSmCycles) {
   g.mode = OffloadMode::kDynamic;
   g.epoch_cycles = 100;
   OffloadGovernor gov(g, 1, 128, 1);
-  gov.advance_to(250);
+  gov.on_block_complete(250);
+  const EpochRollInfo first = gov.roll_epoch();
+  EXPECT_EQ(first.epoch, 0u);
+  EXPECT_EQ(first.block_instrs, 250u);
+  EXPECT_DOUBLE_EQ(first.ipc, 2.5);  // block instrs / epoch_cycles
+  const EpochRollInfo second = gov.roll_epoch();
+  EXPECT_EQ(second.epoch, 1u);
+  EXPECT_EQ(second.block_instrs, 0u);  // each epoch counts its own
   StatSet stats;
   gov.export_stats(stats);
   EXPECT_DOUBLE_EQ(stats.get("governor.epochs"), 2.0);
+  EXPECT_DOUBLE_EQ(stats.get("governor.block_instrs"), 250.0);
 }
 
 TEST(Governor, StaticModesRollEpochsWithoutClimbing) {
@@ -145,16 +153,10 @@ TEST(Governor, StaticModesRollEpochsWithoutClimbing) {
   g.static_ratio = 0.5;
   g.epoch_cycles = 10;
   OffloadGovernor gov(g, 1, 128, 1);
-  unsigned observed = 0;
-  gov.set_epoch_observer([&](const EpochRollInfo& info) {
-    ++observed;
-    EXPECT_DOUBLE_EQ(info.ratio, 0.5);
-  });
-  gov.advance_to(100);
+  for (int e = 0; e < 10; ++e) EXPECT_DOUBLE_EQ(gov.roll_epoch().ratio, 0.5);
   StatSet stats;
   gov.export_stats(stats);
   EXPECT_DOUBLE_EQ(stats.get("governor.epochs"), 10.0);
-  EXPECT_EQ(observed, 10u);
   EXPECT_DOUBLE_EQ(stats.get("governor.final_ratio"), 0.5);
 }
 

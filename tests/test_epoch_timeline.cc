@@ -33,15 +33,27 @@ TEST(EpochTimeline, BoundaryMatchesClockMath) {
 TEST(EpochTimeline, AssemblesPerEpochDeltas) {
   SystemConfig cfg = timeline_cfg();
   EpochTimeline tl(cfg);
-  // Epoch 0: 300 of 400 L1 accesses hit; epoch 1: 200 of 400.
-  tl.on_epoch(0, 2.0, 1000, 0.5, 0.15, +1, /*issued=*/4000, 300, 100, {});
-  tl.on_epoch(1, 1.5, 750, 0.65, 0.15, +1, /*issued=*/6000, 500, 300, {});
-  // L2 saw 80 of 100 accesses hit in epoch 0, then nothing.  One cut past
-  // both boundaries records that for each of them and asks for the third.
-  EXPECT_EQ(tl.sample(tl.boundary_ps(1), {.l2_hits = 80, .l2_misses = 20}),
-            tl.boundary_ps(2));
-  // The end-of-run values belong to no recorded boundary.
-  tl.finalize({.l2_hits = 200, .l2_misses = 100});
+  // Epoch 0: 300 of 400 L1 and 80 of 100 L2 accesses hit; epoch 1: 200 of
+  // 400 L1 accesses hit and the L2 sees nothing.
+  AuditSnapshot at;
+  at.sm_issued = 4000;
+  at.l1_hits = 300;
+  at.l1_miss_new = 100;
+  at.l2_hits = 80;
+  at.l2_miss_new = 20;
+  at.pages_migrated = 3;
+  at.cyc_sm_buckets[0] = 10;
+  tl.record({.epoch = 0, .ipc = 2.0, .block_instrs = 1000, .ratio = 0.5, .step = 0.15,
+             .direction = +1},
+            at);
+  at.sm_issued = 6000;
+  at.l1_hits = 500;
+  at.l1_miss_new = 300;
+  at.pages_migrated = 5;
+  at.cyc_sm_buckets[0] = 25;
+  tl.record({.epoch = 1, .ipc = 1.5, .block_instrs = 750, .ratio = 0.65, .step = 0.15,
+             .direction = +1},
+            at);
 
   ASSERT_EQ(tl.samples().size(), 2u);
   const EpochSample& a = tl.samples()[0];
@@ -53,22 +65,24 @@ TEST(EpochTimeline, AssemblesPerEpochDeltas) {
   EXPECT_EQ(a.block_instrs, 1000u);
   EXPECT_DOUBLE_EQ(a.sm_ipc, 4000.0 / (500.0 * cfg.num_sms));
   EXPECT_DOUBLE_EQ(a.l1_hit_rate, 0.75);
+  EXPECT_DOUBLE_EQ(a.l2_hit_rate, 0.8);
+  EXPECT_EQ(a.pages_migrated, 3u);
+  EXPECT_EQ(a.sm_stack[0], 10);
 
   const EpochSample& b = tl.samples()[1];
+  EXPECT_EQ(b.end_ps, tl.boundary_ps(1));
   EXPECT_DOUBLE_EQ(b.sm_ipc, 2000.0 / (500.0 * cfg.num_sms));
   EXPECT_DOUBLE_EQ(b.l1_hit_rate, 0.5);  // (500-300)/((500-300)+(300-100))
-
-  // All activity lands in epoch 0's delta, epoch 1 is empty (rate 0).
-  EXPECT_DOUBLE_EQ(tl.samples()[0].l2_hit_rate, 0.8);
-  EXPECT_DOUBLE_EQ(tl.samples()[1].l2_hit_rate, 0.0);
+  EXPECT_DOUBLE_EQ(b.l2_hit_rate, 0.0);  // no L2 access this epoch: rate 0
+  EXPECT_EQ(b.pages_migrated, 2u);
+  EXPECT_EQ(b.sm_stack[0], 15);
   EXPECT_EQ(tl.dropped(), 0u);
 }
 
 TEST(EpochTimeline, EmptyEpochHasZeroRates) {
   SystemConfig cfg = timeline_cfg();
   EpochTimeline tl(cfg);
-  tl.on_epoch(0, 0.0, 0, 0.1, 0.15, +1, 0, 0, 0, {});
-  tl.finalize({});
+  tl.record({.epoch = 0, .ratio = 0.1, .step = 0.15, .direction = +1}, AuditSnapshot{});
   ASSERT_EQ(tl.samples().size(), 1u);
   const EpochSample& s = tl.samples()[0];
   EXPECT_DOUBLE_EQ(s.sm_ipc, 0.0);
@@ -249,10 +263,11 @@ TEST(EpochTimeline, CapsSamplesAndCountsDrops) {
   SystemConfig cfg = timeline_cfg();
   EpochTimeline tl(cfg);
   constexpr std::uint64_t kOver = 100'500;  // past the 100k cap
+  AuditSnapshot at;
   for (std::uint64_t e = 0; e < kOver; ++e) {
-    tl.on_epoch(e, 0.0, 0, 0.1, 0.15, +1, e, 0, 0, {});
+    at.sm_issued = e;
+    tl.record({.epoch = e, .ratio = 0.1, .step = 0.15, .direction = +1}, at);
   }
-  tl.finalize({});
   EXPECT_EQ(tl.samples().size(), 100'000u);
   EXPECT_EQ(tl.dropped(), kOver - 100'000);
   StatSet out;
