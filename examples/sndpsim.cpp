@@ -43,7 +43,8 @@
 //                           per-epoch governor counter series and sampled
 //                           request-latency spans as flow events (with -w
 //                           all, the workload name is appended like
-//                           --epoch-csv)
+//                           --epoch-csv).  Each run's trace is one JSON
+//                           document in its own file: "-" exits 2.
 //       --tenants SPEC      multi-tenant serving: run SPEC's workloads as
 //                           concurrent kernel streams in disjoint address
 //                           slices of one memory.  SPEC is a comma list of
@@ -252,6 +253,9 @@ Options parse(int argc, char** argv) {
       o.epoch_csv = a.substr(12);
     } else if (a == "--trace") {
       o.trace_path = need_value(i);
+      if (o.trace_path == "-") {
+        flag_value_error(argv[0], a, o.trace_path, "a trace is written to a file, not stdout");
+      }
     } else if (a == "--tenants") {
       o.tenants = parse_tenants(argv[0], need_value(i));
     } else if (a.rfind("--tenants=", 0) == 0) {
