@@ -18,11 +18,11 @@
 // and all tick arguments are bit-identical to naive stepping; the contract
 // is that a member whose hint lies in the future would have treated those
 // ticks as no-ops anyway (components that count per-cycle stats compensate
-// for the skipped cycles themselves; see Sm/Nsu/OffloadGovernor).
+// for the skipped cycles themselves; see Sm/Nsu).
 //
 // The cut (Scheduler::set_cut) runs before any domain ticks the first
 // stepped instant at/after a requested one, in both stepping modes; the
-// epoch timeline samples its cross-domain counters there.
+// simulator ends each governor epoch there.
 #pragma once
 
 #include <cstdint>

@@ -145,7 +145,7 @@ TEST(Governor, EpochAdvancesWithSmCycles) {
 }
 
 TEST(Governor, StaticModesRollEpochsWithoutClimbing) {
-  // The epoch clock runs in every mode (it drives the per-epoch metrics
+  // Epochs end in every mode (each end feeds the per-epoch metrics
   // timeline), but only the dynamic modes feed the hill climb: a static
   // governor's ratio must not move however many epochs elapse.
   GovernorConfig g;

@@ -202,8 +202,8 @@ TEST(Tenant, QosKnobsAndArbitersCompleteDeterministically) {
 
 // Every tenant's governor climbs from its own epochs: a mix whose governors
 // all end each epoch lands on these pins in both stepping modes.  If only
-// tenant 0's governor rolled, VADD and KMN would offload at their initial
-// ratio throughout and every pin below would move.
+// tenant 0's governor rolled, VADD and KMN would keep their initial ratio:
+// 4878 cycles, and finish/misses of 1110/224 and 986/122.
 TEST(Tenant, EveryGovernorEndsEachEpoch) {
   for (const bool ff : {true, false}) {
     SystemConfig cfg = SystemConfig::paper();
