@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   double max_overhead = 0.0;
   JsonWriter json;
   json.begin_object();
-  json.key("schema").value("sndp-bench-v1");
+  json.key("schema").value("sndp-table-v1");
   json.key("bench").value("fig05");
   json.key("rows").begin_array();
   for (unsigned n : {1u, 2u, 4u, 8u, 12u, 16u, 24u, 32u, 48u, 64u}) {

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.begin_object();
-  json.key("schema").value("sndp-bench-v1");
+  json.key("schema").value("sndp-table-v1");
   json.key("bench").value("sec75");
   json.key("per_sm_ndp_bytes").value(per_sm_ndp);
   json.key("per_sm_existing_bytes").value(per_sm_existing);

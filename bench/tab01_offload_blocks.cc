@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.begin_object();
-  json.key("schema").value("sndp-bench-v1");
+  json.key("schema").value("sndp-table-v1");
   json.key("bench").value("tab01");
   json.key("workloads").begin_array();
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.begin_object();
-  json.key("schema").value("sndp-bench-v1");
+  json.key("schema").value("sndp-table-v1");
   json.key("bench").value("tab02");
   json.key("config").begin_object();
   json.key("num_sms").value(c.num_sms);

@@ -292,7 +292,7 @@ struct SystemConfig {
   // edges at which no component has pending work.  Results — every stat,
   // tick index, and ps timestamp — are bit-identical with the flag on or
   // off (a tested invariant); off exists as the naive reference for that
-  // test and for perf comparisons (bench/perf_throughput).
+  // test and for CI's `sndpsim --no-ff` diff.
   bool fast_forward = true;
 
   // Request-lifecycle latency tracing (src/obs/latency.*) stamps every

@@ -17,6 +17,7 @@
 #   sndpsim --stats  -w all -s tiny                       (dyn-cache default)
 #   sndpsim --stats  -w all -s tiny -m always --seed 7
 #   sndpsim --stats  -w all -s tiny -m static -r 0.3 --no-ff
+#   sndpsim --stats  -w all -s tiny -m off                (the no-NDP baseline)
 #   sndpsim --stats  -w all -s tiny -m dyn -e 97 --epoch-csv -
 #                                 (every epoch sample, 97-cycle epochs)
 #   sndpsim --stats  -w BFS -s small
@@ -99,6 +100,7 @@ compare "sndpsim -w all -s tiny -m always --seed 7" \
   examples/sndpsim --stats -w all -s tiny -m always --seed 7
 compare "sndpsim -w all -s tiny -m static -r 0.3 --no-ff" \
   examples/sndpsim --stats -w all -s tiny -m static -r 0.3 --no-ff
+compare "sndpsim -w all -s tiny -m off" examples/sndpsim --stats -w all -s tiny -m off
 compare "sndpsim -w all -s tiny -m dyn -e 97 --epoch-csv -" \
   examples/sndpsim --stats -w all -s tiny -m dyn -e 97 --epoch-csv -
 compare "sndpsim -w BFS -s small" examples/sndpsim --stats -w BFS -s small

@@ -176,7 +176,8 @@ TEST_P(FastForwardDeterminism, StatsAreByteIdenticalToNaiveStepping) {
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, FastForwardDeterminism,
                          ::testing::Values("BPROP", "BFS", "BICG", "FWT", "KMN", "MiniFE",
-                                           "SP", "STN", "STCL", "VADD"));
+                                           "SP", "STN", "STCL", "VADD", "GEMM", "SPMV",
+                                           "REDUCE", "ATTN"));
 
 TEST(SimulatorFacade, FinalFastForwardFlushEpochIsAudited) {
   // gpu.finalize() replays the fast-forwarded governor epoch clock after
