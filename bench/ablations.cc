@@ -103,5 +103,5 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\npaper: the first-access policy costs at most ~15%% extra traffic (Fig. 5)\n");
-  return 0;
+  return sweep.exit_status();
 }

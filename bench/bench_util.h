@@ -100,7 +100,8 @@ class BenchSweep {
 
   // Runs every queued point, replays the classic WARNING lines, and writes
   // the stats JSON when requested.  False when some point did not run (its
-  // result() would throw).
+  // result() would throw).  A JSON write failure is reported here and turns
+  // exit_status() to 1.
   bool run() {
     runner_.run();
     bool all_ran = true;
@@ -122,28 +123,32 @@ class BenchSweep {
     }
     if (!opts_.stats_json.empty() &&
         !write_sweep_json(opts_.stats_json, runner_.outcomes(), opts_.jobs)) {
-      std::fprintf(stderr, "WARNING: failed to write stats JSON to '%s'\n",
-                   opts_.stats_json.c_str());
+      std::fprintf(stderr, "failed to write stats JSON to '%s'\n", opts_.stats_json.c_str());
+      stats_json_ok_ = false;
     }
     return all_ran;
   }
 
   const RunResult& result(std::size_t index) const { return runner_.result(index); }
 
+  // The bench's exit status given its own result `rc`: 1 when the stats JSON
+  // could not be written.
+  int exit_status(int rc = 0) const { return stats_json_ok_ ? rc : 1; }
+
  private:
   BenchOptions opts_;
   std::string bench_name_;
   SweepRunner runner_;
+  bool stats_json_ok_ = true;
 };
 
 // Writes a hand-built JSON document for the benches that do not run the
-// simulator (configuration/overhead tables, Monte Carlo sweeps).
-inline void write_bench_json(const BenchOptions& opts, const JsonWriter& w) {
-  if (opts.stats_json.empty()) return;
-  if (!w.write_file(opts.stats_json)) {
-    std::fprintf(stderr, "WARNING: failed to write stats JSON to '%s'\n",
-                 opts.stats_json.c_str());
-  }
+// simulator (configuration/overhead tables, Monte Carlo sweeps).  False,
+// with a diagnostic, when the requested file could not be written.
+inline bool write_bench_json(const BenchOptions& opts, const JsonWriter& w) {
+  if (opts.stats_json.empty() || w.write_file(opts.stats_json)) return true;
+  std::fprintf(stderr, "failed to write stats JSON to '%s'\n", opts.stats_json.c_str());
+  return false;
 }
 
 inline RunResult run_workload(const std::string& name, const SystemConfig& cfg,

@@ -106,5 +106,5 @@ int main(int argc, char** argv) {
   } else {
     std::printf("what-if calibration: no workload produced DRAM dep-wait cycles; skipped\n");
   }
-  return rc;
+  return sweep.exit_status(rc);
 }

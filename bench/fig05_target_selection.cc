@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   json.end_array();
   json.key("max_overhead").value(max_overhead);
   json.end_object();
-  bench::write_bench_json(opts, json);
+  const bool json_ok = bench::write_bench_json(opts, json);
   std::printf("\nmax traffic overhead of the first-HMC policy: %.1f%% "
               "(paper: at most ~15%%)\n", 100.0 * max_overhead);
-  return 0;
+  return json_ok ? 0 : 1;
 }

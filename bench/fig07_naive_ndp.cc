@@ -52,5 +52,5 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %16s %12s %11.3fx %11.3fx\n", "GMEAN", "", "", "",
               geomean(more_core_x), geomean(naive_x));
   std::printf("\npaper: naive NDP degrades all workloads (avg -52%%); MoreCore <3%% except KMN\n");
-  return 0;
+  return sweep.exit_status();
 }

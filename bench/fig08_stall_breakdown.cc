@@ -74,5 +74,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: baselines dominated by dependency stalls; naive NDP shifts the"
               " mix toward warp-idle\n");
-  return 0;
+  return sweep.exit_status();
 }

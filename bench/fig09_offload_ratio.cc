@@ -66,5 +66,5 @@ int main(int argc, char** argv) {
   std::printf("%-8s", "GMEAN");
   for (const auto& colv : columns) std::printf(" %7.3fx", geomean(colv));
   std::printf("\n\npaper: NDP(Dyn) +14.9%% mean (up to +66.8%% KMN); NDP(Dyn)_Cache +17.9%% mean\n");
-  return 0;
+  return sweep.exit_status();
 }

@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
   std::printf("\nGMEAN normalized energy: MoreCore %.3f, NDP(Dyn) %.3f, NDP(Dyn)$ %.3f\n",
               geomean(more_ratio), geomean(dyn_ratio), geomean(cache_ratio));
   std::printf("paper: NDP(Dyn) 0.925 mean (KMN 0.624); NDP(Dyn)_Cache 0.914\n");
-  return 0;
+  return sweep.exit_status();
 }

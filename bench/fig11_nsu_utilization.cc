@@ -50,5 +50,5 @@ int main(int argc, char** argv) {
               100.0 * oc_avg / occ.size());
   std::printf("\npaper: 23.7%% mean I-cache utilization; warp occupancy <= 39.3%%,"
               " 22.1%% mean\n");
-  return 0;
+  return sweep.exit_status();
 }

@@ -200,5 +200,5 @@ int main(int argc, char** argv) {
     }
   }
   if (csv != nullptr && std::fclose(csv) != 0) rc = 1;
-  return rc;
+  return sweep.exit_status(rc);
 }

@@ -40,5 +40,5 @@ int main(int argc, char** argv) {
   std::printf("\ninvalidation traffic: max %.2f%%, mean %.2f%% of off-chip bytes\n", mx,
               avg / overheads.size());
   std::printf("paper: up to 1.42%%, 0.38%% mean\n");
-  return 0;
+  return sweep.exit_status();
 }

@@ -48,5 +48,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%-8s %14s %14s %9.3fx\n", "GMEAN", "", "", geomean(xs));
   std::printf("\npaper: +11.6%% mean speedup with doubled compute units\n");
-  return 0;
+  return sweep.exit_status();
 }

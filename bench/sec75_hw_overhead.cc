@@ -54,6 +54,6 @@ int main(int argc, char** argv) {
   json.key("ndp_storage_overhead").value(gpu_ndp / gpu_existing);
   json.key("per_nsu_bytes").value(nsu_bytes);
   json.end_object();
-  bench::write_bench_json(opts, json);
-  return 0;
+  const bool json_ok = bench::write_bench_json(opts, json);
+  return json_ok ? 0 : 1;
 }

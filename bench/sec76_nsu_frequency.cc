@@ -49,5 +49,5 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %12s %12s %9.3fx %9.3fx\n", "GMEAN", "", "", "", geomean(full),
               geomean(half));
   std::printf("\npaper: 350 MHz +17.9%% mean; 175 MHz keeps +14.1%% mean\n");
-  return 0;
+  return sweep.exit_status();
 }

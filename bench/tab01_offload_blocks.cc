@@ -68,12 +68,12 @@ int main(int argc, char** argv) {
   json.key("avg_regs_out")
       .value(total_blocks ? total_out / total_blocks : 0.0);
   json.end_object();
-  bench::write_bench_json(opts, json);
+  const bool json_ok = bench::write_bench_json(opts, json);
   std::printf("\n(* = single-instruction indirect-load block, §4.4)\n");
   if (total_blocks > 0) {
     std::printf("average registers transferred per block: %.2f in, %.2f out\n",
                 total_in / total_blocks, total_out / total_blocks);
   }
   std::printf("(paper §5: GPU transmitted 0.41 / received 0.47 registers per thread on average)\n");
-  return 0;
+  return json_ok ? 0 : 1;
 }

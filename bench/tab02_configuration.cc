@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   json.end_object();
   json.end_object();
   json.end_object();
-  bench::write_bench_json(opts, json);
+  const bool json_ok = bench::write_bench_json(opts, json);
   std::printf("GPU\n");
   std::printf("  # of SMs                : %u\n", c.num_sms);
   std::printf("  # of HMCs               : %u\n", c.num_hmcs);
@@ -127,5 +127,5 @@ int main(int argc, char** argv) {
               " %u offload command entries\n",
               c.ndp_buffers.nsu_read_data_entries, c.ndp_buffers.nsu_write_addr_entries,
               c.ndp_buffers.nsu_cmd_entries);
-  return 0;
+  return json_ok ? 0 : 1;
 }

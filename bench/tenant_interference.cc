@@ -218,5 +218,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  return rc;
+  return sweep.exit_status(rc);
 }
