@@ -18,12 +18,6 @@ double StatSet::get_or(const std::string& name, double fallback) const {
   return it == values_.end() ? fallback : it->second;
 }
 
-void StatSet::merge(const std::string& prefix, const StatSet& other) {
-  for (const auto& [name, value] : other.values_) {
-    values_[prefix + name] += value;
-  }
-}
-
 double StatSet::sum_matching(const std::string& prefix, const std::string& suffix) const {
   double total = 0.0;
   // values_ is ordered; restrict the scan to keys starting with prefix.

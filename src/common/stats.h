@@ -26,9 +26,6 @@ class StatSet {
 
   const std::map<std::string, double>& values() const { return values_; }
 
-  // Merge another StatSet under a prefix, e.g. "sm3." + name.
-  void merge(const std::string& prefix, const StatSet& other);
-
   // Sum of all stats whose name matches "prefix*suffix" with a single '*'
   // wildcard standing for any infix (used to aggregate per-SM counters).
   double sum_matching(const std::string& prefix, const std::string& suffix) const;

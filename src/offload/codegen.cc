@@ -98,8 +98,8 @@ KernelImage generate(const Program& original, const std::vector<BlockCandidate>&
   return image;
 }
 
-KernelImage analyze_and_generate(const Program& original, const AnalyzerOptions& opts) {
-  const AnalysisResult analysis = analyze(original, opts);
+KernelImage analyze_and_generate(const Program& original) {
+  const AnalysisResult analysis = analyze(original);
   return generate(original, analysis.accepted);
 }
 

@@ -19,6 +19,6 @@ namespace sndp {
 KernelImage generate(const Program& original, const std::vector<BlockCandidate>& blocks);
 
 // Convenience: analyze + generate in one step.
-KernelImage analyze_and_generate(const Program& original, const AnalyzerOptions& opts = {});
+KernelImage analyze_and_generate(const Program& original);
 
 }  // namespace sndp

@@ -104,7 +104,7 @@ DiffReport diff_check(const std::vector<std::string>& workload_names, ProblemSca
       std::vector<KernelImage> images;
       images.reserve(wls.size());
       for (const auto& wl : wls) {
-        images.push_back(analyze_and_generate(wl->program(), point.analyzer));
+        images.push_back(analyze_and_generate(wl->program()));
       }
       std::vector<TenantJob> jobs;
       for (unsigned t = 0; t < wls.size(); ++t) {
@@ -116,8 +116,7 @@ DiffReport diff_check(const std::vector<std::string>& workload_names, ProblemSca
       }
       SystemConfig cfg = point.cfg;
       if (auto profile = auto_placement_profile(wls.size(), wls[0]->program(),
-                                                wls[0]->launch(), initial, cfg,
-                                                point.analyzer)) {
+                                                wls[0]->launch(), initial, cfg)) {
         cfg.placement.locality_profile = std::move(profile);
       }
       Simulator sim(cfg);

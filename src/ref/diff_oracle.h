@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "offload/analyzer.h"
 #include "workloads/workload.h"
 
 namespace sndp {
@@ -30,7 +29,6 @@ namespace sndp {
 struct OraclePoint {
   std::string label;
   SystemConfig cfg{};
-  AnalyzerOptions analyzer{};
 };
 
 // The standing 13-point matrix: baseline, NDP at static offload ratios

@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "offload/analyzer.h"
 #include "ref/ref_interp.h"
 
 namespace sndp {
@@ -22,10 +23,10 @@ struct WarpProfileState {
 
 std::shared_ptr<const PlacementProfile> build_placement_profile(
     const Program& prog, const LaunchParams& launch, const GlobalMemory& initial,
-    const SystemConfig& cfg, const AnalyzerOptions& analyzer_opts) {
+    const SystemConfig& cfg) {
   auto profile = std::make_shared<PlacementProfile>();
 
-  const AnalysisResult analysis = analyze(prog, analyzer_opts);
+  const AnalysisResult analysis = analyze(prog);
   if (analysis.accepted.empty()) return profile;  // nothing offloads: no votes
 
   const std::uint64_t page_bytes = cfg.page_bytes;
@@ -101,12 +102,12 @@ std::shared_ptr<const PlacementProfile> build_placement_profile(
 
 std::shared_ptr<const PlacementProfile> auto_placement_profile(
     std::size_t num_kernels, const Program& prog, const LaunchParams& launch,
-    const GlobalMemory& initial, const SystemConfig& cfg, const AnalyzerOptions& analyzer_opts) {
+    const GlobalMemory& initial, const SystemConfig& cfg) {
   if (num_kernels != 1 || cfg.placement.policy != PlacementPolicyKind::kLocality ||
       cfg.placement.locality_profile != nullptr) {
     return nullptr;
   }
-  return build_placement_profile(prog, launch, initial, cfg, analyzer_opts);
+  return build_placement_profile(prog, launch, initial, cfg);
 }
 
 }  // namespace sndp

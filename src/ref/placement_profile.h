@@ -19,16 +19,16 @@
 #include <memory>
 
 #include "common/config.h"
+#include "isa/program.h"
 #include "mem/placement.h"
 #include "memfunc/global_memory.h"
-#include "offload/analyzer.h"
 #include "sim/context.h"
 
 namespace sndp {
 
 std::shared_ptr<const PlacementProfile> build_placement_profile(
     const Program& prog, const LaunchParams& launch, const GlobalMemory& initial,
-    const SystemConfig& cfg, const AnalyzerOptions& analyzer_opts = {});
+    const SystemConfig& cfg);
 
 // The profile a run builds for itself: the pre-pass above over `prog` when
 // the run has one kernel and `cfg` selects kLocality with no profile
@@ -36,7 +36,6 @@ std::shared_ptr<const PlacementProfile> build_placement_profile(
 // kernel).  Simulator::run_tenants, the diff oracle and the fuzzer ask here.
 std::shared_ptr<const PlacementProfile> auto_placement_profile(
     std::size_t num_kernels, const Program& prog, const LaunchParams& launch,
-    const GlobalMemory& initial, const SystemConfig& cfg,
-    const AnalyzerOptions& analyzer_opts = {});
+    const GlobalMemory& initial, const SystemConfig& cfg);
 
 }  // namespace sndp

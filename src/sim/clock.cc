@@ -29,9 +29,9 @@ TimePs Scheduler::step() {
   // re-polled every step: a tick in one domain may have pushed work into
   // another (cross-domain channels), so cached values would go stale.
   TimePs target = kTimeNever;
-  for (std::size_t i = 0; i < domains_.size(); ++i) {
-    work_edge_[i] = domains_[i]->next_work_time();
-    if (work_edge_[i] < target) target = work_edge_[i];
+  for (ClockDomain* d : domains_) {
+    const TimePs t = d->next_work_time();
+    if (t < target) target = t;
   }
   quiescent_ = (target == kTimeNever);
   if (quiescent_) return now_;  // nothing to do; caller decides what's next

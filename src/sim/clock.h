@@ -117,10 +117,7 @@ class Scheduler {
  public:
   explicit Scheduler(bool fast_forward = false) : fast_forward_(fast_forward) {}
 
-  void add(ClockDomain* domain) {
-    domains_.push_back(domain);
-    work_edge_.push_back(kTimeNever);
-  }
+  void add(ClockDomain* domain) { domains_.push_back(domain); }
 
   TimePs now() const { return now_; }
 
@@ -166,7 +163,6 @@ class Scheduler {
   }
 
   std::vector<ClockDomain*> domains_;
-  std::vector<TimePs> work_edge_;  // per-domain scratch, valid within step()
   TimePs now_ = 0;
   TimePs limit_ps_ = kTimeNever;
   bool fast_forward_ = false;

@@ -60,14 +60,14 @@ RunResult Simulator::run_tenants(const std::vector<TenantDesc>& tenants,
     if (t > 0) alloc.alloc(0, kTenantBaseAlign);
     Rng rng(tenant_setup_seed(cfg_.placement_seed, t));
     wl.setup(gmem, alloc, rng);
-    images.push_back(analyze_and_generate(wl.program(), analyzer_opts_));
+    images.push_back(analyze_and_generate(wl.program()));
   }
   // Locality placement: a one-kernel run profiles itself over the reference
   // interpreter when the caller supplied no profile (the pre-pass reads a
   // copy of the launch-time image; gmem is untouched).
   const Workload& first = *tenants[0].workload;
-  const auto profile = auto_placement_profile(tenants.size(), first.program(),
-                                              first.launch(), gmem, cfg_, analyzer_opts_);
+  const auto profile =
+      auto_placement_profile(tenants.size(), first.program(), first.launch(), gmem, cfg_);
   if (profile != nullptr) cfg_.placement.locality_profile = profile;
   for (unsigned t = 0; t < tenants.size(); ++t) {
     TenantJob job;

@@ -22,7 +22,6 @@
 #include "isa/program.h"
 #include "obs/epoch_timeline.h"
 #include "obs/latency.h"
-#include "offload/analyzer.h"
 #include "sim/context.h"
 
 namespace sndp {
@@ -146,8 +145,6 @@ class Simulator {
   // locality run profiles itself (auto_placement_profile).
   RunResult run_tenants(const std::vector<TenantDesc>& tenants, const std::string& name);
 
-  void set_analyzer_options(const AnalyzerOptions& opts) { analyzer_opts_ = opts; }
-
   // Optional external abort hook, polled between tick bursts.  Returning
   // true stops the run early with result.aborted set (used by SweepRunner
   // for per-point wall-clock timeouts).  The callback must be cheap.
@@ -163,7 +160,6 @@ class Simulator {
 
  private:
   SystemConfig cfg_;
-  AnalyzerOptions analyzer_opts_{};
   AbortPoll abort_poll_;
   class GlobalMemory* final_memory_sink_ = nullptr;
 };

@@ -230,7 +230,6 @@ void SweepRunner::run_point(std::size_t index) {
   const auto start = Clock::now();
   try {
     Simulator sim(out.point.cfg);
-    sim.set_analyzer_options(out.point.analyzer);
     if (opts_.point_timeout_s > 0.0) {
       // Decimate the steady_clock reads: the poll runs once per 64-edge
       // burst, which is far hotter than a syscall-backed clock wants.

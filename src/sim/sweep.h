@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "offload/analyzer.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
 
@@ -55,7 +54,6 @@ struct SweepPoint {
   std::vector<TenantSpec> tenants;  // one entry: a classic single-kernel run
   ProblemScale scale = ProblemScale::kSmall;
   SystemConfig cfg{};
-  AnalyzerOptions analyzer{};
 
   // The tenant names joined by '+' ("VADD", "BFS+VADD+KMN"): the run's name
   // in RunResult::workload and the JSON "workload" key.

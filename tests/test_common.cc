@@ -77,14 +77,6 @@ TEST(StatSet, SetGetAdd) {
   EXPECT_DOUBLE_EQ(s.get_or("missing", -1.0), -1.0);
 }
 
-TEST(StatSet, MergeWithPrefix) {
-  StatSet a, b;
-  b.set("hits", 5.0);
-  a.merge("l1.", b);
-  a.merge("l1.", b);
-  EXPECT_DOUBLE_EQ(a.get("l1.hits"), 10.0);
-}
-
 TEST(StatSet, SumMatching) {
   StatSet s;
   s.set("sm0.stall", 1.0);

@@ -180,8 +180,8 @@ TEST(EpochTimeline, RecordsEveryConsumedBoundary) {
   // A run that consumed N SM edges (sm_cycles = N - 1) ends N / epoch_cycles
   // epochs, including the boundaries after the last stepped instant, and the
   // timeline and the audit each see every one of them once.
-  for (const char* name : {"VADD", "BFS"}) {
-    for (const Cycle epoch : {Cycle{1}, Cycle{97}, Cycle{1000}}) {
+  for (const char* name : {"VADD", "BFS", "FWT"}) {
+    for (const Cycle epoch : {Cycle{1}, Cycle{97}, Cycle{131}, Cycle{1000}}) {
       for (const bool ff : {true, false}) {
         SystemConfig cfg = SystemConfig::paper();
         cfg.governor.mode = OffloadMode::kDynamicCache;
