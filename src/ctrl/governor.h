@@ -1,6 +1,6 @@
-// The offload governor: one per simulated system.  Combines the offload
-// mode (§6-7), the hill-climbing dynamic ratio (Algorithm 1), and the
-// cache-locality-aware suppression (§7.3) into a single per-instance
+// The offload governor: one per tenant, owned by the Gpu.  Combines the
+// offload mode (§6-7), the hill-climbing dynamic ratio (Algorithm 1), and
+// the cache-locality-aware suppression (§7.3) into a single per-instance
 // decision made at every OFLD.BEG.
 #pragma once
 
@@ -43,8 +43,8 @@ class OffloadGovernor {
   }
 
   // End the current epoch: the hill-climb update for its boundary, then
-  // reset the epoch's instruction count.  The simulator calls it at every
-  // epoch boundary (see run_images).
+  // reset the epoch's instruction count.  Gpu::end_epoch calls it at every
+  // epoch boundary.
   EpochRollInfo roll_epoch();
 
   // Total offload-block instructions ever reported (audit cross-check

@@ -3,43 +3,27 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "ctrl/governor.h"
-#include "gpu/wta_tracker.h"
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
 #include "noc/network.h"
-#include "ndp/ro_cache.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
 #include "sim/simulator.h"
 
 namespace sndp {
 
-Gpu::Gpu(const SystemContext& ctx) : ctx_(ctx) {
+Gpu::Gpu(const SystemContext& ctx) : ctx_(ctx), shared_(ctx) {
   const SystemConfig& cfg = *ctx_.cfg;
   fast_forward_ = cfg.fast_forward;
   const unsigned num_tenants = ctx_.num_tenants();
-  total_ctas_t_.resize(num_tenants);
   next_cta_t_.assign(num_tenants, 0);
-  dispatched_.assign(num_tenants, 0);
-  tenant_progress_.resize(num_tenants);
   t_l2_hits_.assign(num_tenants, 0);
   t_l2_misses_.assign(num_tenants, 0);
   t_l2_merged_.assign(num_tenants, 0);
-  govs_.resize(num_tenants);
-  for (unsigned t = 0; t < num_tenants; ++t) {
-    total_ctas_t_[t] = ctx_.launch_of(t).num_ctas;
-    tenant_progress_[t].total = total_ctas_t_[t];
-    ctas_left_ += total_ctas_t_[t];
-    govs_[t] = ctx_.governor_of(t);
-  }
+  for (unsigned t = 0; t < num_tenants; ++t) ctas_left_ += ctx_.launch_of(t).num_ctas;
   sms_.reserve(cfg.num_sms);
-  egress_front_.assign(cfg.num_sms, kTimeNever);
   for (unsigned i = 0; i < cfg.num_sms; ++i) {
-    sms_.push_back(std::make_unique<Sm>(i, ctx_));
-    sms_.back()->set_l2_wake(&l2_wake_, &egress_front_[i]);
-    sms_.back()->set_dispatch_wake(&dispatch_wake_);
-    sms_.back()->set_tenant_progress(&tenant_progress_);
+    sms_.push_back(std::make_unique<Sm>(i, ctx_, shared_));
   }
   // One L2 slice per HMC link; each slice gets an equal share of the 2 MB.
   CacheConfig slice_cfg = cfg.l2;
@@ -80,9 +64,9 @@ TimePs Gpu::next_work_ps() {
 }
 
 unsigned Gpu::pick_tenant(const Sm& sm) const {
-  const unsigned num_tenants = static_cast<unsigned>(total_ctas_t_.size());
+  const unsigned num_tenants = ctx_.num_tenants();
   auto eligible = [&](unsigned t) {
-    return next_cta_t_[t] < total_ctas_t_[t] && sm.can_accept_cta(t);
+    return next_cta_t_[t] < ctx_.launch_of(t).num_ctas && sm.can_accept_cta(t);
   };
   switch (ctx_.cfg->tenancy.arbiter) {
     case TenantArbiter::kRoundRobin:
@@ -100,7 +84,7 @@ unsigned Gpu::pick_tenant(const Sm& sm) const {
       for (unsigned t = 0; t < num_tenants; ++t) {
         if (!eligible(t)) continue;
         const double wt = (*ctx_.tenants)[t].weight > 0.0 ? (*ctx_.tenants)[t].weight : 1.0;
-        const double score = static_cast<double>(dispatched_[t]) / wt;
+        const double score = static_cast<double>(next_cta_t_[t]) / wt;
         if (best == kInvalidId || score < best_score) {
           best = t;
           best_score = score;
@@ -129,17 +113,17 @@ void Gpu::dispatch() {
   // CTA dispatcher: at most one new CTA per SM per cycle, round-robin over
   // SMs; the arbiter picks the tenant each freed slot serves.
   if (ctas_left_ == 0) return;
-  if (dispatch_wake_) {
-    dispatch_wake_ = false;
+  if (shared_.dispatch_wake) {
+    shared_.dispatch_wake = false;
     dispatch_blocked_ = false;
   }
   // A scan that assigns nothing has no side effects (dispatch_rr_ and the
   // arbiter state only move on assignment), and can_accept_cta() can only
-  // flip true when a CTA retires — which raises dispatch_wake_.  So
+  // flip true when a CTA retires — which raises the dispatch wake.  So
   // skipping scans while blocked is exact in both stepping modes.
   if (dispatch_blocked_) return;
   const unsigned n = static_cast<unsigned>(sms_.size());
-  const unsigned num_tenants = static_cast<unsigned>(total_ctas_t_.size());
+  const unsigned num_tenants = ctx_.num_tenants();
   bool assigned = false;
   for (unsigned i = 0; i < n && ctas_left_ != 0; ++i) {
     Sm& sm = *sms_[(dispatch_rr_ + i) % n];
@@ -147,7 +131,6 @@ void Gpu::dispatch() {
     if (t == kInvalidId) continue;
     sm.assign_cta(next_cta_t_[t]++, t);
     --ctas_left_;
-    ++dispatched_[t];
     tenant_rr_ = (t + 1) % num_tenants;
     dispatch_rr_ = (dispatch_rr_ + i + 1) % n;
     assigned = true;
@@ -157,12 +140,19 @@ void Gpu::dispatch() {
 
 TimePs Gpu::core_next_work_ps() const {
   if (ctas_left_ == 0) return kTimeNever;   // every tenant's queue drained
-  if (dispatch_blocked_ && !dispatch_wake_) return kTimeNever;
+  if (dispatch_blocked_ && !shared_.dispatch_wake) return kTimeNever;
   return 0;  // CTAs remain and a slot may be free: dispatch this edge
 }
 
 void Gpu::finalize(Cycle end_cycle) {
   for (auto& sm : sms_) sm->finalize(end_cycle);
+}
+
+EpochRollInfo Gpu::end_epoch(Cycle boundary) {
+  const EpochRollInfo info = shared_.governors[0]->roll_epoch();
+  for (unsigned t = 1; t < shared_.governors.size(); ++t) shared_.governors[t]->roll_epoch();
+  finalize(boundary);
+  return info;
 }
 
 SmCycleStack Gpu::cycle_stack() const {
@@ -184,7 +174,7 @@ void Gpu::send_to_network(Packet&& p, TimePs now) {
 TimePs Gpu::l2_next_work_ps() const {
   // Cached earliest delivery among SM egress + slice queues, plus the live
   // network RX front (lowered by remote HMC ticks between our edges).
-  TimePs w = l2_wake_;
+  TimePs w = shared_.l2_wake;
   const auto& rx = ctx_.net->rx(ctx_.net->gpu_node());
   if (!rx.empty() && rx.front_ready_ps() < w) w = rx.front_ready_ps();
   return w;
@@ -199,7 +189,7 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
   //    crossbar; its latency was already added by the SM).  An SM whose
   //    egress head is not ready yet (or whose queue is empty) is skipped.
   for (unsigned i = 0; i < sms_.size(); ++i) {
-    if (egress_front_[i] > now) continue;
+    if (shared_.egress_front[i] > now) continue;
     Sm& sm = *sms_[i];
     for (unsigned moved = 0; moved < 2; ++moved) {
       auto p = sm.out().pop_ready(now);
@@ -236,16 +226,16 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
   while (auto p = rx.pop_ready(now)) handle_rx(std::move(*p), now);
 
   // Recompute the cached wake over everything this tick drains.  Later SM
-  // pushes lower it directly through the Sm::set_l2_wake pointer.
+  // pushes lower it directly (Sm::push_out).
   // Computed the same way in both stepping modes: naive stepping never
   // reads it, and one mode-independent path needs no stepping-mode branch.
   {
-    TimePs w = *std::min_element(egress_front_.begin(), egress_front_.end());
+    TimePs w = *std::min_element(shared_.egress_front.begin(), shared_.egress_front.end());
     for (const L2Slice& s : slices_) {
       if (!s.in.empty()) w = std::min(w, s.in.front_ready_ps());
       if (!s.urgent.empty()) w = std::min(w, s.urgent.front_ready_ps());
     }
-    l2_wake_ = w;
+    shared_.l2_wake = w;
   }
 }
 
@@ -278,10 +268,10 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
       // l2_read_reqs_, so the per-tenant sums reconcile exactly with the
       // fabric total (RDF probes below bump the slice caches' own counters
       // and would contaminate a cache-counter-based split).
-      OffloadGovernor* gov = ctx_.governor_of(p.tenant);
+      OffloadGovernor& gov = *shared_.governors[p.tenant];
       if (result == CacheAccessResult::kHit) {
         ++t_l2_hits_.at(p.tenant);
-        if (in_block) gov->cache_table().record_load_line(p.oid.block, true, touched);
+        if (in_block) gov.cache_table().record_load_line(p.oid.block, true, touched);
         wire_bytes_ += kLineBytes;
         ctx_.latency->add_cache(p, l2_latency_ps);
         ctx_.latency->finish(p, PathClass::kGpuReadL2, now + l2_latency_ps, ctx_.cfg->num_hmcs);
@@ -289,7 +279,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
             ->deliver_line(p.line_addr, now + l2_latency_ps, LineServe::kL2);
       } else if (result == CacheAccessResult::kMissNew) {
         ++t_l2_misses_.at(p.tenant);
-        if (in_block) gov->cache_table().record_load_line(p.oid.block, false, 0);
+        if (in_block) gov.cache_table().record_load_line(p.oid.block, false, 0);
         // Pin the destination to this slice's stack: the MSHR lives here, so
         // the fill (src_node of the response) must come back to the same
         // slice even if the page migrates while the miss is outstanding.
@@ -299,7 +289,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
         // Merged into an existing L2 MSHR: this request's lifetime ends
         // here; the merged-into request's response will serve it.
         ++t_l2_merged_.at(p.tenant);
-        if (in_block) gov->cache_table().record_load_line(p.oid.block, false, 0);
+        if (in_block) gov.cache_table().record_load_line(p.oid.block, false, 0);
         ctx_.latency->cancel(p);
       }
       continue;
@@ -323,7 +313,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
         const bool hit = slice.cache->probe(p.line_addr);
         const bool in_block = p.oid.block != kNoBlock;
         if (in_block) {
-          ctx_.governor_of(p.tenant)->cache_table().record_load_line(
+          shared_.governors[p.tenant]->cache_table().record_load_line(
               p.oid.block, hit, hit ? popcount_mask(p.mask) * p.mem_width : 0);
         }
         if (hit) {
@@ -338,7 +328,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
                   ctx_.gmem->load_reg(p.lane_addrs[lane], p.mem_width, p.mem_f32);
             }
           }
-          const bool ro_hit = ctx_.ro_cache->lookup_or_insert(p.target_nsu, p.line_addr);
+          const bool ro_hit = shared_.ro_cache.lookup_or_insert(p.target_nsu, p.line_addr);
           p.size_bytes = ro_hit
                              ? small_packet_bytes() + kAddrBytes
                              : rdf_resp_packet_bytes(popcount_mask(p.mask), p.mem_width);
@@ -399,13 +389,13 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
       // §4.1.1: this invalidation retires one in-flight WTA for its HMC.
       // (The tracker aggregates across stacks under a volatile mapping, so
       // a since-migrated key still retires the right count.)
-      ctx_.wta_tracker->on_invalidation(ctx_.amap->hmc_of(p.line_addr));
+      shared_.wta.on_invalidation(ctx_.amap->hmc_of(p.line_addr));
       break;
     }
     case PacketType::kOfldAck: {
       // Data-buffer credits ride on the ACK (§4.3).
-      ctx_.bufmgr->release(p.target_nsu, 0, p.credit_read_data, p.credit_write_addr,
-                           p.tenant);
+      shared_.bufmgr.release(p.target_nsu, 0, p.credit_read_data, p.credit_write_addr,
+                             p.tenant);
       ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
       ctx_.latency->finish(p, PathClass::kOfldCmd, now + ctx_.cfg->xbar_latency_ps,
                            ctx_.cfg->num_hmcs);
@@ -414,8 +404,8 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
       break;
     }
     case PacketType::kCredit: {
-      ctx_.bufmgr->release(p.target_nsu, p.credit_cmd, p.credit_read_data,
-                           p.credit_write_addr, p.tenant);
+      shared_.bufmgr.release(p.target_nsu, p.credit_cmd, p.credit_read_data,
+                             p.credit_write_addr, p.tenant);
       ctx_.latency->finish(p, PathClass::kCredit, now, ctx_.cfg->num_hmcs);
       break;
     }
@@ -449,7 +439,16 @@ void Gpu::audit(AuditSnapshot& s) const {
   s.rdf_l2_hits += rdf_l2_hits_;
   s.mem_read_resps += mem_read_resps_;
   s.gpu_rx_packets += rx_packets_;
-  for (const OffloadGovernor* g : govs_) s.gov_block_instrs += g->total_block_instrs();
+  const SystemConfig& cfg = *ctx_.cfg;
+  for (unsigned h = 0; h < cfg.num_hmcs; ++h) {
+    s.buf_free_cmd += shared_.bufmgr.free_cmd(h);
+    s.buf_free_read_data += shared_.bufmgr.free_read_data(h);
+    s.buf_free_write_addr += shared_.bufmgr.free_write_addr(h);
+  }
+  s.buf_cap_cmd += std::uint64_t{cfg.ndp_buffers.nsu_cmd_entries} * cfg.num_hmcs;
+  s.buf_cap_read_data += std::uint64_t{cfg.ndp_buffers.nsu_read_data_entries} * cfg.num_hmcs;
+  s.buf_cap_write_addr += std::uint64_t{cfg.ndp_buffers.nsu_write_addr_entries} * cfg.num_hmcs;
+  for (const auto& g : shared_.governors) s.gov_block_instrs += g->total_block_instrs();
   const SmCycleStack machine = cycle_stack();
   for (std::size_t b = 0; b < kNumSmBuckets; ++b) s.cyc_sm_buckets[b] += machine.bucket_total(b);
   const unsigned num_tenants = ctx_.num_tenants();
@@ -461,13 +460,16 @@ void Gpu::audit(AuditSnapshot& s) const {
     for (unsigned t = 0; t < num_tenants; ++t) {
       s.tenant_issued[t] = issued_by_tenant(t);
       s.tenant_l2_reads[t] = t_l2_hits_[t] + t_l2_misses_[t] + t_l2_merged_[t];
-      s.tenant_gov_instrs[t] = govs_[t]->total_block_instrs();
+      s.tenant_gov_instrs[t] = shared_.governors[t]->total_block_instrs();
       s.cyc_tenant_issue[t] = machine.rows[t][static_cast<std::size_t>(SmBucket::kIssue)];
     }
   }
 }
 
 void Gpu::report(RunResult& r) const {
+  if (r.completed && !shared_.wta.all_quiescent()) {
+    throw std::logic_error("Gpu: in-flight WTA counter leaked");
+  }
   std::uint64_t issued = 0, active = 0, l1_hits = 0, l1_misses = 0;
   for (const auto& sm : sms_) {
     sm->report(r);
@@ -503,26 +505,32 @@ void Gpu::report(RunResult& r) const {
   out.set("gpu.l1_misses", static_cast<double>(l1_misses));
   out.set("gpu.l2_hits", static_cast<double>(total_l2_hits()));
   out.set("gpu.l2_misses", static_cast<double>(total_l2_misses()));
-  govs_[0]->export_stats(out);
+  shared_.governors[0]->export_stats(out);
+  shared_.bufmgr.export_stats(out);
+  out.set("wta.max_inflight", static_cast<double>(shared_.wta.max_seen()));
+  out.set("wta.total", static_cast<double>(shared_.wta.total()));
+  out.set("rocache.hits", static_cast<double>(shared_.ro_cache.hits()));
+  out.set("rocache.fills", static_cast<double>(shared_.ro_cache.fills()));
+  out.set("rocache.invalidations", static_cast<double>(shared_.ro_cache.invalidations()));
   // Tenant results and tenant-keyed stats only exist on multi-tenant runs,
   // so the classic single-kernel stat set (golden-stats pins) is unchanged.
   const unsigned num_tenants = ctx_.num_tenants();
   if (num_tenants == 1) return;
   for (unsigned t = 0; t < num_tenants; ++t) {
     TenantResult tr;
-    tr.finish_cycle = tenant_progress_[t].finish_cycle;
+    tr.finish_cycle = shared_.progress[t].finish_cycle;
     tr.issued = issued_by_tenant(t);
     tr.l2_hits = t_l2_hits_[t];
     tr.l2_misses = t_l2_misses_[t];
     tr.l2_merged = t_l2_merged_[t];
-    tr.gov_block_instrs = govs_[t]->total_block_instrs();
+    tr.gov_block_instrs = shared_.governors[t]->total_block_instrs();
     std::string p = "gpu.t";
     p += std::to_string(t);
     out.set(p + ".issued_instrs", static_cast<double>(tr.issued));
     out.set(p + ".l2_hits", static_cast<double>(tr.l2_hits));
     out.set(p + ".l2_misses", static_cast<double>(tr.l2_misses));
     out.set(p + ".l2_merged", static_cast<double>(tr.l2_merged));
-    out.set(p + ".ctas", static_cast<double>(dispatched_[t]));
+    out.set(p + ".ctas", static_cast<double>(next_cta_t_[t]));
     out.set(p + ".finish_cycle", static_cast<double>(tr.finish_cycle));
     std::string g = "gov.t";
     g += std::to_string(t);

@@ -1,6 +1,8 @@
 // The GPU chip: SMs, address-sliced L2 (one slice per HMC link), the CTA
-// dispatcher, the NDP buffer manager, and the chip-level packet plumbing
-// between SMs, L2 slices, the off-chip links, and the NSUs.
+// dispatcher, the GPU side of the NDP protocol (GpuShared: buffer credits,
+// WTA counters, the read-only-cache mirror and the per-tenant governors),
+// and the chip-level packet plumbing between SMs, L2 slices, the off-chip
+// links, and the NSUs.
 //
 // The Gpu is the one member of the SM clock domain.  The L2 slices run at
 // the SM clock (Table 2), so one tick covers the whole chip.
@@ -9,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "gpu/buffer_manager.h"
 #include "gpu/sm.h"
 #include "mem/cache.h"
 #include "sim/clock.h"
@@ -22,6 +23,8 @@ struct RunResult;
 
 class Gpu final : public Tickable {
  public:
+  // Throws std::invalid_argument when a tenant block can never be granted
+  // its NDP buffer entries (see GpuShared).
   explicit Gpu(const SystemContext& ctx);
 
   // One SM clock edge: every SM in index order, the CTA dispatcher, then
@@ -39,20 +42,27 @@ class Gpu final : public Tickable {
   // SM domain's consumed-edge count before stats are read.
   void finalize(Cycle end_cycle);
 
+  // End the epoch whose boundary is SM cycle `boundary`: roll every
+  // tenant's governor, then finalize(boundary).  Returns tenant 0's roll.
+  EpochRollInfo end_epoch(Cycle boundary);
+
   // Waits for every tenant's CTA queue to drain, not just tenant 0's
   // (DESIGN.md "Multi-tenant serving").
   bool idle() const;
 
   // Flow audit (src/obs/stats_audit.*): every SM's counters, the L2 slices'
-  // outcomes and flow counters, the per-tenant governors and splits, and
-  // the machine SM cycle stack's bucket totals.
+  // outcomes and flow counters, the NDP buffer credits and capacities, the
+  // per-tenant governors and splits, and the machine SM cycle stack's
+  // bucket totals.
   void audit(AuditSnapshot& s) const;
 
-  // End of run: every SM's report, then the `gpu.*` and governor 0's stats,
-  // `ipc` (from `r.sm_cycles`), the machine SM cycle stack and the Fig. 8
-  // stall counters taken from it, the GPU's energy events and the SMs'
-  // active seconds, and on multi-tenant runs the per-tenant results and
-  // stats (their names are the caller's).
+  // End of run: every SM's report, then the `gpu.*`, governor 0's,
+  // `bufmgr.*`, `wta.*` and `rocache.*` stats, `ipc` (from `r.sm_cycles`),
+  // the machine SM cycle stack and the Fig. 8 stall counters taken from it,
+  // the GPU's energy events and the SMs' active seconds, and on
+  // multi-tenant runs the per-tenant results and stats (their names are the
+  // caller's).  Throws std::logic_error when a completed run
+  // (`r.completed`) left a WTA in flight (§4.1.1 page-migration safety).
   void report(RunResult& r) const;
 
  private:
@@ -79,6 +89,7 @@ class Gpu final : public Tickable {
   TimePs l2_next_work_ps() const;
 
   const SystemContext& ctx_;
+  GpuShared shared_;  // lent to every SM
   std::vector<std::unique_ptr<Sm>> sms_;
 
   struct L2Slice {
@@ -90,28 +101,20 @@ class Gpu final : public Tickable {
 
   // Per-tenant CTA queues (size 1 on the single-tenant path, where the
   // dispatch order reduces exactly to the classic scalar dispatcher).
-  std::vector<unsigned> total_ctas_t_;
+  // next_cta_t_[t] is also tenant t's dispatched count, the kWeightedShare
+  // arbiter's share.
   std::vector<unsigned> next_cta_t_;
-  unsigned ctas_left_ = 0;   // sum over tenants of (total - next)
+  unsigned ctas_left_ = 0;   // sum over tenants of (num_ctas - next)
   unsigned dispatch_rr_ = 0; // SM round-robin pointer
   unsigned tenant_rr_ = 0;   // kRoundRobin arbiter pointer
-  std::vector<std::uint64_t> dispatched_;  // kWeightedShare shares
-  std::vector<class OffloadGovernor*> govs_;  // one per tenant
-  std::vector<TenantCtaProgress> tenant_progress_;
   std::vector<std::uint64_t> t_l2_hits_, t_l2_misses_, t_l2_merged_;
 
-  // Fast-forward state.  `dispatch_blocked_` latches "a full dispatcher scan
-  // assigned nothing" (such scans are side-effect-free, so skipping them is
-  // exact); any SM completing a CTA raises `dispatch_wake_` to force a
-  // rescan.  `l2_wake_` caches the earliest pending delivery among SM egress
-  // and slice queues; SM pushes lower it directly (see Sm::set_l2_wake).
-  // `egress_front_[i]` is the ready time of SM i's egress head, kTimeNever
-  // while that queue is empty; each SM keeps its own entry current.
+  // Fast-forward state (the wakes the SMs raise live in shared_).
+  // `dispatch_blocked_` latches "a full dispatcher scan assigned nothing"
+  // (such scans are side-effect-free, so skipping them is exact) until a
+  // CTA completion raises `shared_.dispatch_wake`.
   bool fast_forward_ = false;
   bool dispatch_blocked_ = false;
-  bool dispatch_wake_ = false;
-  TimePs l2_wake_ = 0;
-  std::vector<TimePs> egress_front_;
 
   std::uint64_t invals_received_ = 0;
   std::uint64_t rdf_l2_probes_ = 0;

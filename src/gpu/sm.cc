@@ -4,21 +4,54 @@
 #include <bit>
 #include <stdexcept>
 
-#include "ctrl/governor.h"
-#include "gpu/buffer_manager.h"
-#include "gpu/wta_tracker.h"
 #include "mem/address_map.h"
 #include "memfunc/global_memory.h"
-#include "ndp/ro_cache.h"
 #include "obs/latency.h"
 #include "obs/stats_audit.h"
 #include "sim/simulator.h"
 
 namespace sndp {
 
-Sm::Sm(SmId id, const SystemContext& ctx)
+GpuShared::GpuShared(const SystemContext& ctx)
+    : bufmgr(ctx.cfg->ndp_buffers, ctx.cfg->num_hmcs),
+      wta(ctx.cfg->num_hmcs),
+      ro_cache(ctx.cfg->num_hmcs, ctx.cfg->nsu, ctx.cfg->l2.line_bytes),
+      egress_front(ctx.cfg->num_sms, kTimeNever) {
+  const SystemConfig& cfg = *ctx.cfg;
+  const unsigned num_tenants = ctx.num_tenants();
+  if (num_tenants > 1) bufmgr.set_tenancy(num_tenants, cfg.tenancy.credit_share);
+  // Under a volatile mapping (migration) a WTA's generation-time stack and
+  // its invalidation-time stack can disagree; collapse to one counter.
+  wta.set_aggregate(ctx.amap->policy().volatile_mapping());
+  progress.resize(num_tenants);
+  for (unsigned t = 0; t < num_tenants; ++t) {
+    const TenantInfo& ti = (*ctx.tenants)[t];
+    // Tenant t perturbs the seed by its index, so tenant 0 keeps the
+    // classic seed.
+    governors.push_back(std::make_unique<OffloadGovernor>(
+        cfg.governor, static_cast<unsigned>(ti.image->blocks.size()), cfg.l2.line_bytes,
+        (cfg.placement_seed ^ 0x60BE44) ^ (static_cast<std::uint64_t>(t) << 32)));
+    progress[t].total = ti.launch.num_ctas;
+    for (const OffloadBlockInfo& b : ti.image->blocks) {
+      if (b.num_loads <= bufmgr.tenant_max_read_data() &&
+          b.num_stores <= bufmgr.tenant_max_write_addr()) {
+        continue;
+      }
+      throw std::invalid_argument(
+          "run_images: tenant " + std::to_string(t) + " (" + ti.name + ") block " +
+          std::to_string(b.block_id) + " needs " + std::to_string(b.num_loads) +
+          " read-data and " + std::to_string(b.num_stores) +
+          " write-address entries, but one tenant may hold at most " +
+          std::to_string(bufmgr.tenant_max_read_data()) + " and " +
+          std::to_string(bufmgr.tenant_max_write_addr()));
+    }
+  }
+}
+
+Sm::Sm(SmId id, const SystemContext& ctx, GpuShared& shared)
     : id_(id),
       ctx_(ctx),
+      shared_(shared),
       cfg_(ctx.cfg->sm),
       l1_(ctx.cfg->sm.l1d, "l1"),
       coalescer_(cfg_.l1d.line_bytes) {
@@ -179,10 +212,10 @@ void Sm::push_out(Packet&& p, TimePs ready_ps) {
   out_.push(std::move(p), ready_ps);
   // Only a push into an empty queue moves the egress front; a later push
   // lands behind that front, which the L2 wake already covers.
-  if (l2_wake_ != nullptr && out_.size() == 1) {
+  if (out_.size() == 1) {
     const TimePs t = out_.front_ready_ps();
-    *egress_front_ = t;
-    if (t < *l2_wake_) *l2_wake_ = t;
+    shared_.egress_front[id_] = t;
+    if (t < shared_.l2_wake) shared_.l2_wake = t;
   }
 }
 
@@ -201,8 +234,8 @@ void Sm::retry_credit_grants(TimePs now) {
     Warp& w = warps_[lowest_slot(m)];
     GpuOffloadCtx& ctx = *w.ofld;
     if (ctx.target == kInvalidId) continue;
-    if (!ctx_.bufmgr->try_reserve(ctx.target, ctx.info->num_loads, ctx.info->num_stores,
-                                  w.tenant)) {
+    if (!shared_.bufmgr.try_reserve(ctx.target, ctx.info->num_loads, ctx.info->num_stores,
+                                    w.tenant)) {
       continue;
     }
     ctx.credits_granted = true;
@@ -364,7 +397,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
     }
     ++ofld_acks_;
     acked_block_instrs_ += info.body_size();
-    ctx_.governor_of(w.tenant)->on_block_complete(info.body_size());
+    shared_.governors[w.tenant]->on_block_complete(info.body_size());
     w.ofld.reset();
     w.cur_block = kNoBlock;
     set_state(w, WarpState::kReady);
@@ -583,11 +616,9 @@ void Sm::handle_exit(Warp& w) {
   const unsigned tenant = cta.tenant;
   cta.valid = false;
   ++free_cta_slots_;
-  if (tenant_progress_ != nullptr && tenant < tenant_progress_->size()) {
-    TenantCtaProgress& tp = (*tenant_progress_)[tenant];
-    if (++tp.done == tp.total) tp.finish_cycle = now_cycle_;
-  }
-  if (dispatch_wake_ != nullptr) *dispatch_wake_ = true;
+  TenantCtaProgress& tp = shared_.progress[tenant];
+  if (++tp.done == tp.total) tp.finish_cycle = now_cycle_;
+  shared_.dispatch_wake = true;
 }
 
 void Sm::begin_offload(Warp& w, const Instr& in, Cycle /*cycle*/, TimePs now) {
@@ -595,7 +626,7 @@ void Sm::begin_offload(Warp& w, const Instr& in, Cycle /*cycle*/, TimePs now) {
   const OffloadBlockInfo& info = ctx_.image_of(w.tenant)->blocks.at(block_id);
   w.cur_block = block_id;
 
-  if (!ctx_.governor_of(w.tenant)->decide(info, w.active_count())) {
+  if (!shared_.governors[w.tenant]->decide(info, w.active_count())) {
     ++inline_blocks_;
     ++w.pc;
     return;
@@ -649,7 +680,7 @@ void Sm::end_offload_or_inline(Warp& w, Cycle /*cycle*/, TimePs now) {
     const OffloadBlockInfo& info =
         image.blocks.at(static_cast<unsigned>(image.gpu.at(w.pc).imm));
     inline_block_instrs_ += info.body_size();
-    ctx_.governor_of(w.tenant)->on_block_complete(info.body_size());
+    shared_.governors[w.tenant]->on_block_complete(info.body_size());
     w.cur_block = kNoBlock;
     ++w.pc;
     return;
@@ -758,7 +789,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
           // Cache-locality statistics for the governor (§7.3): L1 hits are
           // recorded here, L1 misses at the L2 slice with the L2 outcome.
           if (w.cur_block != kNoBlock) {
-            ctx_.governor_of(w.tenant)->cache_table().record_load_line(
+            shared_.governors[w.tenant]->cache_table().record_load_line(
                 w.cur_block, true, popcount_mask(la.lanes) * in.mem_width);
           }
           break;
@@ -813,7 +844,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
     for (const LineAccess& la : lines) {
       ++l1_accesses_;
       l1_.write_touch(la.line_addr);
-      ctx_.ro_cache->invalidate(la.line_addr);
+      shared_.ro_cache.invalidate(la.line_addr);
       Packet p;
       p.type = PacketType::kMemWrite;
       p.tenant = static_cast<std::uint8_t>(w.tenant);
@@ -827,7 +858,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
       push_out(std::move(p), now + ctx_.cfg->xbar_latency_ps);
     }
     if (w.cur_block != kNoBlock) {
-      ctx_.governor_of(w.tenant)->cache_table().record_store_bytes(
+      shared_.governors[w.tenant]->cache_table().record_store_bytes(
           w.cur_block, popcount_mask(lanes) * in.mem_width);
     }
   }
@@ -895,7 +926,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
       ++rdf_packets_;
       const bool hit = l1_.probe(la.line_addr);
       if (hit && w.cur_block != kNoBlock) {
-        ctx_.governor_of(w.tenant)->cache_table().record_load_line(
+        shared_.governors[w.tenant]->cache_table().record_load_line(
             w.cur_block, true, popcount_mask(la.lanes) * in.mem_width);
       }
       Packet p;
@@ -922,7 +953,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
         // §7.1 extension: if the target NSU's read-only cache already holds
         // this line, send a tiny reference instead of the data.
         const bool ro_hit = ofld.target != kInvalidId &&
-                            ctx_.ro_cache->lookup_or_insert(ofld.target, la.line_addr);
+                            shared_.ro_cache.lookup_or_insert(ofld.target, la.line_addr);
         p.size_bytes = ro_hit ? small_packet_bytes() + kAddrBytes
                               : rdf_resp_packet_bytes(popcount_mask(la.lanes), in.mem_width);
       } else {
@@ -946,8 +977,8 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
     // Store: ship the write addresses to the target NSU.
     for (const LineAccess& la : lines) {
       ++wta_packets_;
-      ctx_.wta_tracker->on_wta_generated(ctx_.amap->hmc_of(la.line_addr));
-      ctx_.ro_cache->invalidate(la.line_addr);
+      shared_.wta.on_wta_generated(ctx_.amap->hmc_of(la.line_addr));
+      shared_.ro_cache.invalidate(la.line_addr);
       Packet p;
       p.type = PacketType::kWta;
       p.tenant = static_cast<std::uint8_t>(w.tenant);
@@ -968,7 +999,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
       emit_or_hold(w, std::move(p), now + ctx_.cfg->xbar_latency_ps);
     }
     if (w.cur_block != kNoBlock) {
-      ctx_.governor_of(w.tenant)->cache_table().record_store_bytes(
+      shared_.governors[w.tenant]->cache_table().record_store_bytes(
           w.cur_block, popcount_mask(lanes) * in.mem_width);
     }
   }

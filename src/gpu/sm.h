@@ -16,9 +16,13 @@
 #include <vector>
 
 #include "common/types.h"
+#include "ctrl/governor.h"
+#include "gpu/buffer_manager.h"
 #include "gpu/coalescer.h"
 #include "gpu/warp.h"
+#include "gpu/wta_tracker.h"
 #include "mem/cache.h"
+#include "ndp/ro_cache.h"
 #include "obs/cycle_stack.h"
 #include "sim/context.h"
 #include "sim/timed_channel.h"
@@ -45,12 +49,40 @@ struct TenantCtaProgress {
   unsigned total = 0;
   unsigned done = 0;
   Cycle finish_cycle = 0;
-  bool finished() const { return done >= total; }
+};
+
+// The GPU side of the NDP protocol, owned by the Gpu and lent to each of
+// its SMs at construction: the §4.3 credit-based buffer manager, the
+// §4.1.1 in-flight WTA counters, the §7.1 read-only-cache mirror and one
+// §7.2 offload governor per tenant, plus the entries the SMs keep current
+// for the Gpu's dispatcher and L2 side.
+struct GpuShared {
+  // Throws std::invalid_argument when a tenant's block needs more buffer
+  // entries than one tenant may ever hold: it would never be granted, and
+  // its warps would poll for credits until the valve.
+  explicit GpuShared(const SystemContext& ctx);
+
+  NdpBufferManager bufmgr;
+  WtaInflightTracker wta;
+  RoCacheMirror ro_cache;
+  // One per tenant: each climbs its own offload ratio from its own
+  // completion signal, so one tenant's phase change cannot contaminate
+  // another's epoch stats.
+  std::vector<std::unique_ptr<OffloadGovernor>> governors;
+  std::vector<TenantCtaProgress> progress;  // one per tenant
+  // Fast-forward wake state.  `egress_front[i]` is the ready time of SM i's
+  // egress head, kTimeNever while that queue is empty; each SM keeps its
+  // own entry current, and its egress pushes lower `l2_wake`, the earliest
+  // pending delivery among SM egress and slice queues.  A CTA completion
+  // raises `dispatch_wake` to force a dispatcher rescan.
+  std::vector<TimePs> egress_front;
+  TimePs l2_wake = 0;
+  bool dispatch_wake = false;
 };
 
 class Sm {
  public:
-  Sm(SmId id, const SystemContext& ctx);
+  Sm(SmId id, const SystemContext& ctx, GpuShared& shared);
 
   // One SM clock edge; the Gpu ticks its SMs in index order.
   void tick(Cycle cycle, TimePs now);
@@ -70,9 +102,7 @@ class Sm {
   // refreshes this SM's egress-front entry.  Whoever pops out() must call
   // this.
   void on_egress_pop(TimePs now) {
-    if (egress_front_ != nullptr) {
-      *egress_front_ = out_.empty() ? kTimeNever : out_.front_ready_ps();
-    }
+    shared_.egress_front[id_] = out_.empty() ? kTimeNever : out_.front_ready_ps();
     if (struct_park_ == 0) return;
     unpark_structural();
     if (now < wake_ps_) wake_ps_ = now;
@@ -82,17 +112,6 @@ class Sm {
   // with the SM domain's consumed-edge count before stats are read, and at
   // epoch boundaries.  Idempotent.
   void finalize(Cycle end_cycle);
-
-  // Wiring for cross-component wake hints (set by the Gpu at construction):
-  // egress pushes lower the L2 drain hint, and this SM keeps its entry of
-  // the Gpu's egress-front table (its egress head's ready time, kTimeNever
-  // while empty) current; CTA completions re-arm the dispatcher.
-  void set_l2_wake(TimePs* wake, TimePs* egress_front) {
-    l2_wake_ = wake;
-    egress_front_ = egress_front;
-  }
-  void set_dispatch_wake(bool* wake) { dispatch_wake_ = wake; }
-  void set_tenant_progress(std::vector<TenantCtaProgress>* p) { tenant_progress_ = p; }
 
   // --- CTA management (driven by the Gpu's dispatcher) --------------------
   bool can_accept_cta(unsigned tenant = 0) const;
@@ -211,6 +230,7 @@ class Sm {
 
   SmId id_;
   const SystemContext& ctx_;
+  GpuShared& shared_;
   const SmConfig& cfg_;
   Cache l1_;
   Coalescer coalescer_;
@@ -262,10 +282,6 @@ class Sm {
   // frees up), or kCycleNever when only an event re-arms the warp (its
   // pending load's fill; egress/MSHR/tracker exhaustion).
   Cycle retry_cycle_ = 0;
-  TimePs* l2_wake_ = nullptr;
-  TimePs* egress_front_ = nullptr;
-  bool* dispatch_wake_ = nullptr;
-  std::vector<TenantCtaProgress>* tenant_progress_ = nullptr;
   std::vector<std::uint64_t> issued_by_tenant_;
 
   struct LineFill {

@@ -40,8 +40,8 @@ namespace sndp {
 // the component that counts it: `Gpu::audit` (which walks its SMs'
 // `Sm::audit`), `Network::audit` and `Hmc::audit` (which walks its NSU's
 // `Nsu::audit` and its vaults).  The Simulator adds the fields no component
-// owns: energy mirrors, buffer credits, latency-tracer counts, placement
-// counters, geometry and the SM flush cycle.
+// owns: energy mirrors, latency-tracer counts, placement counters, geometry
+// and the SM flush cycle.
 struct AuditSnapshot {
   // SM / L1 side.
   std::uint64_t l1_hits = 0;       // includes RDF-probe hits

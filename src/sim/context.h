@@ -3,6 +3,7 @@
 // and outlive the components.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "common/config.h"
@@ -14,10 +15,6 @@ class AddressMap;
 class GlobalMemory;
 class LatencyTracer;
 class Network;
-class OffloadGovernor;
-class NdpBufferManager;
-class RoCacheMirror;
-class WtaInflightTracker;
 struct KernelImage;
 
 // Kernel grid: num_ctas thread blocks of cta_threads threads each.
@@ -32,13 +29,12 @@ struct LaunchParams {
 };
 
 // One resident kernel stream (DESIGN.md "Multi-tenant serving").  The
-// Simulator owns the images and governors; the table is shared read-only by
-// every component via SystemContext.  A single-kernel run is a one-entry
-// table.
+// Simulator owns the images; the table is shared read-only by every
+// component via SystemContext.  A single-kernel run is a one-entry table.
 struct TenantInfo {
   const KernelImage* image = nullptr;
   LaunchParams launch{};
-  OffloadGovernor* governor = nullptr;
+  std::string name;        // the job's name, for diagnostics
   double weight = 1.0;     // kWeightedShare arbiter share
   unsigned priority = 0;   // kStrictPriority rank (lower wins)
 };
@@ -49,9 +45,6 @@ struct SystemContext {
   GlobalMemory* gmem = nullptr;
   // The memory network every cross-component packet travels through.
   Network* net = nullptr;
-  NdpBufferManager* bufmgr = nullptr;
-  RoCacheMirror* ro_cache = nullptr;
-  WtaInflightTracker* wta_tracker = nullptr;
   // Request-lifecycle latency tracer (src/obs/latency.*); every run has one.
   LatencyTracer* latency = nullptr;
 
@@ -63,7 +56,6 @@ struct SystemContext {
   unsigned num_tenants() const { return static_cast<unsigned>(tenants->size()); }
   const KernelImage* image_of(unsigned t) const { return (*tenants)[t].image; }
   const LaunchParams& launch_of(unsigned t) const { return (*tenants)[t].launch; }
-  OffloadGovernor* governor_of(unsigned t) const { return (*tenants)[t].governor; }
 };
 
 }  // namespace sndp

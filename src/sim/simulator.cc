@@ -6,10 +6,7 @@
 #include <vector>
 
 #include "common/log.h"
-#include "ctrl/governor.h"
 #include "gpu/gpu.h"
-#include "gpu/wta_tracker.h"
-#include "ndp/ro_cache.h"
 #include "mem/address_map.h"
 #include "mem/hmc.h"
 #include "memfunc/global_memory.h"
@@ -120,61 +117,26 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   LatencyTracer latency(cfg_.latency_sample);
   latency.set_num_tenants(num_tenants);
   net.set_latency(&latency);
-  // One governor per tenant: each climbs its own offload ratio from its own
-  // completion signal, so one tenant's phase change cannot contaminate
-  // another's epoch stats.  Tenant t perturbs the seed by its index, so
-  // tenant 0 keeps the classic seed.
-  std::vector<std::unique_ptr<OffloadGovernor>> govs;
   std::vector<TenantInfo> tenant_table;
-  for (unsigned t = 0; t < num_tenants; ++t) {
-    govs.push_back(std::make_unique<OffloadGovernor>(
-        cfg_.governor, static_cast<unsigned>(jobs[t].image->blocks.size()), cfg_.l2.line_bytes,
-        (cfg_.placement_seed ^ 0x60BE44) ^ (static_cast<std::uint64_t>(t) << 32)));
+  for (const TenantJob& job : jobs) {
     TenantInfo ti;
-    ti.image = jobs[t].image;
-    ti.launch = jobs[t].launch;
-    ti.governor = govs[t].get();
-    ti.weight = jobs[t].weight;
-    ti.priority = jobs[t].priority;
+    ti.image = job.image;
+    ti.launch = job.launch;
+    ti.name = job.name;
+    ti.weight = job.weight;
+    ti.priority = job.priority;
     tenant_table.push_back(ti);
   }
-  NdpBufferManager bufmgr(cfg_.ndp_buffers, cfg_.num_hmcs);
-  if (num_tenants > 1) bufmgr.set_tenancy(num_tenants, cfg_.tenancy.credit_share);
-  // A block that needs more buffer entries than its tenant may ever hold is
-  // never granted, and its warps would poll for credits until the valve.
-  for (unsigned t = 0; t < num_tenants; ++t) {
-    for (const OffloadBlockInfo& b : jobs[t].image->blocks) {
-      if (b.num_loads <= bufmgr.tenant_max_read_data() &&
-          b.num_stores <= bufmgr.tenant_max_write_addr()) {
-        continue;
-      }
-      throw std::invalid_argument(
-          "run_images: tenant " + std::to_string(t) + " (" + jobs[t].name + ") block " +
-          std::to_string(b.block_id) + " needs " + std::to_string(b.num_loads) +
-          " read-data and " + std::to_string(b.num_stores) +
-          " write-address entries, but one tenant may hold at most " +
-          std::to_string(bufmgr.tenant_max_read_data()) + " and " +
-          std::to_string(bufmgr.tenant_max_write_addr()));
-    }
-  }
-  RoCacheMirror ro_cache(cfg_.num_hmcs, cfg_.nsu, cfg_.l2.line_bytes);
-  WtaInflightTracker wta_tracker(cfg_.num_hmcs);
-  // Under a volatile mapping (migration) a WTA's generation-time stack and
-  // its invalidation-time stack can disagree; collapse to one counter.
-  wta_tracker.set_aggregate(amap.policy().volatile_mapping());
 
   SystemContext ctx;
   ctx.cfg = &cfg_;
   ctx.amap = &amap;
   ctx.gmem = &gmem;
   ctx.net = &net;
-  ctx.bufmgr = &bufmgr;
-  ctx.ro_cache = &ro_cache;
-  ctx.wta_tracker = &wta_tracker;
   ctx.latency = &latency;
   ctx.tenants = &tenant_table;
 
-  Gpu gpu(ctx);
+  Gpu gpu(ctx);  // throws on a block one tenant's credits can never hold
   std::vector<std::unique_ptr<Hmc>> hmcs;
   for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
     hmcs.push_back(std::make_unique<Hmc>(h, ctx));
@@ -185,23 +147,13 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   StatsAudit audit;
   // `sm_flushed_to`: the SM cycle every SM's cycle stack was flushed to.
   // Each component adds the counters it owns; the rest belong to no
-  // component: buffer credits, placement, latency, geometry (and, on the
-  // final snapshot, the energy mirrors).
+  // component: placement, latency, geometry (and, on the final snapshot,
+  // the energy mirrors).
   auto audit_snapshot = [&](Cycle sm_flushed_to) {
     AuditSnapshot s;
     gpu.audit(s);
     net.audit(s);
     for (const auto& hmc : hmcs) hmc->audit(s);
-    for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
-      s.buf_free_cmd += bufmgr.free_cmd(h);
-      s.buf_free_read_data += bufmgr.free_read_data(h);
-      s.buf_free_write_addr += bufmgr.free_write_addr(h);
-    }
-    s.buf_cap_cmd = static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_cmd_entries) * cfg_.num_hmcs;
-    s.buf_cap_read_data =
-        static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_read_data_entries) * cfg_.num_hmcs;
-    s.buf_cap_write_addr =
-        static_cast<std::uint64_t>(cfg_.ndp_buffers.nsu_write_addr_entries) * cfg_.num_hmcs;
     s.line_bytes = cfg_.l2.line_bytes;
     s.pages_migrated = amap.policy().pages_migrated();
     s.migration_bytes = amap.policy().migration_bytes();
@@ -215,18 +167,17 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     return s;
   };
 
-  // End epoch `epochs`: roll every tenant's governor, flush the SM cycle
-  // stacks to the boundary cycle, and hand one snapshot to the audit and to
-  // the timeline (which records tenant 0's epoch).  The governors change
-  // state only inside SM ticks and the cut runs before any domain ticks the
-  // first instant at/after the boundary, so each roll sees exactly its
-  // epoch's instructions in both stepping modes (epoch_timeline.h).
+  // End epoch `epochs`: the Gpu rolls every tenant's governor and flushes
+  // the SM cycle stacks to the boundary cycle, then one snapshot goes to
+  // the audit and to the timeline (which records tenant 0's epoch).  The
+  // governors change state only inside SM ticks and the cut runs before any
+  // domain ticks the first instant at/after the boundary, so each roll sees
+  // exactly its epoch's instructions in both stepping modes
+  // (epoch_timeline.h).
   std::uint64_t epochs = 0;
   auto end_epoch = [&] {
-    const EpochRollInfo info = govs[0]->roll_epoch();
-    for (unsigned t = 1; t < num_tenants; ++t) govs[t]->roll_epoch();
     const Cycle boundary = ++epochs * cfg_.governor.epoch_cycles;
-    gpu.finalize(boundary);
+    const EpochRollInfo info = gpu.end_epoch(boundary);
     const AuditSnapshot s = audit_snapshot(boundary);
     audit.check_epoch(info.epoch, s);
     timeline.record(info, s);
@@ -312,7 +263,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.sm_cycles = sm_domain.now_cycle();
   result.runtime_ps = sched.now();
   // Each component adds its stats, its energy events and its cycle-stack
-  // rows; the names of the tenant results are the jobs'.
+  // rows (the Gpu refuses a completed run that left a WTA in flight); the
+  // names of the tenant results are the jobs'.
   gpu.report(result);
   net.report(result);
   for (const auto& hmc : hmcs) hmc->report(result);
@@ -332,25 +284,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   last.energy_nsu_lane_ops = result.counters.nsu_lane_ops;
   audit.check_final(last, completed && !aborted);
 
-  // End-of-run invariants: with everything drained, all NSU buffer credits
-  // must be home and no WTA can still be in flight (§4.1.1 page-migration
-  // safety).  (Only meaningful when the run completed.)
-  if (completed && !bufmgr.all_idle()) {
-    throw std::logic_error("Simulator: NDP buffer credits leaked");
-  }
-  if (completed && !wta_tracker.all_quiescent()) {
-    throw std::logic_error("Simulator: in-flight WTA counter leaked");
-  }
-
   // Stats of the objects that are not timed components.
-  bufmgr.export_stats(result.stats);
   result.energy.export_stats(result.stats);
   amap.export_stats(result.stats);
-  result.stats.set("wta.max_inflight", static_cast<double>(wta_tracker.max_seen()));
-  result.stats.set("wta.total", static_cast<double>(wta_tracker.total()));
-  result.stats.set("rocache.hits", static_cast<double>(ro_cache.hits()));
-  result.stats.set("rocache.fills", static_cast<double>(ro_cache.fills()));
-  result.stats.set("rocache.invalidations", static_cast<double>(ro_cache.invalidations()));
   result.stats.set("sim.sm_cycles", static_cast<double>(result.sm_cycles));
   result.stats.set("sim.runtime_ps", static_cast<double>(result.runtime_ps));
   result.stats.set("sim.ipc", result.ipc);
@@ -387,7 +323,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
 
   // Audit failures are modeling bugs, not workload outcomes — fail loudly,
   // after the stats/trace artifacts above are flushed so the violation is
-  // diagnosable from them.  Mirrors the buffer-credit-leak throw.
+  // diagnosable from them.
   if (!audit.ok()) {
     throw std::logic_error("Simulator: stats audit failed: " + audit.first_violation_message());
   }

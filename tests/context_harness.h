@@ -16,25 +16,17 @@ struct ContextHarness {
       : cfg(std::move(c)),
         amap(cfg),
         net(cfg),
-        governor(cfg.governor, 8, 128, 1),
-        bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
-        ro_cache(cfg.num_hmcs, cfg.nsu, 128),
-        wta(cfg.num_hmcs),
         latency(cfg.latency_sample),
         image(analyze_and_generate(prog)) {
     net.set_latency(&latency);
     TenantInfo solo;
     solo.image = &image;
     solo.launch = launch;
-    solo.governor = &governor;
     tenants.push_back(solo);
     ctx.cfg = &cfg;
     ctx.amap = &amap;
     ctx.gmem = &gmem;
     ctx.net = &net;
-    ctx.bufmgr = &bufmgr;
-    ctx.ro_cache = &ro_cache;
-    ctx.wta_tracker = &wta;
     ctx.latency = &latency;
     ctx.tenants = &tenants;
   }
@@ -46,10 +38,6 @@ struct ContextHarness {
   AddressMap amap;
   GlobalMemory gmem;
   Network net;
-  OffloadGovernor governor;
-  NdpBufferManager bufmgr;
-  RoCacheMirror ro_cache;
-  WtaInflightTracker wta;
   LatencyTracer latency;
   KernelImage image;
   std::vector<TenantInfo> tenants;

@@ -21,8 +21,8 @@ struct SmHarness : ContextHarness {
       : SmHarness(prog, make_cfg(mode), cta_threads, num_ctas) {}
 
   SmHarness(const Program& prog, SystemConfig c, unsigned cta_threads, unsigned num_ctas)
-      : ContextHarness(std::move(c), prog, LaunchParams{cta_threads, num_ctas}) {
-    sm = std::make_unique<Sm>(0, ctx);
+      : ContextHarness(std::move(c), prog, LaunchParams{cta_threads, num_ctas}), shared(ctx) {
+    sm = std::make_unique<Sm>(0, ctx, shared);
   }
 
   static SystemConfig make_cfg(OffloadMode mode) {
@@ -60,6 +60,7 @@ struct SmHarness : ContextHarness {
     return n;
   }
 
+  GpuShared shared;  // the Gpu's side of the NDP protocol, as a Gpu lends it
   std::unique_ptr<Sm> sm;
   std::vector<Packet> sent;
   Cycle cycle = 0;
@@ -232,7 +233,7 @@ TEST(SmUnit, OffloadDeniedCreditsKeepsPacketsPending) {
   SmHarness h(b.build(), 32, 1, OffloadMode::kAlways);
   // Exhaust every HMC's command credits first.
   for (unsigned hmc = 0; hmc < h.cfg.num_hmcs; ++hmc) {
-    while (h.bufmgr.try_reserve(hmc, 0, 0)) {
+    while (h.shared.bufmgr.try_reserve(hmc, 0, 0)) {
     }
   }
   h.sm->assign_cta(0);
@@ -241,7 +242,7 @@ TEST(SmUnit, OffloadDeniedCreditsKeepsPacketsPending) {
   EXPECT_TRUE(h.sm->busy());
   // Return credits: the pending packets flush.
   for (unsigned hmc = 0; hmc < h.cfg.num_hmcs; ++hmc) {
-    h.bufmgr.release(hmc, h.cfg.ndp_buffers.nsu_cmd_entries, 0, 0);
+    h.shared.bufmgr.release(hmc, h.cfg.ndp_buffers.nsu_cmd_entries, 0, 0);
   }
   h.tick(50);
   EXPECT_EQ(h.count(PacketType::kOfldCmd), 1u);
@@ -410,14 +411,14 @@ TEST(SmStall, CreditStarvedOffloadCountsEveryAttempt) {
     cfg.ndp_buffers.sm_pending_entries = 8;  // a command and two 2-line accesses each
     SmHarness h(b.build(), cfg, 128, 1);     // 4 warps
     for (unsigned hmc = 0; hmc < h.cfg.num_hmcs; ++hmc) {
-      while (h.bufmgr.try_reserve(hmc, 0, 0)) {
+      while (h.shared.bufmgr.try_reserve(hmc, 0, 0)) {
       }
     }
     h.sm->assign_cta(0);
     h.tick(80);
     EXPECT_EQ(h.count(PacketType::kOfldCmd), 0u);
     for (unsigned hmc = 0; hmc < h.cfg.num_hmcs; ++hmc) {
-      h.bufmgr.release(hmc, h.cfg.ndp_buffers.nsu_cmd_entries, 0, 0);
+      h.shared.bufmgr.release(hmc, h.cfg.ndp_buffers.nsu_cmd_entries, 0, 0);
     }
     h.tick(120);
     EXPECT_EQ(h.count(PacketType::kOfldCmd), 4u);
@@ -460,6 +461,26 @@ TEST(GpuL2, WakeFollowsSmEgress) {
   for (; !sm.out().empty() && c < 100; ++c) gpu.tick(c, edge(c));
   EXPECT_TRUE(sm.out().empty());
   EXPECT_EQ(gpu.next_work_ps(), kTimeNever);
+}
+
+// The Gpu owns the NDP buffer credits, so its audit reports them: each
+// capacity is the configured entries times the stacks, and a Gpu that has
+// reserved nothing holds every credit.
+TEST(GpuAudit, ReportsNdpBufferCredits) {
+  ProgramBuilder b;
+  b.movi(16, 0x40000).madi(8, 0, 8, 16).st(8, 0).exit();
+  ContextHarness h(SmHarness::make_cfg(OffloadMode::kOff), b.build(), LaunchParams{32, 1});
+  Gpu gpu(h.ctx);
+  AuditSnapshot s;
+  gpu.audit(s);
+  const NdpBufferConfig& buf = h.cfg.ndp_buffers;
+  const std::uint64_t hmcs = h.cfg.num_hmcs;
+  EXPECT_EQ(s.buf_cap_cmd, buf.nsu_cmd_entries * hmcs);
+  EXPECT_EQ(s.buf_cap_read_data, buf.nsu_read_data_entries * hmcs);
+  EXPECT_EQ(s.buf_cap_write_addr, buf.nsu_write_addr_entries * hmcs);
+  EXPECT_EQ(s.buf_free_cmd, s.buf_cap_cmd);
+  EXPECT_EQ(s.buf_free_read_data, s.buf_cap_read_data);
+  EXPECT_EQ(s.buf_free_write_addr, s.buf_cap_write_addr);
 }
 
 }  // namespace

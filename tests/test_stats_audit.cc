@@ -172,6 +172,22 @@ TEST(StatsAudit, UndrainedRunSkipsStrictEqualities) {
   EXPECT_FALSE(strict.ok());
 }
 
+TEST(StatsAudit, LeakedCreditTripsDrainedCheck) {
+  // One read-data credit never came home: fine while the run is in flight,
+  // a leak once it has drained.
+  AuditSnapshot s = consistent(3);
+  s.buf_free_read_data -= 1;
+  StatsAudit undrained;
+  undrained.check_final(s, /*drained=*/false);
+  EXPECT_TRUE(undrained.ok());
+  StatsAudit drained;
+  drained.check_final(s, /*drained=*/true);
+  ASSERT_EQ(drained.violations().size(), 1u);
+  const AuditViolation& v = drained.violations().front();
+  EXPECT_EQ(v.component, "buffers");
+  EXPECT_EQ(v.check, "drained_read_data_credits");
+}
+
 TEST(StatsAudit, ViolationListIsBoundedButCounted) {
   StatsAudit audit;
   AuditSnapshot s = consistent(1);
