@@ -279,7 +279,7 @@ BlockCandidate make_indirect_block(const Program& prog, unsigned idx) {
 
 }  // namespace
 
-AnalysisResult analyze(const Program& prog, const AnalyzerOptions& opts) {
+AnalysisResult analyze(const Program& prog) {
   AnalysisResult result;
   const auto bb_starts = prog.basic_block_starts();
 
@@ -331,18 +331,16 @@ AnalysisResult analyze(const Program& prog, const AnalyzerOptions& opts) {
             [](const BlockCandidate& a, const BlockCandidate& b) { return a.begin < b.begin; });
 
   for (auto& c : candidates) {
-    const bool too_long = c.num_loads > opts.max_mem_insts || c.num_stores > opts.max_mem_insts;
-    if (!too_long && c.score > opts.min_score) {
+    const bool too_long = c.num_loads > kMaxBlockMemInsts || c.num_stores > kMaxBlockMemInsts;
+    if (!too_long && c.score > 0.0) {
       result.accepted.push_back(std::move(c));
       continue;
     }
     // §4.4: salvage single indirect loads from rejected candidates.
-    if (opts.indirect_rule) {
-      const unsigned bb = bb_begin_of(c.begin);
-      for (unsigned i = c.begin; i < c.end; ++i) {
-        if (prog.at(i).op == Opcode::kLd && address_is_indirect(prog, bb, i)) {
-          result.accepted.push_back(make_indirect_block(prog, i));
-        }
+    const unsigned bb = bb_begin_of(c.begin);
+    for (unsigned i = c.begin; i < c.end; ++i) {
+      if (prog.at(i).op == Opcode::kLd && address_is_indirect(prog, bb, i)) {
+        result.accepted.push_back(make_indirect_block(prog, i));
       }
     }
     result.rejected.push_back(std::move(c));

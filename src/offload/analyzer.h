@@ -33,11 +33,9 @@
 
 namespace sndp {
 
-struct AnalyzerOptions {
-  double min_score = 0.0;       // accept candidates with Score > min_score
-  bool indirect_rule = true;    // §4.4
-  unsigned max_mem_insts = 64;  // bound from the seq-number field width
-};
+// The most loads, and the most stores, one offload block may hold: the
+// bound from the packet sequence-number field's width.
+inline constexpr unsigned kMaxBlockMemInsts = 64;
 
 // A candidate/accepted region prior to code generation.
 struct BlockCandidate {
@@ -61,8 +59,9 @@ struct AnalysisResult {
 };
 
 // Analyze `prog` and return accepted (and rejected) candidates, in
-// program order, non-overlapping.
-AnalysisResult analyze(const Program& prog, const AnalyzerOptions& opts = {});
+// program order, non-overlapping.  A candidate is accepted when its Score
+// is above 0 and it has at most kMaxBlockMemInsts loads and stores.
+AnalysisResult analyze(const Program& prog);
 
 std::string to_string(const BlockCandidate& c);
 

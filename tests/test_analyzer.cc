@@ -104,22 +104,6 @@ TEST(Analyzer, IndirectLoadSplitsAndSalvages) {
   EXPECT_EQ(c.regs_out[0], 12u);
 }
 
-TEST(Analyzer, IndirectRuleCanBeDisabled) {
-  const Program p = assemble(R"(
-    MOVI R16, 0x10000
-    MOVI R17, 0x20000
-    IMAD R8, R0, 8, R16
-    LD   R10, [R8+0]
-    IMAD R11, R10, 8, R17
-    LD   R12, [R11+0]
-    SHM.ST [R3+0], R12
-    EXIT
-  )");
-  AnalyzerOptions opts;
-  opts.indirect_rule = false;
-  EXPECT_TRUE(analyze(p, opts).accepted.empty());
-}
-
 TEST(Analyzer, SetpConsumingLoadDataSplits) {
   // A compare on loaded data must stay on the GPU, so the block ends after
   // the feeding load.
@@ -314,9 +298,7 @@ TEST(Analyzer, MaxMemInstsBound) {
   b.movi(16, 0x10000);
   for (int i = 0; i < 70; ++i) b.ld(10, 16, i * 8);
   b.st(16, 10).exit();
-  AnalyzerOptions opts;
-  opts.max_mem_insts = 64;
-  const AnalysisResult r = analyze(b.build(), opts);
+  const AnalysisResult r = analyze(b.build());
   EXPECT_TRUE(r.accepted.empty());
 }
 
