@@ -45,7 +45,6 @@ class RoCacheMirror {
     if (n.lru.size() >= capacity_) {
       n.index.erase(n.lru.back());
       n.lru.pop_back();
-      ++evictions_;
     }
     n.lru.push_front(line);
     n.index[line] = n.lru.begin();
@@ -81,7 +80,6 @@ class RoCacheMirror {
   std::vector<PerNsu> nsus_;
   std::uint64_t hits_ = 0;
   std::uint64_t fills_ = 0;
-  std::uint64_t evictions_ = 0;
   std::uint64_t invalidations_ = 0;
 };
 

@@ -26,15 +26,6 @@ void TraceWriter::complete(const std::string& name, const std::string& category,
   events_.push_back(Event{'X', name, category, tid, start_ps, dur_ps});
 }
 
-void TraceWriter::instant(const std::string& name, const std::string& category, int tid,
-                          TimePs at_ps) {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(Event{'i', name, category, tid, at_ps, 0});
-}
-
 void TraceWriter::counter(const std::string& name, int tid, TimePs at_ps, double value) {
   if (events_.size() >= capacity_) {
     ++dropped_;
@@ -72,7 +63,6 @@ std::string TraceWriter::to_json() const {
     os << "{\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid << ",\"name\":\""
        << escape(e.name) << "\",\"cat\":\"" << escape(e.category) << "\",\"ts\":" << us(e.start_ps);
     if (e.phase == 'X') os << ",\"dur\":" << us(e.dur_ps);
-    if (e.phase == 'i') os << ",\"s\":\"t\"";
     // JsonWriter::number keeps NaN/Inf out of the document (they would make
     // the whole trace unparseable).
     if (e.phase == 'C') os << ",\"args\":{\"value\":" << JsonWriter::number(e.value) << '}';

@@ -1,10 +1,12 @@
 // Chrome-trace (about://tracing, Perfetto) event writer.
 //
 // When `SystemConfig::trace_path` is set, the simulator records packet
-// flights and offload-block lifecycles and writes a JSON trace at the end
-// of the run.  Rows (tids) group events by component: one row per HMC link
-// direction, one per NSU, one for the GPU.  Load a trace with
-// https://ui.perfetto.dev or chrome://tracing.
+// flights, the sampled requests' latency spans and the per-epoch counter
+// tracks, and writes a JSON trace at the end of the run.  Rows (tids): one
+// per HMC and one for the GPU, numbered like network nodes (a packet flight
+// sits on its source node's row), then the Governor row that carries the
+// epoch counters.  Load a trace with https://ui.perfetto.dev or
+// chrome://tracing.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +22,6 @@ class TraceWriter {
   // Complete ("X") event: [start_ps, start_ps + dur_ps) on row `tid`.
   void complete(const std::string& name, const std::string& category, int tid,
                 TimePs start_ps, TimePs dur_ps);
-  // Instant ("i") event.
-  void instant(const std::string& name, const std::string& category, int tid, TimePs at_ps);
   // Counter ("C") event: a named series sampled at `at_ps`.  Perfetto draws
   // one stacked chart per (name, tid) pair.
   void counter(const std::string& name, int tid, TimePs at_ps, double value);
@@ -48,7 +48,7 @@ class TraceWriter {
 
  private:
   struct Event {
-    char phase;  // 'X', 'i', 'C', or flow 's'/'t'/'f'
+    char phase;  // 'X', 'C', or flow 's'/'t'/'f'
     std::string name;
     std::string category;
     int tid;
