@@ -22,8 +22,12 @@
 #                                 (every epoch sample, 97-cycle epochs)
 #   sndpsim --stats  -w BFS -s small
 #   sndpsim --stats  -w all -s small                      (the ndp-mem scale)
+#   sndpsim --stats  -w all -s tiny --ro-cache --optimal-target
+#                                 (the NSU read-only cache, all-access targets)
 #   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 #   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff
+#   sndpsim --stats  --tenants BFS:2:0,VADD,KMN --arbiter weighted -s tiny
+#                    --credit-share 0.02          (per-tenant credit caps deny)
 #   sndpsim --stats-json  -w all -s tiny
 #   sndpsim --stats-json  --tenants BFS:2:0,VADD,KMN --arbiter weighted
 #   fig08_stall_breakdown
@@ -105,10 +109,15 @@ compare "sndpsim -w all -s tiny -m dyn -e 97 --epoch-csv -" \
   examples/sndpsim --stats -w all -s tiny -m dyn -e 97 --epoch-csv -
 compare "sndpsim -w BFS -s small" examples/sndpsim --stats -w BFS -s small
 compare "sndpsim -w all -s small" examples/sndpsim --stats -w all -s small
+compare "sndpsim -w all -s tiny --ro-cache --optimal-target" \
+  examples/sndpsim --stats -w all -s tiny --ro-cache --optimal-target
 compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted
 compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff" \
   examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted --no-ff
+compare "sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted -s tiny --credit-share 0.02" \
+  examples/sndpsim --stats --tenants BFS:2:0,VADD,KMN --arbiter weighted -s tiny \
+  --credit-share 0.02
 compare_json "sndpsim --stats-json -w all -s tiny" examples/sndpsim -w all -s tiny
 compare_json "sndpsim --stats-json --tenants BFS:2:0,VADD,KMN --arbiter weighted" \
   examples/sndpsim --tenants BFS:2:0,VADD,KMN --arbiter weighted
